@@ -1,7 +1,9 @@
 """Command-line harness.
 
 Subcommands: ingest, featurize, select, train, evaluate, grid, explain,
-report.  Exit codes: 0 ok, 2 config error, 3 data error, 4 compute error.
+report.  `report` runs every stage of `pipeline.STAGES`; each staged
+subcommand loads its stage's inputs from --out and runs that one stage.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 compute error.
 """
 
 from __future__ import annotations
@@ -9,17 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
-from dataclasses import asdict
-from pathlib import Path
 
 from . import pipeline
 from .features import FeatureMatrix, median_impute
-from .metrics import TrainSplit
-from .models import ModelSpec, TreeEnsemble, fit_model
+from .models import FittedModel, ModelSpec, TreeEnsemble
 from .pipeline import ConfigError, GridSpec, PipelineConfig, PipelineStageError
-from .resampling import ResamplingStrategy, apply_strategy
 from .tables import DataError
 
 EXIT_OK = 0
@@ -50,100 +49,65 @@ def _load_config(args) -> PipelineConfig:
     return PipelineConfig.from_flat(overrides)
 
 
-def _write_json(path, payload):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _artifact(config: PipelineConfig, name: str, stage: str) -> Path:
+    path = Path(config.out_dir) / name
+    if not path.exists():
+        raise DataError(f"{path} not found; run the {stage} stage first")
+    return path
+
+
+def _load_matrix(config: PipelineConfig) -> FeatureMatrix:
+    return FeatureMatrix.from_csv(_artifact(config, "features.csv", "featurize"))
+
+
+def _working_matrix(config: PipelineConfig) -> FeatureMatrix:
+    """features_pruned.csv, narrowed to top_k.json's columns for top_k."""
+    matrix = FeatureMatrix.from_csv(_artifact(config, "features_pruned.csv", "select"))
+    if config.feature_set == "top_k":
+        kept = json.loads(_artifact(config, "top_k.json", "select").read_text())["kept"]
+        if len(kept) != config.top_k:
+            raise DataError(f"top_k.json keeps {len(kept)} columns, not top_k={config.top_k}; rerun select")
+        matrix = matrix.subset_columns(kept)
+    return matrix
 
 
 def cmd_ingest(config: PipelineConfig, args) -> int:
-    bundle = pipeline.ingest_stage(config.data_dir)
-    sanity = pipeline.validate_bundle(bundle)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "sanity.json", {"config_hash": config.hash(), "seed": config.seed, **asdict(sanity)})
-    print(f"{sanity.n_accounts} accounts, {sanity.n_labeled} labeled")
-    for w in sanity.warnings:
+    run = pipeline.Run(config)
+    pipeline.run_stage("ingest", run)
+    print(f"{run.sanity.n_accounts} accounts, {run.sanity.n_labeled} labeled")
+    for w in run.sanity.warnings:
         print(f"warning: {w}")
     return EXIT_OK
 
 
 def cmd_featurize(config: PipelineConfig, args) -> int:
-    bundle = pipeline.ingest_stage(config.data_dir)
-    matrix = pipeline.featurize_stage(bundle)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    matrix.to_csv(out / "features.csv")
-    print(f"wrote {len(matrix.row_ids)} rows x {len(matrix.columns)} KPI columns")
+    run = pipeline.Run(config, bundle=pipeline.ingest_stage(config.data_dir))
+    pipeline.run_stage("featurize", run)
+    print(f"wrote {len(run.features.row_ids)} rows x {len(run.features.columns)} KPI columns")
     return EXIT_OK
-
-
-def _load_matrix(config: PipelineConfig) -> FeatureMatrix:
-    path = Path(config.out_dir) / "features.csv"
-    if not path.exists():
-        raise DataError(f"{path} not found; run the featurize stage first")
-    return FeatureMatrix.from_csv(path)
 
 
 def cmd_select(config: PipelineConfig, args) -> int:
-    matrix = _load_matrix(config)
-    pruned, report = pipeline.select_stage(matrix, config)
-    out = Path(config.out_dir)
-    report.to_json(out / "selection.json")
-    pruned.to_csv(out / "features_pruned.csv")
-    print(report.table())
+    run = pipeline.Run(config, features=_load_matrix(config))
+    pipeline.run_stage("select", run)
+    print(run.selection.table())
     return EXIT_OK
 
 
-def _working_matrix(config: PipelineConfig) -> FeatureMatrix:
-    pruned_path = Path(config.out_dir) / "features_pruned.csv"
-    if pruned_path.exists():
-        matrix = FeatureMatrix.from_csv(pruned_path)
-    else:
-        matrix, _ = pipeline.select_stage(_load_matrix(config), config)
-    if config.feature_set == "top_k":
-        matrix, _, _ = pipeline.shap_reduce_stage(matrix, config)
-    return matrix
-
-
 def cmd_train(config: PipelineConfig, args) -> int:
-    matrix = _working_matrix(config)
-    X, _ = median_impute(matrix.values)
-    strategy = ResamplingStrategy(config.resampling, config.k_neighbors, config.seed)
-    Xb, yb, wb = apply_strategy(strategy, TrainSplit(X, matrix.y))
-    spec = ModelSpec(config.model, config.model_params)
-    fitted = fit_model(spec, Xb, yb, matrix.columns, sample_weight=wb, seed=config.seed)
-    out = Path(config.out_dir)
-    if isinstance(fitted.model, TreeEnsemble):
-        payload = fitted.model.to_dict()
-        payload["stamp"] = {"config_hash": config.hash(), "seed": config.seed}
-        _write_json(out / "model.json", payload)
-        print(f"saved {config.model} with {len(fitted.model.trees)} trees")
+    run = pipeline.Run(config, working=_working_matrix(config))
+    pipeline.run_stage("train", run)
+    if isinstance(run.fitted.model, TreeEnsemble):
+        print(f"saved {config.model} with {len(run.fitted.model.trees)} trees")
     else:
         print(f"fitted {config.model} (non-tree models are not serialized)")
     return EXIT_OK
 
 
 def cmd_evaluate(config: PipelineConfig, args) -> int:
-    matrix = _working_matrix(config)
-    spec = ModelSpec(config.model, config.model_params)
-    strategy = ResamplingStrategy(config.resampling, config.k_neighbors, config.seed)
-    cv = pipeline.evaluate_cell(spec, strategy, matrix, config.cv_folds, config.seed)
-    _write_json(
-        Path(config.out_dir) / "eval.json",
-        {
-            "config_hash": config.hash(),
-            "seed": config.seed,
-            "model": config.model,
-            "resampling": config.resampling,
-            "feature_set": config.feature_set,
-            "folds": cv.fold_ginis,
-            "mean": cv.mean,
-            "std": cv.std,
-        },
-    )
-    print(f"{config.model} x {config.resampling}: gini {cv.formatted()}")
+    run = pipeline.Run(config, working=_working_matrix(config))
+    pipeline.run_stage("evaluate", run)
+    print(f"{config.model} x {config.resampling}: gini {run.cv.formatted()}")
     return EXIT_OK
 
 
@@ -169,12 +133,7 @@ def cmd_grid(config: PipelineConfig, args) -> int:
 
 def cmd_explain(config: PipelineConfig, args) -> int:
     matrix = _working_matrix(config)
-    model_path = Path(config.out_dir) / "model.json"
-    if not model_path.exists():
-        raise DataError(f"{model_path} not found; run the train stage first")
-    ensemble = TreeEnsemble.load(model_path)
-    from .models import FittedModel
-
+    ensemble = TreeEnsemble.load(_artifact(config, "model.json", "train"))
     _, medians = median_impute(matrix.values)
     fitted = FittedModel(ModelSpec(config.model), ensemble, medians)
     row_id = args.row or matrix.row_ids[0]
@@ -223,12 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return COMMANDS[args.command](config, args)
+        return COMMANDS[args.command](_load_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

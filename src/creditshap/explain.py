@@ -279,26 +279,28 @@ class GlobalImportance:
         return {n: float(v) for n, v in zip(self.feature_names, self.mean_abs_shap)}
 
 
-def global_importance(ensemble: TreeEnsemble, X) -> GlobalImportance:
-    """Mean |phi_i| over the rows of X."""
+def shap_matrix(ensemble: TreeEnsemble, X) -> np.ndarray:
+    """(rows x features) TreeSHAP contributions, one row per row of X."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[0] == 0:
+    phi = np.zeros((X.shape[0], ensemble.n_features))
+    for i, row in enumerate(X):
+        phi[i] = tree_shap(ensemble, row).contributions
+    return phi
+
+
+def global_importance(feature_names, phi) -> GlobalImportance:
+    """Mean |phi_i| over the rows of a SHAP matrix."""
+    if phi.shape[0] == 0:
         raise ValueError("global importance needs at least one row")
-    total = np.zeros(ensemble.n_features)
-    for row in X:
-        total += np.abs(tree_shap(ensemble, row).contributions)
-    return GlobalImportance(list(ensemble.feature_names), total / X.shape[0])
+    return GlobalImportance(list(feature_names), np.abs(phi).mean(axis=0))
 
 
-def summary_data(ensemble: TreeEnsemble, X) -> dict:
+def summary_data(feature_names, X, phi) -> dict:
     """Per (feature, row) pairs of (shap value, feature-value percentile),
-    features ordered by global importance."""
+    features ordered by global importance; phi is X's SHAP matrix."""
     X = np.asarray(X, dtype=float)
-    shap_rows = np.array([tree_shap(ensemble, row).contributions for row in X])
-    imp = GlobalImportance(list(ensemble.feature_names), np.abs(shap_rows).mean(axis=0))
-    order = [ensemble.feature_names.index(n) for n, _ in imp.ranking()]
+    imp = global_importance(feature_names, phi)
+    order = [imp.feature_names.index(n) for n, _ in imp.ranking()]
     features = []
     for j in order:
         col = X[:, j]
@@ -311,8 +313,8 @@ def summary_data(ensemble: TreeEnsemble, X) -> dict:
             pct = np.full(len(col), np.nan)
         features.append(
             {
-                "feature": ensemble.feature_names[j],
-                "shap": shap_rows[:, j].tolist(),
+                "feature": imp.feature_names[j],
+                "shap": phi[:, j].tolist(),
                 "value_percentile": [None if np.isnan(v) else float(v) for v in pct],
             }
         )

@@ -334,7 +334,7 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool) -
 
 def _prefix_leaf_scale(tree, X, g, h, prefix_mask, reg):
     """Per-sample update using leaf values refit on the prefix rows only."""
-    leaf_of = _leaf_index(tree, X)
+    leaf_of = tree.apply(X)
     values = np.zeros(tree.n_nodes)
     for leaf in np.unique(leaf_of):
         in_leaf = (leaf_of == leaf) & prefix_mask
@@ -343,25 +343,6 @@ def _prefix_leaf_scale(tree, X, g, h, prefix_mask, reg):
         else:
             values[leaf] = tree.value[leaf]
     return values[leaf_of]
-
-
-def _leaf_index(tree, X):
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        feat = tree.feature[node]
-        active = feat >= 0
-        if not active.any():
-            return node
-        idx = np.nonzero(active)[0]
-        f = feat[idx]
-        t = tree.threshold[node[idx]]
-        x = X[idx, f]
-        lch, rch = tree.left[node[idx]], tree.right[node[idx]]
-        go_left = x < t
-        nan = np.isnan(x)
-        if nan.any():
-            go_left = np.where(nan, tree.cover[lch] >= tree.cover[rch], go_left)
-        node[idx] = np.where(go_left, lch, rch)
 
 
 def fit_gradient_boosting(X, y, feature_names, config: BoostConfig | None = None, sample_weight=None) -> TreeEnsemble:

@@ -55,14 +55,18 @@ class Tree:
         return sorted(set(int(f) for f in self.feature if f >= 0))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized routing of every row to its leaf value."""
+        """The leaf value of every row."""
+        return self.value[self.apply(X)]
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Vectorized routing of every row to its leaf's node index."""
         X = np.asarray(X, dtype=float)
         node = np.zeros(X.shape[0], dtype=np.int64)
         while True:
             feat = self.feature[node]
             active = feat >= 0
             if not active.any():
-                break
+                return node
             idx = np.nonzero(active)[0]
             f = feat[idx]
             t = self.threshold[node[idx]]
@@ -75,7 +79,6 @@ class Tree:
                 bigger_left = self.cover[lch] >= self.cover[rch]
                 go_left = np.where(nan, bigger_left, go_left)
             node[idx] = np.where(go_left, lch, rch)
-        return self.value[node]
 
     def expected_value(self) -> float:
         """Cover-weighted mean of leaf values (the tree's SHAP baseline)."""

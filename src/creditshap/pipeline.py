@@ -27,6 +27,7 @@ from .resampling import ResamplingStrategy, apply_strategy
 from .tables import (
     DataError,
     LedgerBundle,
+    SanityReport,
     join_bundle,
     load_table,
     reconstruct_bundle_balances,
@@ -68,6 +69,10 @@ class PipelineConfig:
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+    def stamp(self) -> dict:
+        """The config hash and seed that every stage artifact embeds."""
+        return {"config_hash": self.hash(), "seed": self.seed}
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
@@ -162,7 +167,7 @@ def shap_reduce_stage(matrix: FeatureMatrix, config: PipelineConfig):
     X, _ = median_impute(matrix.values)
     spec = ModelSpec("oblivious_boosting", {"n_rounds": 150})
     fitted = fit_model(spec, X, matrix.y, matrix.columns, seed=config.seed)
-    imp = explain.global_importance(fitted.model, X)
+    imp = explain.global_importance(matrix.columns, explain.shap_matrix(fitted.model, X))
     reduced, report = selection.select_top_k_by_shap(matrix, imp.as_dict(), config.top_k)
     return reduced, report, imp
 
@@ -173,84 +178,142 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def run_pipeline(config: PipelineConfig) -> dict:
-    """Run every stage, writing artifacts under config.out_dir."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stamp = {"config_hash": config.hash(), "seed": config.seed}
-    stage = "ingest"
-    try:
-        bundle = ingest_stage(config.data_dir)
-        sanity = validate_bundle(bundle)
-        _write_json(out / "sanity.json", {**stamp, **asdict(sanity)})
-
-        stage = "featurize"
-        matrix = featurize_stage(bundle)
-        matrix.to_csv(out / "features.csv")
-
-        stage = "select"
-        pruned, report = select_stage(matrix, config)
-        report.to_json(out / "selection.json")
-        working = pruned
-        if config.feature_set == "top_k":
-            working, topk_report, imp = shap_reduce_stage(pruned, config)
-            _write_json(
-                out / "top_k.json",
-                {**stamp, "ranking": imp.ranking(), "kept": working.columns},
-            )
-
-        stage = "train"
-        X, medians = median_impute(working.values)
-        strategy = ResamplingStrategy(config.resampling, config.k_neighbors, config.seed)
-        Xb, yb, wb = apply_strategy(strategy, TrainSplit(X, working.y))
-        spec = ModelSpec(config.model, config.model_params)
-        fitted = fit_model(spec, Xb, yb, working.columns, sample_weight=wb, seed=config.seed)
-        if isinstance(fitted.model, TreeEnsemble):
-            payload = fitted.model.to_dict()
-            payload["stamp"] = stamp
-            _write_json(out / "model.json", payload)
-
-        stage = "evaluate"
-        cv = evaluate_cell(spec, strategy, working, config.cv_folds, config.seed)
-        probs = fitted.predict_proba(X)
-        roc = roc_auc(working.y, probs)
-        _write_json(
-            out / "eval.json",
-            {
-                **stamp,
-                "model": config.model,
-                "resampling": config.resampling,
-                "feature_set": config.feature_set,
-                "folds": cv.fold_ginis,
-                "mean": cv.mean,
-                "std": cv.std,
-                "train_auc": roc.auc,
-                "train_gini": roc.gini,
-                "roc": roc.points(),
-            },
-        )
-
-        stage = "explain"
-        if isinstance(fitted.model, TreeEnsemble):
-            n_bg = min(len(working.row_ids), 50)
-            imp = explain.global_importance(fitted.model, X[:n_bg])
-            _write_json(out / "importance.json", {**stamp, "ranking": imp.ranking()})
-            with open(out / "importance.svg", "w") as fh:
-                fh.write(plots.importance_bar_svg(imp.ranking()))
-            summary = explain.summary_data(fitted.model, X[:n_bg])
-            _write_json(out / "summary.json", {**stamp, **summary})
-    except (DataError, ValueError) as exc:
-        partial = out / f"{stage}.partial"
-        partial.write_text(f"stage {stage} failed: {exc}\n")
-        raise PipelineStageError(stage, exc) from exc
-    return {"out_dir": str(out), **stamp}
-
-
 class PipelineStageError(Exception):
     def __init__(self, stage, cause):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@dataclass
+class Run:
+    """What each stage hands on to the next.  A staged subcommand fills in
+    the inputs of its stage from the artifacts already in out_dir."""
+
+    config: PipelineConfig
+    bundle: LedgerBundle | None = None
+    sanity: SanityReport | None = None
+    features: FeatureMatrix | None = None  # every KPI column
+    selection: selection.SelectionReport | None = None
+    working: FeatureMatrix | None = None  # the columns the model sees
+    X: np.ndarray | None = None  # working values, median-imputed
+    fitted: FittedModel | None = None
+    cv: CvResult | None = None
+
+    @property
+    def out(self) -> Path:
+        return Path(self.config.out_dir)
+
+    @property
+    def strategy(self) -> ResamplingStrategy:
+        return ResamplingStrategy(self.config.resampling, self.config.k_neighbors, self.config.seed)
+
+    def write_json(self, name: str, payload: dict) -> None:
+        """An artifact stamped with the config hash and seed."""
+        _write_json(self.out / name, {**self.config.stamp(), **payload})
+
+
+def run_ingest(run: Run) -> None:
+    run.bundle = ingest_stage(run.config.data_dir)
+    run.sanity = validate_bundle(run.bundle)
+    run.write_json("sanity.json", asdict(run.sanity))
+
+
+def run_featurize(run: Run) -> None:
+    run.features = featurize_stage(run.bundle)
+    run.features.to_csv(run.out / "features.csv")
+
+
+def run_select(run: Run) -> None:
+    pruned, run.selection = select_stage(run.features, run.config)
+    run.selection.to_json(run.out / "selection.json")
+    pruned.to_csv(run.out / "features_pruned.csv")
+    run.working = pruned
+    if run.config.feature_set == "top_k":
+        run.working, _, imp = shap_reduce_stage(pruned, run.config)
+        run.write_json("top_k.json", {"ranking": imp.ranking(), "kept": run.working.columns})
+
+
+def fit_final(run: Run) -> None:
+    """Impute, resample and fit the configured model on every working row."""
+    run.X, _ = median_impute(run.working.values)
+    Xb, yb, wb = apply_strategy(run.strategy, TrainSplit(run.X, run.working.y))
+    spec = ModelSpec(run.config.model, run.config.model_params)
+    run.fitted = fit_model(spec, Xb, yb, run.working.columns, sample_weight=wb, seed=run.config.seed)
+
+
+def run_train(run: Run) -> None:
+    fit_final(run)
+    if isinstance(run.fitted.model, TreeEnsemble):
+        _write_json(run.out / "model.json", {**run.fitted.model.to_dict(), "stamp": run.config.stamp()})
+
+
+def run_evaluate(run: Run) -> None:
+    config = run.config
+    if run.fitted is None:  # the staged evaluate: fit the final model as train does
+        fit_final(run)
+    run.cv = evaluate_cell(run.fitted.spec, run.strategy, run.working, config.cv_folds, config.seed)
+    roc = roc_auc(run.working.y, run.fitted.predict_proba(run.X))
+    run.write_json(
+        "eval.json",
+        {
+            "model": config.model,
+            "resampling": config.resampling,
+            "feature_set": config.feature_set,
+            "folds": run.cv.fold_ginis,
+            "mean": run.cv.mean,
+            "std": run.cv.std,
+            "train_auc": roc.auc,
+            "train_gini": roc.gini,
+            "roc": roc.points(),
+        },
+    )
+
+
+def run_explain(run: Run) -> None:
+    """Global importance and summary data from one SHAP matrix over the
+    first 50 rows; models other than tree ensembles have none."""
+    model = run.fitted.model
+    if not isinstance(model, TreeEnsemble):
+        return
+    X = run.X[:50]
+    phi = explain.shap_matrix(model, X)
+    ranking = explain.global_importance(model.feature_names, phi).ranking()
+    run.write_json("importance.json", {"ranking": ranking})
+    (run.out / "importance.svg").write_text(plots.importance_bar_svg(ranking))
+    run.write_json("summary.json", explain.summary_data(model.feature_names, X, phi))
+
+
+# The stages of `report`, in order.  Each reads what the stages before it
+# left in the Run; a staged subcommand loads those inputs from out_dir.
+STAGES = {
+    "ingest": run_ingest,
+    "featurize": run_featurize,
+    "select": run_select,
+    "train": run_train,
+    "evaluate": run_evaluate,
+    "explain": run_explain,
+}
+
+
+def run_stage(name: str, run: Run) -> None:
+    """Run one stage, writing its artifacts under out_dir.  A failure leaves
+    `<name>.partial` there and raises PipelineStageError."""
+    run.out.mkdir(parents=True, exist_ok=True)
+    (run.out / f"{name}.partial").unlink(missing_ok=True)
+    try:
+        STAGES[name](run)
+    except (DataError, ValueError) as exc:
+        (run.out / f"{name}.partial").write_text(f"stage {name} failed: {exc}\n")
+        raise PipelineStageError(name, exc) from exc
+
+
+def run_pipeline(config: PipelineConfig) -> dict:
+    """Run every stage, writing artifacts under config.out_dir."""
+    run = Run(config)
+    for name in STAGES:
+        run_stage(name, run)
+    return {"out_dir": str(run.out), **config.stamp()}
 
 
 @dataclass
@@ -263,7 +326,6 @@ class GridSpec:
 
     def cells(self):
         # class-weight strategies only pair with weighted-loss models
-        weighted_ok = {"oblivious_boosting", "gradient_boosting", "mlp", "logistic", "logistic_binned"}
         for fs in self.feature_sets:
             for model in self.models:
                 for res in self.resamplers:
@@ -278,34 +340,17 @@ def run_grid(grid: GridSpec, matrices: dict[str, FeatureMatrix], config: Pipelin
     for label in grid.cells():
         model, res, fs = label.split("|")
         seed = cell_seed(config.seed, label)
-        matrix = matrices[fs]
+        row = {"model": model, "resampling": res, "feature_set": fs}
         try:
             spec = ModelSpec(model, config.model_params if model == config.model else {})
             strategy = ResamplingStrategy(res, config.k_neighbors, seed)
-            cv = evaluate_cell(spec, strategy, matrix, config.cv_folds, seed)
-            rows.append(
-                {
-                    "model": model,
-                    "resampling": res,
-                    "feature_set": fs,
-                    "mean_gini": round(cv.mean, 6),
-                    "std_gini": round(cv.std, 6),
-                    "formatted": cv.formatted(),
-                    "error": "",
-                }
+            cv = evaluate_cell(spec, strategy, matrices[fs], config.cv_folds, seed)
+            row.update(
+                mean_gini=round(cv.mean, 6), std_gini=round(cv.std, 6), formatted=cv.formatted(), error=""
             )
         except Exception as exc:  # cell failure must not abort the grid
-            rows.append(
-                {
-                    "model": model,
-                    "resampling": res,
-                    "feature_set": fs,
-                    "mean_gini": "",
-                    "std_gini": "",
-                    "formatted": "",
-                    "error": str(exc),
-                }
-            )
+            row.update(mean_gini="", std_gini="", formatted="", error=str(exc))
+        rows.append(row)
     if out_path is not None:
         import csv as _csv
 

@@ -133,7 +133,7 @@ def _knn_indices(points, query, k, exclude_self=False):
     return order[:, :k]
 
 
-def _synthesize(X, min_idx, seeds, neighbor_pool, k, n_needed, rng):
+def _synthesize(X, seeds, neighbor_pool, k, n_needed, rng):
     """Interpolate n_needed rows between danger/seed points and minority neighbors."""
     Z = _scaled_view(X)
     pool = Z[neighbor_pool]
@@ -163,7 +163,7 @@ def smote(split: TrainSplit, k: int = 5, seed: int = 0):
         return X.copy(), y.copy()
     if len(min_idx) < 2:
         raise ValueError("SMOTE needs at least 2 minority samples")
-    synth, _ = _synthesize(X, min_idx, min_idx, min_idx, k, n_needed, rng)
+    synth, _ = _synthesize(X, min_idx, min_idx, k, n_needed, rng)
     Xb = np.vstack([X, synth])
     yb = np.concatenate([y, np.full(n_needed, minority, dtype=int)])
     return Xb, yb
@@ -199,7 +199,7 @@ def borderline_smote(split: TrainSplit, k: int = 5, seed: int = 0, warn=None):
         if warn is not None:
             warn("no borderline minority points; falling back to plain SMOTE")
         return smote(split, k=k, seed=seed)
-    synth, _ = _synthesize(X, min_idx, danger, min_idx, k, n_needed, rng)
+    synth, _ = _synthesize(X, danger, min_idx, k, n_needed, rng)
     Xb = np.vstack([X, synth])
     yb = np.concatenate([y, np.full(n_needed, minority, dtype=int)])
     return Xb, yb
@@ -246,7 +246,7 @@ def svm_smote(split: TrainSplit, k: int = 5, seed: int = 0, warn=None):
         warn("degenerate SVM: every point is a support vector")
     if support.size == 0:
         support = min_idx
-    synth, _ = _synthesize(X, min_idx, support, min_idx, k, n_needed, rng)
+    synth, _ = _synthesize(X, support, min_idx, k, n_needed, rng)
     Xb = np.vstack([X, synth])
     yb = np.concatenate([y, np.full(n_needed, minority, dtype=int)])
     return Xb, yb

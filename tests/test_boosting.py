@@ -13,7 +13,7 @@ from creditshap.models.boosting import (
 from creditshap.models.ensemble import TreeEnsemble, classify, sigmoid
 
 
-def naive_predict_row(tree, x):
+def naive_leaf(tree, x):
     """Reference traversal: x < threshold goes left; NaN follows larger cover."""
     node = 0
     while tree.feature[node] >= 0:
@@ -25,7 +25,7 @@ def naive_predict_row(tree, x):
             node = lch
         else:
             node = rch
-    return tree.value[node]
+    return node
 
 
 def dataset(seed=0, n=300, p=4):
@@ -114,9 +114,9 @@ class TestGradientBoosting:
         X_test = X[:20].copy()
         X_test[::3, 1] = np.nan
         for tree in model.trees:
-            fast = tree.predict(X_test)
-            slow = np.array([naive_predict_row(tree, row) for row in X_test])
-            assert np.array_equal(fast, slow)
+            leaves = np.array([naive_leaf(tree, row) for row in X_test])
+            assert np.array_equal(tree.apply(X_test), leaves)
+            assert np.array_equal(tree.predict(X_test), tree.value[leaves])
 
     def test_early_stopping_trims_rounds(self):
         X, y = dataset(4, n=200)
@@ -194,9 +194,9 @@ class TestObliviousBoosting:
         X_test = X[:15].copy()
         X_test[::4, 0] = np.nan
         for tree in model.trees:
-            fast = tree.predict(X_test)
-            slow = np.array([naive_predict_row(tree, row) for row in X_test])
-            assert np.array_equal(fast, slow)
+            leaves = np.array([naive_leaf(tree, row) for row in X_test])
+            assert np.array_equal(tree.apply(X_test), leaves)
+            assert np.array_equal(tree.predict(X_test), tree.value[leaves])
 
 
 class TestClassify:

@@ -1,10 +1,15 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from creditshap import pipeline
 from creditshap.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from creditshap.models import ModelSpec
+from creditshap.pipeline import PipelineConfig
+from creditshap.resampling import ResamplingStrategy
 from creditshap.synthetic import write_ledger_fixture
 
 
@@ -67,6 +72,20 @@ class TestStagedFlow:
         assert len(rows) == 4
         assert all(r["error"] == "" for r in rows)
 
+    def test_grid_csv_with_failing_cell(self, ledger_dir, tmp_path):
+        matrix, _ = pipeline.select_stage(pipeline.featurize_stage(pipeline.ingest_stage(ledger_dir)), PipelineConfig())
+        config = PipelineConfig(cv_folds=3)
+        grid = pipeline.GridSpec(models=["logistic", "no_such_model"], resamplers=["none"])
+        path = tmp_path / "grid.csv"
+        pipeline.run_grid(grid, {"pruned": matrix}, config, path)
+        seed = pipeline.cell_seed(config.seed, "logistic|none|pruned")
+        cv = pipeline.evaluate_cell(ModelSpec("logistic"), ResamplingStrategy("none", 5, seed), matrix, 3, seed)
+        assert path.read_bytes().decode() == (
+            "model,resampling,feature_set,mean_gini,std_gini,formatted,error\r\n"
+            f"logistic,none,pruned,{round(cv.mean, 6)},{round(cv.std, 6)},{cv.formatted()},\r\n"
+            "no_such_model,none,pruned,,,,unknown model family 'no_such_model'\r\n"
+        )
+
     def test_report_end_to_end(self, ledger_dir, tmp_path):
         out = tmp_path / "out"
         rc = run(
@@ -76,6 +95,25 @@ class TestStagedFlow:
         assert rc == EXIT_OK
         for name in ("sanity.json", "features.csv", "selection.json", "model.json", "eval.json", "importance.json", "importance.svg", "summary.json"):
             assert (out / name).exists(), name
+
+
+class TestStagedMatchesReport:
+    @pytest.mark.parametrize("feature_set", ["pruned", "top_k"])
+    def test_staged_artifacts_equal_report(self, ledger_dir, tmp_path, feature_set):
+        out = tmp_path / "out"
+        flags = [
+            "--data", str(ledger_dir), "--out", str(out), "--seed", "3",
+            "--set", "model.params.n_rounds=30", "--set", "cv_folds=3", "--set", f"feature_set={feature_set}",
+        ]
+        for command in ("ingest", "featurize", "select", "train", "evaluate"):
+            assert run(command, *flags) == EXIT_OK, command
+        staged = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        assert run("report", *flags) == EXIT_OK
+        report = {p.name: p.read_bytes() for p in out.iterdir()}
+        for name in sorted(staged.keys() & report.keys()):
+            assert staged[name] == report[name], f"{name} differs between the staged run and report"
+        assert staged.keys() <= report.keys()
 
 
 class TestDeterminism:
@@ -135,9 +173,34 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         common = ["--data", str(data), "--out", out]
         assert run("featurize", *common) == EXIT_OK
+        assert run("select", *common) == EXIT_OK
         rc = run("evaluate", *common, "--set", "cv_folds=3")
         assert rc in (EXIT_DATA, EXIT_COMPUTE)
         assert rc != EXIT_OK
+
+    def test_train_without_select_is_data_error(self, ledger_dir, tmp_path):
+        common = ["--data", str(ledger_dir), "--out", str(tmp_path / "out")]
+        assert run("featurize", *common) == EXIT_OK
+        assert run("train", *common) == EXIT_DATA
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_top_k_mismatch_with_select_is_data_error(self, ledger_dir, tmp_path):
+        common = ["--data", str(ledger_dir), "--out", str(tmp_path / "out"), "--set", "feature_set=top_k"]
+        assert run("featurize", *common) == EXIT_OK
+        assert run("select", *common, "--set", "top_k=6") == EXIT_OK
+        assert run("train", *common, "--set", "top_k=5") == EXIT_DATA
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_failed_stage_leaves_partial_until_it_succeeds(self, tmp_path):
+        data = write_ledger_fixture(tmp_path / "ledger", n_accounts=30, seed=1, bad_rate=0.0)
+        out = tmp_path / "out"
+        common = ["--data", str(data), "--out", str(out)]
+        assert run("featurize", *common) == EXIT_OK
+        (out / "select.partial").write_text("stale\n")
+        assert run("select", *common) == EXIT_OK
+        assert not (out / "select.partial").exists()
+        assert run("evaluate", *common, "--set", "cv_folds=3") != EXIT_OK
+        assert (out / "evaluate.partial").exists()
 
     def test_config_file_round_trip(self, ledger_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

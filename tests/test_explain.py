@@ -10,6 +10,7 @@ from creditshap.explain import (
     brute_force_shapley,
     dependence_data,
     global_importance,
+    shap_matrix,
     summary_data,
     tree_shap,
     waterfall_data,
@@ -173,7 +174,7 @@ class TestGlobalImportance:
         X, y, names = planted_signal_dataset(n=500, p=8, seed=0)
         cfg = BoostConfig(n_rounds=40, max_depth=3, validation_fraction=0.0)
         model = fit_gradient_boosting(X, y, names, cfg)
-        imp = global_importance(model, X[:100])
+        imp = global_importance(names, shap_matrix(model, X[:100]))
         # f00 carries the largest planted coefficient
         assert imp.ranking()[0][0] == "f00"
 
@@ -184,7 +185,7 @@ class TestGlobalImportance:
     def test_empty_rows_rejected(self):
         tree = stump(0, 0.0, -1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            global_importance(ensemble_of([tree], 1), np.empty((0, 1)))
+            global_importance(["f0"], shap_matrix(ensemble_of([tree], 1), np.empty((0, 1))))
 
 
 class TestReportPayloads:
@@ -222,7 +223,7 @@ class TestReportPayloads:
 
     def test_summary_orders_by_importance(self):
         model, X = self._tiny_model()
-        data = summary_data(model, X[:30])
+        data = summary_data(model.feature_names, X[:30], shap_matrix(model, X[:30]))
         means = [np.mean(np.abs(f["shap"])) for f in data["features"]]
         assert means == sorted(means, reverse=True)
         assert data["features"][0]["feature"] == "a"

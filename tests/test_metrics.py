@@ -50,6 +50,16 @@ class TestRocAuc:
         assert curve.auc == 0.0
         assert curve.gini == -1.0
 
+    def test_perfect_separation_never_rounds_above_one(self):
+        # tied negative groups whose trapezoid sum rounds to 1 + 2**-52
+        groups = [1, 1, 1, 7, 3, 1, 1, 1, 1, 1, 2, 1, 2]
+        neg = np.repeat(-np.arange(len(groups), dtype=float), groups)
+        s = np.r_[[10.0, 9.0, 9.0, 9.0, 8.0], neg]
+        y = np.r_[np.ones(5, dtype=int), np.zeros(len(neg), dtype=int)]
+        curve = roc_auc(y, s)
+        assert curve.auc == 1.0
+        assert curve.gini == 1.0
+
     def test_all_tied_is_chance(self):
         curve = roc_auc([0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5])
         assert curve.auc == pytest.approx(0.5)
