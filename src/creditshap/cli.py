@@ -61,8 +61,13 @@ def _load_matrix(config: PipelineConfig) -> FeatureMatrix:
 
 
 def _working_matrix(config: PipelineConfig) -> FeatureMatrix:
-    """features_pruned.csv, narrowed to top_k.json's columns for top_k."""
+    """features_pruned.csv, narrowed to top_k.json's columns for top_k; select
+    must have run with this config's selection settings."""
     matrix = FeatureMatrix.from_csv(_artifact(config, "features_pruned.csv", "select"))
+    recorded = json.loads(_artifact(config, "selection.json", "select").read_text()).get("settings", {})
+    for key, value in config.selection_settings().items():
+        if recorded.get(key) != value:
+            raise DataError(f"selection.json has {key}={recorded.get(key)!r}, not {value!r}; rerun select")
     if config.feature_set == "top_k":
         kept = json.loads(_artifact(config, "top_k.json", "select").read_text())["kept"]
         if len(kept) != config.top_k:
@@ -114,11 +119,10 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
 def cmd_grid(config: PipelineConfig, args) -> int:
     matrix, _ = pipeline.select_stage(_load_matrix(config), config)
     matrices = {"pruned": matrix}
-    feature_sets = args.feature_sets.split(",") if args.feature_sets else ["pruned"]
-    if "top_20" in feature_sets or "top_k" in feature_sets:
-        reduced, _, _ = pipeline.shap_reduce_stage(matrix, config)
-        matrices["top_20"] = reduced
-        feature_sets = ["top_20" if f == "top_k" else f for f in feature_sets]
+    top = f"top_{config.top_k}"
+    feature_sets = [top if f == "top_k" else f for f in (args.feature_sets or "pruned").split(",")]
+    if top in feature_sets:
+        matrices[top], _, _ = pipeline.shap_reduce_stage(matrix, config)
     grid = GridSpec(
         models=args.models.split(",") if args.models else ["logistic", "oblivious_boosting"],
         resamplers=args.resamplers.split(",") if args.resamplers else ["none", "smote"],

@@ -3,9 +3,13 @@
 Coalition semantics are path-dependent: descending a tree, a split on a
 feature inside the coalition follows x; outside it, both children are
 taken weighted by training cover.  Two routes compute the same values:
-a 2^m subset enumeration (oracle, small m only) and the polynomial
-path-walking algorithm.  Attributions live in margin (log-odds) space,
-where the additive decomposition is exact.
+a 2^m subset enumeration (oracle, small m only) and `shap_matrix`, which
+splits every tree once into a table of root-to-leaf paths (GPUTreeShap,
+Mitchell et al. 2020) and scores each path as a product game over its
+distinct features with numpy, rows and paths in bounded chunks.  Every
+other entry point (`tree_shap`, `dependence_data`, `waterfall_data`)
+goes through `shap_matrix`.  Attributions live in margin (log-odds)
+space, where the additive decomposition is exact.
 """
 
 from __future__ import annotations
@@ -162,104 +166,114 @@ def brute_force_shapley(evaluator: CoalitionEvaluator, x) -> ShapValues:
     return ShapValues(baseline, phi, float(e.margin(x)[0]), x, list(e.feature_names))
 
 
-class _PathElement:
-    __slots__ = ("feature", "zero", "one", "weight")
-
-    def __init__(self, feature, zero, one, weight):
-        self.feature = feature
-        self.zero = zero
-        self.one = one
-        self.weight = weight
+# Largest number of float64 elements any one temporary of shap_matrix may
+# hold; rows and paths are evaluated in chunks that respect it.
+SHAP_CHUNK_ELEMENTS = 1 << 14
 
 
-def _extend(path, zero, one, feature):
-    l = len(path)
-    path.append(_PathElement(feature, zero, one, 1.0 if l == 0 else 0.0))
-    for i in range(l - 1, -1, -1):
-        path[i + 1].weight += one * path[i].weight * (i + 1) / (l + 1)
-        path[i].weight = zero * path[i].weight * (l - i) / (l + 1)
+class _PathTable:
+    """Every root-to-leaf path of an ensemble as one row of E = depth edges,
+    leaf first; shorter paths end in padding edges.  A path's slots are its
+    distinct features: an edge's slot is the column of the first edge on the
+    path that splits on the same feature.  Slots that no edge opens (padding,
+    repeated features) have one = zero = 1: null players that get exactly 0."""
+
+    def __init__(self, ensemble: TreeEnsemble):
+        sizes = [t.n_nodes for t in ensemble.trees]
+        shift = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        names = ("feature", "threshold", "value", "cover", "left", "right")
+        parts = {k: np.concatenate([getattr(t, k) for t in ensemble.trees]) for k in names}
+        for k in ("left", "right"):
+            parts[k] = np.where(parts[k] >= 0, parts[k] + shift, -1)
+        self.forest = f = Tree(**parts)  # every tree in one node array
+        internal = np.nonzero(f.feature >= 0)[0]
+        parent = np.full(f.n_nodes, -1)
+        parent[f.left[internal]] = parent[f.right[internal]] = internal
+        leaves = np.nonzero(f.feature < 0)[0]
+        edges, child = [], leaves
+        while (parent[child] >= 0).any():  # one step up every path at once
+            edges.append((parent[child], child))
+            child = np.where(parent[child] >= 0, parent[child], child)
+        node, child = (np.column_stack(a) for a in zip(*edges))
+        self.pad = node < 0
+        self.node = node = np.where(self.pad, 0, node)
+        self.goes_left = f.left[node] == child
+        self.split = np.where(self.pad, -1, f.feature[node])  # padding reads column -1, masked by pad
+        cover = f.cover[node]  # a zero-cover node passes on ratio 0, padding 1
+        ratio = np.divide(f.cover[child], cover, out=np.where(self.pad, 1.0, 0.0), where=~self.pad & (cover > 0))
+        P, E = node.shape
+        self.slot = np.broadcast_to(np.arange(E), (P, E))
+        for e in range(E - 1, -1, -1):  # ends at each feature's first edge
+            self.slot = np.where(self.split == self.split[:, e : e + 1], e, self.slot)
+        self.zero = np.ones((P, E))  # per slot: the product of its edges' cover ratios
+        for e in range(E):
+            self.zero[np.arange(P), self.slot[:, e]] *= ratio[:, e]
+        opens = (self.slot == np.arange(E)) & ~self.pad
+        self.feature = np.where(opens, self.split, ensemble.n_features)  # the slot's feature, or a spare column
+        self.value = ensemble.learning_rate * f.value[leaves]
+        # Gauss-Legendre nodes and weights on [0, 1], exact to degree E-1 (Golub-Welsch)
+        k = np.arange(1, (E + 1) // 2)
+        beta = k / np.sqrt(4.0 * k * k - 1)
+        t, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+        self.t, self.w = (t + 1) / 2, v[0] ** 2
+
+    def shap(self, X: np.ndarray, paths: slice) -> np.ndarray:
+        """(rows x paths x E) Shapley value of every slot of the given paths.
+
+        A path is a product game over its slots, f(S) = value * prod(one_j if
+        j in S else zero_j), one_j being 1 when x follows all the slot's
+        edges.  Slot i gets value * (one_i - zero_i) * sum_k w_k
+        coef_k(prod_{j!=i}(zero_j + one_j t)) with w_k = k!(E-1-k)!/E!, the
+        integral of t^k (1-t)^(E-1-k) over [0, 1].  So the sum is the integral
+        of prod_{j!=i}(zero_j + (one_j - zero_j) t), of degree E-1, which
+        Gauss-Legendre quadrature computes exactly (Linear TreeSHAP).
+        """
+        slot, zero = self.slot[paths], self.zero[paths]
+        route = self.forest.go_left(X[:, self.split[paths]], self.node[paths])
+        follows = (route == self.goes_left[paths]) | self.pad[paths]
+        one = np.ones(follows.shape)
+        for e in range(slot.shape[1]):
+            one[:, np.arange(len(slot)), slot[:, e]] *= follows[:, :, e]
+        gain = one - zero
+        line = gain[:, :, None] * self.t[:, None]  # (rows, paths, nodes, E)
+        line += zero[:, None]
+        before, after = np.ones_like(line), np.ones_like(line)
+        np.cumprod(line[..., :-1], axis=-1, out=before[..., 1:])
+        np.cumprod(line[..., :0:-1], axis=-1, out=after[..., -2::-1])
+        before *= after
+        return self.value[paths, None] * gain * (self.w @ before)
 
 
-def _unwind(path, i):
-    l = len(path) - 1
-    n = path[l].weight
-    one, zero = path[i].one, path[i].zero
-    for j in range(l - 1, -1, -1):
-        if one != 0:
-            t = path[j].weight
-            path[j].weight = n * (l + 1) / ((j + 1) * one)
-            n = t - path[j].weight * zero * (l - j) / (l + 1)
-        else:
-            path[j].weight = path[j].weight * (l + 1) / (zero * (l - j))
-    for j in range(i, l):
-        path[j].feature = path[j + 1].feature
-        path[j].zero = path[j + 1].zero
-        path[j].one = path[j + 1].one
-    path.pop()
-
-
-def _unwound_sum(path, i):
-    l = len(path) - 1
-    one, zero = path[i].one, path[i].zero
-    total = 0.0
-    if one != 0:
-        n = path[l].weight
-        for j in range(l - 1, -1, -1):
-            t = n * (l + 1) / ((j + 1) * one)
-            total += t
-            n = path[j].weight - t * zero * (l - j) / (l + 1)
-    else:
-        for j in range(l - 1, -1, -1):
-            total += path[j].weight * (l + 1) / (zero * (l - j))
-    return total
-
-
-def _tree_shap_single(tree: Tree, x, phi: np.ndarray) -> None:
-    def recurse(node, path, zero, one, feature):
-        path = [_PathElement(e.feature, e.zero, e.one, e.weight) for e in path]
-        _extend(path, zero, one, feature)
-        f = int(tree.feature[node])
-        if f < 0:
-            value = float(tree.value[node])
-            for i in range(1, len(path)):
-                w = _unwound_sum(path, i)
-                phi[path[i].feature] += w * (path[i].one - path[i].zero) * value
-            return
-        l, r = int(tree.left[node]), int(tree.right[node])
-        xv = x[f]
-        if np.isnan(xv):
-            hot = l if tree.cover[l] >= tree.cover[r] else r
-        else:
-            hot = l if xv < tree.threshold[node] else r
-        cold = r if hot == l else l
-        iz = io = 1.0
-        k = next((i for i in range(1, len(path)) if path[i].feature == f), None)
-        if k is not None:
-            iz, io = path[k].zero, path[k].one
-            _unwind(path, k)
-        cov = tree.cover[node]
-        hot_frac = tree.cover[hot] / cov if cov > 0 else 0.0
-        cold_frac = tree.cover[cold] / cov if cov > 0 else 0.0
-        if iz * hot_frac > 0.0 or io != 0.0:
-            recurse(hot, path, iz * hot_frac, io, f)
-        if iz * cold_frac > 0.0:  # zero-cover cold branches carry no weight
-            recurse(cold, path, iz * cold_frac, 0.0, f)
-
-    recurse(0, [], 1.0, 1.0, -1)
+def shap_matrix(ensemble: TreeEnsemble, X) -> np.ndarray:
+    """(rows x features) path-dependent TreeSHAP of every row of X, in margin space."""
+    X = np.asarray(X, dtype=float)
+    p = ensemble.n_features
+    if any(t.cover.sum() == 0 for t in ensemble.trees):
+        raise ValueError("trees need training cover counts")
+    phi = np.zeros((len(X), p + 1))  # column p collects the null slots
+    if len(X) and any(t.n_nodes > 1 for t in ensemble.trees):
+        table = _PathTable(ensemble)
+        P, E = table.slot.shape
+        paths_per = max(1, min(P, SHAP_CHUNK_ELEMENTS // (E * len(table.t))))
+        rows_per = max(1, SHAP_CHUNK_ELEMENTS // (paths_per * E * len(table.t)))
+        for r in range(0, len(X), rows_per):
+            rows = X[r : r + rows_per]
+            at = np.arange(len(rows))[:, None, None] * (p + 1)
+            for a in range(0, P, paths_per):
+                paths = slice(a, a + paths_per)
+                contrib = table.shap(rows, paths)
+                flat = np.bincount((at + table.feature[paths]).ravel(), contrib.ravel(), len(rows) * (p + 1))
+                phi[r : r + len(rows)] += flat.reshape(len(rows), p + 1)
+    return phi[:, :p]
 
 
 def tree_shap(ensemble: TreeEnsemble, x) -> ShapValues:
-    """Polynomial-time path-dependent TreeSHAP over the whole ensemble."""
+    """TreeSHAP of one row, with the baseline and the model's margin."""
     x = np.asarray(x, dtype=float)
-    if any(t.cover.sum() == 0 for t in ensemble.trees):
-        raise ValueError("trees need training cover counts")
-    phi = np.zeros(ensemble.n_features)
     baseline = ensemble.base_score
     for tree in ensemble.trees:
-        tree_phi = np.zeros(ensemble.n_features + 1)
-        _tree_shap_single(tree, x, tree_phi)
-        phi += ensemble.learning_rate * tree_phi[:-1]
         baseline += ensemble.learning_rate * tree.expected_value()
+    phi = shap_matrix(ensemble, x[None])[0]
     return ShapValues(baseline, phi, float(ensemble.margin(x)[0]), x, list(ensemble.feature_names))
 
 
@@ -279,20 +293,16 @@ class GlobalImportance:
         return {n: float(v) for n, v in zip(self.feature_names, self.mean_abs_shap)}
 
 
-def shap_matrix(ensemble: TreeEnsemble, X) -> np.ndarray:
-    """(rows x features) TreeSHAP contributions, one row per row of X."""
-    X = np.asarray(X, dtype=float)
-    phi = np.zeros((X.shape[0], ensemble.n_features))
-    for i, row in enumerate(X):
-        phi[i] = tree_shap(ensemble, row).contributions
-    return phi
-
-
 def global_importance(feature_names, phi) -> GlobalImportance:
     """Mean |phi_i| over the rows of a SHAP matrix."""
     if phi.shape[0] == 0:
         raise ValueError("global importance needs at least one row")
     return GlobalImportance(list(feature_names), np.abs(phi).mean(axis=0))
+
+
+def _or_none(values) -> list:
+    """JSON-ready floats, NaN as None."""
+    return [None if v != v else v for v in np.asarray(values, dtype=float).tolist()]
 
 
 def summary_data(feature_names, X, phi) -> dict:
@@ -304,18 +314,14 @@ def summary_data(feature_names, X, phi) -> dict:
     features = []
     for j in order:
         col = X[:, j]
-        finite = col[~np.isnan(col)]
-        if finite.size:
-            pct = np.array(
-                [np.mean(finite <= v) if not np.isnan(v) else np.nan for v in col]
-            )
-        else:
-            pct = np.full(len(col), np.nan)
+        missing = np.isnan(col)
+        finite = np.sort(col[~missing])
+        pct = np.searchsorted(finite, col, side="right") / max(finite.size, 1)
         features.append(
             {
                 "feature": imp.feature_names[j],
                 "shap": phi[:, j].tolist(),
-                "value_percentile": [None if np.isnan(v) else float(v) for v in pct],
+                "value_percentile": _or_none(np.where(missing, np.nan, pct)),
             }
         )
     return {"schema": "summary/v1", "features": features}
@@ -329,19 +335,11 @@ def dependence_data(ensemble: TreeEnsemble, X, feature: str, color_feature: str 
     if color_feature is not None and color_feature not in names:
         raise ValueError(f"unknown feature {color_feature!r}")
     j = names.index(feature)
-    cj = names.index(color_feature) if color_feature else None
-    rows = []
-    for row in X:
-        sv = tree_shap(ensemble, row)
-        rows.append(
-            {
-                "value": None if np.isnan(row[j]) else float(row[j]),
-                "shap": float(sv.contributions[j]),
-                "color_value": None
-                if cj is None or np.isnan(row[cj])
-                else float(row[cj]),
-            }
-        )
+    color = X[:, names.index(color_feature)] if color_feature else np.full(len(X), np.nan)
+    rows = [
+        {"value": v, "shap": s, "color_value": c}
+        for v, s, c in zip(_or_none(X[:, j]), shap_matrix(ensemble, X)[:, j].tolist(), _or_none(color))
+    ]
     return {"schema": "dependence/v1", "feature": feature, "color_feature": color_feature, "rows": rows}
 
 
@@ -353,6 +351,7 @@ def waterfall_data(ensemble: TreeEnsemble, x) -> dict:
     """
     sv = tree_shap(ensemble, x)
     order = sorted(range(len(sv.contributions)), key=lambda j: (-abs(sv.contributions[j]), j))
+    values = _or_none(sv.feature_values)
     return {
         "schema": "waterfall/v1",
         "additivity_space": "margin (log-odds); probabilities are transformed endpoints",
@@ -361,11 +360,6 @@ def waterfall_data(ensemble: TreeEnsemble, x) -> dict:
         "margin": sv.margin,
         "probability": float(sigmoid(sv.margin)),
         "contributions": [
-            {
-                "feature": sv.feature_names[j],
-                "value": None if np.isnan(sv.feature_values[j]) else float(sv.feature_values[j]),
-                "shap": float(sv.contributions[j]),
-            }
-            for j in order
+            {"feature": sv.feature_names[j], "value": values[j], "shap": float(sv.contributions[j])} for j in order
         ],
     }

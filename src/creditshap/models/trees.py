@@ -1,9 +1,9 @@
 """Regression-tree structure shared by the forest, boosters and TreeSHAP.
 
-Trees are stored as flat node arrays.  Routing rule: x[f] < threshold goes
-left; a missing (NaN) value follows the child with the larger training
-cover.  Oblivious trees additionally record their per-level (feature,
-threshold) pairs.
+Trees are stored as flat node arrays.  Routing rule (`Tree.go_left`, used by
+prediction and TreeSHAP): x[f] < threshold goes left; a missing (NaN) value
+follows the child with the larger training cover.  Oblivious trees
+additionally record their per-level (feature, threshold) pairs.
 """
 
 from __future__ import annotations
@@ -58,27 +58,22 @@ class Tree:
         """The leaf value of every row."""
         return self.value[self.apply(X)]
 
+    def go_left(self, x, node):
+        """The routing rule: x < threshold goes left, NaN follows the larger-cover child; x and node broadcast."""
+        bigger_left = self.cover[self.left[node]] >= self.cover[self.right[node]]
+        return np.where(np.isnan(x), bigger_left, x < self.threshold[node])
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Vectorized routing of every row to its leaf's node index."""
         X = np.asarray(X, dtype=float)
         node = np.zeros(X.shape[0], dtype=np.int64)
         while True:
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
+            active = np.nonzero(self.feature[node] >= 0)[0]
+            if not active.size:
                 return node
-            idx = np.nonzero(active)[0]
-            f = feat[idx]
-            t = self.threshold[node[idx]]
-            x = X[idx, f]
-            lch = self.left[node[idx]]
-            rch = self.right[node[idx]]
-            go_left = x < t
-            nan = np.isnan(x)
-            if nan.any():
-                bigger_left = self.cover[lch] >= self.cover[rch]
-                go_left = np.where(nan, bigger_left, go_left)
-            node[idx] = np.where(go_left, lch, rch)
+            at = node[active]
+            go_left = self.go_left(X[active, self.feature[at]], at)
+            node[active] = np.where(go_left, self.left[at], self.right[at])
 
     def expected_value(self) -> float:
         """Cover-weighted mean of leaf values (the tree's SHAP baseline)."""

@@ -70,6 +70,10 @@ class PipelineConfig:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
+    def selection_settings(self) -> dict:
+        """The keys that decide which columns select keeps."""
+        return {k: getattr(self, k) for k in ("correlation_threshold", "missing_threshold", "zero_as_missing")}
+
     def stamp(self) -> dict:
         """The config hash and seed that every stage artifact embeds."""
         return {"config_hash": self.hash(), "seed": self.seed}
@@ -154,7 +158,7 @@ def select_stage(matrix: FeatureMatrix, config: PipelineConfig):
     m1, r1 = selection.drop_constant(matrix)
     m2, r2 = selection.prune_missing(m1, config.missing_threshold, config.zero_as_missing)
     m3, r3 = selection.correlation_prune(m2, config.correlation_threshold)
-    merged = selection.SelectionReport(list(matrix.columns))
+    merged = selection.SelectionReport(list(matrix.columns), settings=config.selection_settings())
     for rep in (r1, r2, r3):
         merged.removed.update(rep.removed)
     merged.finish()

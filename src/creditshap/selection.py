@@ -15,6 +15,7 @@ class SelectionReport:
     original: list[str]
     removed: dict[str, str] = field(default_factory=dict)  # column -> reason
     surviving: list[str] = field(default_factory=list)
+    settings: dict = field(default_factory=dict)  # the thresholds that chose these columns
 
     def record(self, column: str, reason: str) -> None:
         self.removed[column] = reason
@@ -29,6 +30,7 @@ class SelectionReport:
                     "original": self.original,
                     "removed": self.removed,
                     "surviving": self.surviving,
+                    "settings": self.settings,
                     "note": "correlation threshold is a Pearson coefficient, not a percentage",
                 },
                 fh,

@@ -37,6 +37,7 @@ class TestStagedFlow:
         assert run("select", *common) == EXIT_OK
         selection = json.loads((Path(out) / "selection.json").read_text())
         assert selection["surviving"]
+        assert selection["settings"] == {"correlation_threshold": 0.95, "missing_threshold": 0.5, "zero_as_missing": False}
 
         fast = ["--set", 'model.params.n_rounds=40', "--set", "cv_folds=3"]
         assert run("train", *common, *fast) == EXIT_OK
@@ -70,6 +71,19 @@ class TestStagedFlow:
         with open(Path(out) / "grid.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
+        assert all(r["error"] == "" for r in rows)
+
+    def test_grid_labels_top_k_rows_with_top_k(self, ledger_dir, tmp_path):
+        common = ["--data", str(ledger_dir), "--out", str(tmp_path / "out")]
+        assert run("featurize", *common) == EXIT_OK
+        rc = run(
+            "grid", *common, "--set", "cv_folds=3", "--set", "top_k=5",
+            "--models", "logistic", "--resamplers", "none", "--feature-sets", "pruned,top_k",
+        )
+        assert rc == EXIT_OK
+        with open(tmp_path / "out" / "grid.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["feature_set"] for r in rows] == ["pruned", "top_5"]
         assert all(r["error"] == "" for r in rows)
 
     def test_grid_csv_with_failing_cell(self, ledger_dir, tmp_path):
@@ -189,6 +203,17 @@ class TestExitCodes:
         assert run("featurize", *common) == EXIT_OK
         assert run("select", *common, "--set", "top_k=6") == EXIT_OK
         assert run("train", *common, "--set", "top_k=5") == EXIT_DATA
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_selection_settings_mismatch_with_select_is_data_error(self, ledger_dir, tmp_path, capsys):
+        common = ["--data", str(ledger_dir), "--out", str(tmp_path / "out")]
+        assert run("featurize", *common) == EXIT_OK
+        assert run("select", *common) == EXIT_OK
+        capsys.readouterr()
+        rc = run("train", *common, "--set", "correlation_threshold=0.3", "--set", "missing_threshold=0.01")
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "correlation_threshold" in err and "rerun select" in err
         assert not (tmp_path / "out" / "model.json").exists()
 
     def test_failed_stage_leaves_partial_until_it_succeeds(self, tmp_path):

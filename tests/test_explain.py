@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from creditshap.explain import (
+    SHAP_CHUNK_ELEMENTS,
     CoalitionEvaluator,
     GlobalImportance,
     brute_force_shapley,
@@ -115,6 +116,70 @@ class TestOracleAgreement:
         for row in X[:40]:
             sv = tree_shap(model, row)
             assert sv.additivity_gap() < 1e-10
+
+    @staticmethod
+    def _matrix_matches_brute_force(model, X):
+        phi = shap_matrix(model, X)
+        assert phi.shape == (len(X), model.n_features)
+        ev = CoalitionEvaluator(model)
+        for row, got in zip(X, phi):
+            assert np.max(np.abs(got - brute_force_shapley(ev, row).contributions)) < 1e-10
+
+    def test_matrix_batch_spans_chunks(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(600, 6))
+        y = (rng.random(600) < sigmoid(X[:, 0] - X[:, 1])).astype(int)
+        cfg = ForestConfig(n_trees=40, max_depth=12, min_samples_leaf=1)
+        forest = fit_random_forest(X, y, [f"f{i}" for i in range(6)], cfg)
+        paths = sum(t.n_leaves for t in forest.trees)
+        depth = max(t.max_depth() for t in forest.trees)
+        # one row's (paths x quadrature nodes x depth) temporaries alone exceed the budget
+        assert paths * depth * ((depth + 1) // 2) > SHAP_CHUNK_ELEMENTS
+        self._matrix_matches_brute_force(forest, X[:6])
+
+    def test_matrix_paths_repeating_a_feature(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(300, 2))
+        y = (rng.random(300) < sigmoid(np.sin(2 * X[:, 0]) + X[:, 0] * X[:, 1])).astype(int)
+        cfg = BoostConfig(n_rounds=8, max_depth=5, min_samples_leaf=1, validation_fraction=0.0)
+        model = fit_gradient_boosting(X, y, ["a", "b"], cfg)
+        assert max(t.max_depth() for t in model.trees) > 2  # two features: deeper paths repeat one
+        self._matrix_matches_brute_force(model, X[:12])
+
+    def test_matrix_nan_rows(self):
+        model, X = self._model(10)
+        X = X[:12].copy()
+        X[::2, 0] = np.nan
+        X[::3, 1:3] = np.nan
+        X[5] = np.nan
+        self._matrix_matches_brute_force(model, X)
+
+    def test_matrix_zero_cover_children(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(300, 4))
+        y = (rng.random(300) < sigmoid(2 * X[:, 0] - X[:, 1])).astype(int)
+        weight = np.where(X[:, 0] > 0.5, 0.0, 1.0)
+        cfg = BoostConfig(n_rounds=10, max_depth=4, min_samples_leaf=1, validation_fraction=0.0)
+        model = fit_oblivious_boosting(X, y, list("abcd"), cfg, sample_weight=weight)
+        assert any((t.cover == 0).any() for t in model.trees)
+        probes = np.vstack([X[weight == 0][:6], X[weight == 1][:6]])
+        self._matrix_matches_brute_force(model, probes)
+        # uneven weights give each bootstrapped forest tree its own root cover
+        uneven = np.where(weight == 0, 0.25, 1.0)
+        forest = fit_random_forest(X, y, list("abcd"), ForestConfig(n_trees=10, max_depth=6), sample_weight=uneven)
+        assert len({t.cover[0] for t in forest.trees}) > 1
+        self._matrix_matches_brute_force(forest, probes)
+
+    def test_matrix_single_leaf_forest_trees(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(200, 3))
+        y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
+        deep = fit_random_forest(X, y, list("abc"), ForestConfig(n_trees=3, max_depth=4))
+        leaves = fit_random_forest(X, y, list("abc"), ForestConfig(n_trees=3, max_depth=0))
+        assert all(t.n_nodes == 1 for t in leaves.trees)
+        self._matrix_matches_brute_force(leaves, X[:3])
+        mixed = TreeEnsemble("random_forest", list("abc"), 0.0, 1 / 6, deep.trees + leaves.trees)
+        self._matrix_matches_brute_force(mixed, X[:8])
 
     def test_random_forest_probability_space(self):
         rng = np.random.default_rng(4)
