@@ -117,10 +117,13 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
 
 
 def cmd_grid(config: PipelineConfig, args) -> int:
-    matrix, _ = pipeline.select_stage(_load_matrix(config), config)
-    matrices = {"pruned": matrix}
     top = f"top_{config.top_k}"
     feature_sets = [top if f == "top_k" else f for f in (args.feature_sets or "pruned").split(",")]
+    for name in feature_sets:
+        if name not in ("pruned", top):
+            raise ConfigError(f"unknown feature set {name!r}; choose from pruned, top_k ({top})")
+    matrix, _ = pipeline.select_stage(_load_matrix(config), config)
+    matrices = {"pruned": matrix}
     if top in feature_sets:
         matrices[top], _, _ = pipeline.shap_reduce_stage(matrix, config)
     grid = GridSpec(

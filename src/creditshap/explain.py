@@ -167,16 +167,14 @@ def brute_force_shapley(evaluator: CoalitionEvaluator, x) -> ShapValues:
 
 
 # Largest number of float64 elements any one temporary of shap_matrix may
-# hold; rows and paths are evaluated in chunks that respect it.
+# hold.  Path tables are built for batches of leaves and meet the rows in
+# chunks that respect it, so only the stacked node arrays grow with the
+# ensemble.
 SHAP_CHUNK_ELEMENTS = 1 << 14
 
 
-class _PathTable:
-    """Every root-to-leaf path of an ensemble as one row of E = depth edges,
-    leaf first; shorter paths end in padding edges.  A path's slots are its
-    distinct features: an edge's slot is the column of the first edge on the
-    path that splits on the same feature.  Slots that no edge opens (padding,
-    repeated features) have one = zero = 1: null players that get exactly 0."""
+class _Forest:
+    """Every tree of an ensemble in one node array, with each node's parent."""
 
     def __init__(self, ensemble: TreeEnsemble):
         sizes = [t.n_nodes for t in ensemble.trees]
@@ -185,11 +183,28 @@ class _PathTable:
         parts = {k: np.concatenate([getattr(t, k) for t in ensemble.trees]) for k in names}
         for k in ("left", "right"):
             parts[k] = np.where(parts[k] >= 0, parts[k] + shift, -1)
-        self.forest = f = Tree(**parts)  # every tree in one node array
+        self.tree = f = Tree(**parts)
         internal = np.nonzero(f.feature >= 0)[0]
-        parent = np.full(f.n_nodes, -1)
-        parent[f.left[internal]] = parent[f.right[internal]] = internal
-        leaves = np.nonzero(f.feature < 0)[0]
+        self.parent = np.full(f.n_nodes, -1)
+        self.parent[f.left[internal]] = self.parent[f.right[internal]] = internal
+        self.leaves = np.nonzero((f.feature < 0) & (self.parent >= 0))[0]  # a root leaf attributes nothing
+        self.depth, up = 0, self.parent[self.leaves]
+        while up.size:  # one step up every path at once
+            self.depth, up = self.depth + 1, self.parent[up]
+            up = up[up >= 0]
+
+
+class _PathTable:
+    """The root-to-leaf paths of some leaves of a `_Forest` as rows of E =
+    depth edges, leaf first; shorter paths end in padding edges.  A path's
+    slots are its distinct features: an edge's slot is the column of the
+    first edge on the path that splits on the same feature.  Slots that no
+    edge opens (padding, repeated features) have one = zero = 1: null
+    players that get exactly 0."""
+
+    def __init__(self, ensemble: TreeEnsemble, forest: _Forest, leaves: np.ndarray):
+        self.forest = f = forest.tree
+        parent = forest.parent
         edges, child = [], leaves
         while (parent[child] >= 0).any():  # one step up every path at once
             edges.append((parent[child], child))
@@ -217,8 +232,8 @@ class _PathTable:
         t, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
         self.t, self.w = (t + 1) / 2, v[0] ** 2
 
-    def shap(self, X: np.ndarray, paths: slice) -> np.ndarray:
-        """(rows x paths x E) Shapley value of every slot of the given paths.
+    def shap(self, X: np.ndarray) -> np.ndarray:
+        """(rows x paths x E) Shapley value of every slot of every path.
 
         A path is a product game over its slots, f(S) = value * prod(one_j if
         j in S else zero_j), one_j being 1 when x follows all the slot's
@@ -228,9 +243,8 @@ class _PathTable:
         of prod_{j!=i}(zero_j + (one_j - zero_j) t), of degree E-1, which
         Gauss-Legendre quadrature computes exactly (Linear TreeSHAP).
         """
-        slot, zero = self.slot[paths], self.zero[paths]
-        route = self.forest.go_left(X[:, self.split[paths]], self.node[paths])
-        follows = (route == self.goes_left[paths]) | self.pad[paths]
+        slot, zero = self.slot, self.zero
+        follows = (self.forest.go_left(X[:, self.split], self.node) == self.goes_left) | self.pad
         one = np.ones(follows.shape)
         for e in range(slot.shape[1]):
             one[:, np.arange(len(slot)), slot[:, e]] *= follows[:, :, e]
@@ -241,7 +255,7 @@ class _PathTable:
         np.cumprod(line[..., :-1], axis=-1, out=before[..., 1:])
         np.cumprod(line[..., :0:-1], axis=-1, out=after[..., -2::-1])
         before *= after
-        return self.value[paths, None] * gain * (self.w @ before)
+        return self.value[:, None] * gain * (self.w @ before)
 
 
 def shap_matrix(ensemble: TreeEnsemble, X) -> np.ndarray:
@@ -251,18 +265,17 @@ def shap_matrix(ensemble: TreeEnsemble, X) -> np.ndarray:
     if any(t.cover.sum() == 0 for t in ensemble.trees):
         raise ValueError("trees need training cover counts")
     phi = np.zeros((len(X), p + 1))  # column p collects the null slots
-    if len(X) and any(t.n_nodes > 1 for t in ensemble.trees):
-        table = _PathTable(ensemble)
-        P, E = table.slot.shape
-        paths_per = max(1, min(P, SHAP_CHUNK_ELEMENTS // (E * len(table.t))))
-        rows_per = max(1, SHAP_CHUNK_ELEMENTS // (paths_per * E * len(table.t)))
-        for r in range(0, len(X), rows_per):
-            rows = X[r : r + rows_per]
-            at = np.arange(len(rows))[:, None, None] * (p + 1)
-            for a in range(0, P, paths_per):
-                paths = slice(a, a + paths_per)
-                contrib = table.shap(rows, paths)
-                flat = np.bincount((at + table.feature[paths]).ravel(), contrib.ravel(), len(rows) * (p + 1))
+    if len(X) and ensemble.trees:
+        forest = _Forest(ensemble)
+        E = forest.depth  # a path's temporaries hold E x ceil(E / 2) quadrature nodes
+        batch = max(1, SHAP_CHUNK_ELEMENTS // max(1, E * ((E + 1) // 2)))
+        for b in range(0, len(forest.leaves), batch):
+            table = _PathTable(ensemble, forest, forest.leaves[b : b + batch])
+            rows_per = max(1, SHAP_CHUNK_ELEMENTS // (table.slot.size * len(table.t)))
+            for r in range(0, len(X), rows_per):
+                rows = X[r : r + rows_per]
+                at = np.arange(len(rows))[:, None, None] * (p + 1)
+                flat = np.bincount((at + table.feature).ravel(), table.shap(rows).ravel(), len(rows) * (p + 1))
                 phi[r : r + len(rows)] += flat.reshape(len(rows), p + 1)
     return phi[:, :p]
 
@@ -351,7 +364,6 @@ def waterfall_data(ensemble: TreeEnsemble, x) -> dict:
     """
     sv = tree_shap(ensemble, x)
     order = sorted(range(len(sv.contributions)), key=lambda j: (-abs(sv.contributions[j]), j))
-    values = _or_none(sv.feature_values)
     return {
         "schema": "waterfall/v1",
         "additivity_space": "margin (log-odds); probabilities are transformed endpoints",
@@ -360,6 +372,11 @@ def waterfall_data(ensemble: TreeEnsemble, x) -> dict:
         "margin": sv.margin,
         "probability": float(sigmoid(sv.margin)),
         "contributions": [
-            {"feature": sv.feature_names[j], "value": values[j], "shap": float(sv.contributions[j])} for j in order
+            {
+                "feature": sv.feature_names[j],
+                "value": None if np.isnan(sv.feature_values[j]) else float(sv.feature_values[j]),
+                "shap": float(sv.contributions[j]),
+            }
+            for j in order
         ],
     }

@@ -60,8 +60,11 @@ class Tree:
 
     def go_left(self, x, node):
         """The routing rule: x < threshold goes left, NaN follows the larger-cover child; x and node broadcast."""
-        bigger_left = self.cover[self.left[node]] >= self.cover[self.right[node]]
-        return np.where(np.isnan(x), bigger_left, x < self.threshold[node])
+        go_left = x < self.threshold[node]
+        nan = np.isnan(x)
+        if nan.any():
+            go_left = np.where(nan, self.cover[self.left[node]] >= self.cover[self.right[node]], go_left)
+        return go_left
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Vectorized routing of every row to its leaf's node index."""

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from creditshap import explain
 from creditshap.explain import (
     SHAP_CHUNK_ELEMENTS,
     CoalitionEvaluator,
@@ -125,7 +126,20 @@ class TestOracleAgreement:
         for row, got in zip(X, phi):
             assert np.max(np.abs(got - brute_force_shapley(ev, row).contributions)) < 1e-10
 
-    def test_matrix_batch_spans_chunks(self):
+    @staticmethod
+    def _record_tables(monkeypatch):
+        """The (paths, depth, quadrature nodes) of every path table built."""
+        shapes = []
+
+        class Recording(explain._PathTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                shapes.append((*self.slot.shape, len(self.t)))
+
+        monkeypatch.setattr(explain, "_PathTable", Recording)
+        return shapes
+
+    def test_matrix_batch_spans_chunks(self, monkeypatch):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(600, 6))
         y = (rng.random(600) < sigmoid(X[:, 0] - X[:, 1])).astype(int)
@@ -135,7 +149,17 @@ class TestOracleAgreement:
         depth = max(t.max_depth() for t in forest.trees)
         # one row's (paths x quadrature nodes x depth) temporaries alone exceed the budget
         assert paths * depth * ((depth + 1) // 2) > SHAP_CHUNK_ELEMENTS
+        shapes = self._record_tables(monkeypatch)
         self._matrix_matches_brute_force(forest, X[:6])
+        assert len(shapes) > 1 and all(P * E * k <= SHAP_CHUNK_ELEMENTS for P, E, k in shapes)
+        assert sum(P for P, _, _ in shapes) == paths
+
+    def test_matrix_tables_split_a_tree(self, monkeypatch):
+        model, X = self._model(13, oblivious=True)  # 8 paths of depth 3 per tree
+        monkeypatch.setattr(explain, "SHAP_CHUNK_ELEMENTS", 30)
+        shapes = self._record_tables(monkeypatch)
+        self._matrix_matches_brute_force(model, X[:6])
+        assert len(shapes) > len(model.trees) and all(P * E * k <= 30 for P, E, k in shapes)
 
     def test_matrix_paths_repeating_a_feature(self):
         rng = np.random.default_rng(9)
