@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import fit_scaler, median_impute
-from .boosting import BoostConfig, fit_gradient_boosting, fit_oblivious_boosting
+from .boosting import DEFAULT_OBLIVIOUS_DEPTH, BoostConfig, fit_gradient_boosting, fit_oblivious_boosting
 from .ensemble import TreeEnsemble, classify, sigmoid
 from .forest import ForestConfig, fit_random_forest
 from .logistic import LogisticModel, fit_binned_logistic, fit_logistic, quantile_bin
@@ -73,7 +73,7 @@ def fit_model(spec: ModelSpec, X, y, feature_names, sample_weight=None, seed: in
         cfg = BoostConfig(seed=seed, **params)
         model = fit_gradient_boosting(X, y, feature_names, cfg, sample_weight)
     elif spec.family == "oblivious_boosting":
-        cfg = BoostConfig(seed=seed, max_depth=params.pop("max_depth", 6), **params)
+        cfg = BoostConfig(seed=seed, max_depth=params.pop("max_depth", DEFAULT_OBLIVIOUS_DEPTH), **params)
         model = fit_oblivious_boosting(X, y, feature_names, cfg, sample_weight)
     elif spec.family == "mlp":
         scaler = fit_scaler(Ximp, feature_names)

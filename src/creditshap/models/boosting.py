@@ -2,6 +2,11 @@
 
 Two tree shapes: plain depth-limited regression trees and oblivious
 (symmetric) trees that reuse one (feature, threshold) pair per level.
+Both grow level by level on one histogram split finder (`_level_gains`):
+a plain tree gives each node its own best split, an oblivious tree sums
+the gains over its nodes and takes one split for the level.  Plain trees
+honour `min_samples_leaf` (every leaf keeps at least that many training
+rows); oblivious trees ignore it, as CatBoost's SymmetricTree growth does.
 Pseudo-residuals are p - y in margin space; leaf values take one damped
 Newton step.  Optional ordered mode approximates per-individual gradients
 with permutation-prefix models over a fixed number of blocks.
@@ -19,6 +24,7 @@ from .trees import Tree, TreeBuilder, oblivious_tree_from_levels
 
 PROB_CLIP = 1e-9  # cross-entropy diverges at 0/1
 MAX_OBLIVIOUS_DEPTH = 16
+DEFAULT_OBLIVIOUS_DEPTH = 6
 
 
 @dataclass
@@ -26,7 +32,7 @@ class BoostConfig:
     n_rounds: int = 500
     learning_rate: float = 0.05
     max_depth: int = 3
-    min_samples_leaf: int = 5
+    min_samples_leaf: int = 5  # plain trees only; oblivious trees ignore it
     reg_lambda: float = 1.0
     max_bins: int = 64
     patience: int = 20
@@ -100,134 +106,119 @@ class BinnedMatrix:
         self.nan_code = np.asarray([len(t) + 1 for t in self.thresholds])
 
 
-def _best_split_for_rows(binned, rows, g, h, reg_lambda, min_leaf):
-    """Best (feature, threshold_idx, gain) over the given rows; None if no split."""
-    best = None
-    codes = binned.codes[rows]
-    g_rows, h_rows = g[rows], h[rows]
-    for j in range(binned.p):
-        t = binned.thresholds[j]
+def _level_gains(binned, codes, node, n_nodes, g, h, reg, min_leaf):
+    """The one split finder: yield (feature, gains) for every splittable feature.
+
+    codes, g and h hold one level's rows and node[i] is row i's node; gains
+    is the (n_nodes × thresholds) Newton gain of splitting each node at each
+    threshold, from one bincount pair per feature.  NaN rows are left out.
+    With min_leaf > 0, a split leaving fewer than min_leaf rows on a side
+    gets -inf.
+    """
+    for j, t in enumerate(binned.thresholds):
         if len(t) == 0:
             continue
         c = codes[:, j]
         valid = c <= len(t)  # excludes the NaN sentinel
         nb = len(t) + 1
-        gh = np.bincount(c[valid], weights=g_rows[valid], minlength=nb)
-        hh = np.bincount(c[valid], weights=h_rows[valid], minlength=nb)
-        ch = np.bincount(c[valid], minlength=nb)
-        G, H, N = gh.sum(), hh.sum(), ch.sum()
-        gl = np.cumsum(gh)[:-1]
-        hl = np.cumsum(hh)[:-1]
-        nl = np.cumsum(ch)[:-1]
-        ok = (nl >= min_leaf) & (N - nl >= min_leaf)
-        if not ok.any():
-            continue
-        gains = (
-            gl**2 / (hl + reg_lambda)
-            + (G - gl) ** 2 / (H - hl + reg_lambda)
-            - G**2 / (H + reg_lambda)
-        )
-        gains = np.where(ok, gains, -np.inf)
-        jbest = int(np.argmax(gains))
-        if gains[jbest] > 1e-12 and (best is None or gains[jbest] > best[2]):
-            best = (j, jbest, float(gains[jbest]))
-    return best
+        key = node[valid] * nb + c[valid]
+        size = n_nodes * nb
+        gh = np.bincount(key, weights=g[valid], minlength=size).reshape(n_nodes, nb)
+        hh = np.bincount(key, weights=h[valid], minlength=size).reshape(n_nodes, nb)
+        G = gh.sum(axis=1, keepdims=True)
+        H = hh.sum(axis=1, keepdims=True)
+        gl = np.cumsum(gh, axis=1)[:, :-1]
+        hl = np.cumsum(hh, axis=1)[:, :-1]
+        gains = gl**2 / (hl + reg) + (G - gl) ** 2 / (H - hl + reg) - G**2 / (H + reg)
+        if min_leaf > 0:
+            ch = np.bincount(key, minlength=size).reshape(n_nodes, nb)
+            nl = np.cumsum(ch, axis=1)[:, :-1]
+            N = ch.sum(axis=1, keepdims=True)
+            gains = np.where((nl >= min_leaf) & (N - nl >= min_leaf), gains, -np.inf)
+        yield j, gains
 
 
-def _partition(binned, rows, feature, t_idx, h):
-    c = binned.codes[rows, feature]
+def _go_left(c, t_idx, nan_code, h):
+    """Rows with code <= t_idx go left; NaN rows join the side with the larger hessian sum."""
     go_left = c <= t_idx
-    nan = c == binned.nan_code[feature]
+    nan = c == nan_code
     if nan.any():
-        hl = h[rows[go_left & ~nan]].sum()
-        hr = h[rows[~go_left & ~nan]].sum()
-        go_left = np.where(nan, hl >= hr, go_left)
-    return rows[go_left], rows[~go_left]
+        go_left = np.where(nan, h[go_left & ~nan].sum() >= h[~go_left & ~nan].sum(), go_left)
+    return go_left
 
 
 def grow_tree(binned, rows, g, h, w, config: BoostConfig) -> Tree:
-    """Depth-limited regression tree on gradient/hessian targets."""
+    """Depth-limited regression tree, grown level by level (each node takes
+    its own best split) and written in depth-first node order."""
+    reg = config.reg_lambda
+    node_rows = [rows]  # every node's rows (kept in the given order), by node id
+    splits = {}  # node -> (feature, threshold index, left node, right node)
+    level = [0]
+    for _ in range(config.max_depth):
+        if not level:
+            break
+        n = len(level)
+        sub = np.concatenate([node_rows[k] for k in level])
+        node = np.repeat(np.arange(n), [len(node_rows[k]) for k in level])
+        best_gain, best_j, best_t = np.full(n, 1e-12), np.full(n, -1), np.zeros(n, dtype=np.int64)
+        for j, gains in _level_gains(binned, binned.codes[sub], node, n, g[sub], h[sub], reg, config.min_samples_leaf):
+            t = np.argmax(gains, axis=1)
+            gain = gains[np.arange(n), t]
+            better = gain > best_gain
+            best_gain[better], best_j[better], best_t[better] = gain[better], j, t[better]
+        parents, level = level, []
+        for k, j, t_idx in zip(parents, best_j, best_t):
+            if j < 0:
+                continue
+            r = node_rows[k]
+            go_left = _go_left(binned.codes[r, j], t_idx, binned.nan_code[j], h[r])
+            if go_left.all() or not go_left.any():
+                continue  # a split that moves no row stays a leaf
+            left, right = len(node_rows), len(node_rows) + 1
+            splits[k] = (j, t_idx, left, right)
+            level += [left, right]
+            node_rows += [r[go_left], r[~go_left]]
+
     builder = TreeBuilder()
 
-    def leaf_value(r):
-        return -g[r].sum() / (h[r].sum() + config.reg_lambda)
-
-    def emit(r, depth):
-        cover = w[r].sum()
-        if depth >= config.max_depth or len(r) < 2 * config.min_samples_leaf:
-            return builder.add_leaf(leaf_value(r), cover)
-        split = _best_split_for_rows(binned, r, g, h, config.reg_lambda, config.min_samples_leaf)
-        if split is None:
-            return builder.add_leaf(leaf_value(r), cover)
-        j, t_idx, _ = split
-        left_rows, right_rows = _partition(binned, r, j, t_idx, h)
-        if len(left_rows) == 0 or len(right_rows) == 0:
-            return builder.add_leaf(leaf_value(r), cover)
-        node = builder.add_internal(j, float(binned.thresholds[j][t_idx]), cover)
-        lc = emit(left_rows, depth + 1)
-        rc = emit(right_rows, depth + 1)
-        builder.set_children(node, lc, rc)
+    def emit(k):
+        r = node_rows[k]
+        if k not in splits:
+            return builder.add_leaf(-g[r].sum() / (h[r].sum() + reg), w[r].sum())
+        j, t_idx, left, right = splits[k]
+        node = builder.add_internal(j, binned.thresholds[j][t_idx], w[r].sum())
+        builder.set_children(node, emit(left), emit(right))
         return node
 
-    emit(rows, 0)
+    emit(0)
     return builder.build()
 
 
-def grow_oblivious_tree(binned, g, h, w, config: BoostConfig):
+def grow_oblivious_tree(binned, g, h, w, config: BoostConfig) -> Tree:
     """Symmetric tree: one (feature, threshold) per level, chosen by the
-    aggregate Newton gain over all current leaves."""
-    n = binned.n
-    leaf = np.zeros(n, dtype=np.int64)
+    Newton gain summed over all current leaves.  min_samples_leaf is not
+    applied (as CatBoost's SymmetricTree growth), so leaves may be empty."""
+    leaf = np.zeros(binned.n, dtype=np.int64)
     levels: list[tuple[int, float]] = []
     reg = config.reg_lambda
     for depth in range(config.max_depth):
-        n_leaves = 1 << depth
         best = None
-        for j in range(binned.p):
-            t = binned.thresholds[j]
-            if len(t) == 0:
-                continue
-            c = binned.codes[:, j]
-            valid = c <= len(t)
-            nb = len(t) + 1
-            key = leaf[valid] * nb + c[valid]
-            size = n_leaves * nb
-            gh = np.bincount(key, weights=g[valid], minlength=size).reshape(n_leaves, nb)
-            hh = np.bincount(key, weights=h[valid], minlength=size).reshape(n_leaves, nb)
-            G = gh.sum(axis=1, keepdims=True)
-            H = hh.sum(axis=1, keepdims=True)
-            gl = np.cumsum(gh, axis=1)[:, :-1]
-            hl = np.cumsum(hh, axis=1)[:, :-1]
-            gains = (
-                gl**2 / (hl + reg)
-                + (G - gl) ** 2 / (H - hl + reg)
-                - G**2 / (H + reg)
-            ).sum(axis=0)
-            jbest = int(np.argmax(gains))
-            if gains[jbest] > 1e-12 and (best is None or gains[jbest] > best[2]):
-                best = (j, jbest, float(gains[jbest]))
+        for j, gains in _level_gains(binned, binned.codes, leaf, 1 << depth, g, h, reg, 0):
+            gains = gains.sum(axis=0)
+            t_idx = int(np.argmax(gains))
+            if gains[t_idx] > 1e-12 and (best is None or gains[t_idx] > best[2]):
+                best = (j, t_idx, gains[t_idx])
         if best is None:
             break
         j, t_idx, _ = best
-        c = binned.codes[:, j]
-        go_left = c <= t_idx
-        nan = c == binned.nan_code[j]
-        if nan.any():
-            hl = h[go_left & ~nan].sum()
-            hr = h[~go_left & ~nan].sum()
-            go_left = np.where(nan, hl >= hr, go_left)
+        go_left = _go_left(binned.codes[:, j], t_idx, binned.nan_code[j], h)
         levels.append((j, float(binned.thresholds[j][t_idx])))
-        leaf = leaf * 2 + (~go_left).astype(np.int64)
-    if not levels:
-        return None, leaf
-    depth = len(levels)
-    n_leaves = 1 << depth
+        leaf = leaf * 2 + ~go_left
+    n_leaves = 1 << len(levels)
     gs = np.bincount(leaf, weights=g, minlength=n_leaves)
     hs = np.bincount(leaf, weights=h, minlength=n_leaves)
     ws = np.bincount(leaf, weights=w, minlength=n_leaves)
-    values = -gs / (hs + reg)
-    tree = oblivious_tree_from_levels(levels, values, ws)
-    return tree, leaf
+    return oblivious_tree_from_levels(levels, -gs / (hs + reg), ws)
 
 
 def _split_validation(n, y, config, rng_seed):
@@ -293,16 +284,10 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool) -
             g, h = grad_hess(yt, sigmoid(own), wt)
         else:
             g, h = grad_hess(yt, sigmoid(margins), wt)
-        if oblivious:
-            tree, leaf = grow_oblivious_tree(binned, g, h, wt, config)
-            if tree is None:
-                break
-            update = tree.predict(Xt)
-        else:
-            tree = grow_tree(binned, rows, g, h, wt, config)
-            if tree.n_nodes == 1:
-                break
-            update = tree.predict(Xt)
+        tree = grow_oblivious_tree(binned, g, h, wt, config) if oblivious else grow_tree(binned, rows, g, h, wt, config)
+        if tree.n_nodes == 1:
+            break
+        update = tree.predict(Xt)
         if config.ordered:
             # each block's prefix model only absorbs leaf values refit on
             # earlier blocks; the stored tree keeps the all-sample values
@@ -352,5 +337,5 @@ def fit_gradient_boosting(X, y, feature_names, config: BoostConfig | None = None
 
 def fit_oblivious_boosting(X, y, feature_names, config: BoostConfig | None = None, sample_weight=None) -> TreeEnsemble:
     if config is None:
-        config = BoostConfig(max_depth=6)
+        config = BoostConfig(max_depth=DEFAULT_OBLIVIOUS_DEPTH)
     return _fit_boosted(X, y, sample_weight, feature_names, config, oblivious=True)

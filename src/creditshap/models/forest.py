@@ -55,8 +55,9 @@ def _best_gini_split(X, y, w, rows, features, min_leaf):
             continue
         wl, w1l = wt[distinct], w1[distinct]
         wr, w1r = W - wl, W1 - w1l
-        pl1 = w1l / wl
-        pr1 = w1r / wr
+        # an empty-weight child has impurity 0, not 0/0
+        pl1 = np.divide(w1l, wl, out=np.zeros_like(wl), where=wl > 0)
+        pr1 = np.divide(w1r, wr, out=np.zeros_like(wr), where=wr > 0)
         child = wl * 2 * pl1 * (1 - pl1) + wr * 2 * pr1 * (1 - pr1)
         parent = W * _gini_impurity(W1, W)
         gains = parent - child

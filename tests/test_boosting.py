@@ -8,9 +8,11 @@ from creditshap.models.boosting import (
     fit_gradient_boosting,
     fit_oblivious_boosting,
     grad_hess,
+    grow_tree,
     logit,
 )
 from creditshap.models.ensemble import TreeEnsemble, classify, sigmoid
+from creditshap.models.trees import TreeBuilder
 
 
 def naive_leaf(tree, x):
@@ -26,6 +28,50 @@ def naive_leaf(tree, x):
         else:
             node = rch
     return node
+
+
+def per_node_tree(binned, rows, g, h, w, config):
+    """Reference for grow_tree: a recursive search that splits one node at a
+    time with its own histograms, in the same arithmetic and row order."""
+    builder = TreeBuilder()
+    reg, min_leaf = config.reg_lambda, config.min_samples_leaf
+
+    def best_split(r):
+        best = None
+        for j, t in enumerate(binned.thresholds):
+            if len(t) == 0:
+                continue
+            c = binned.codes[r, j]
+            valid = c <= len(t)
+            gh, hh, ch = (
+                np.bincount(c[valid], weights=v, minlength=len(t) + 1)
+                for v in (g[r][valid], h[r][valid], None)
+            )
+            G, H, N = gh.sum(), hh.sum(), ch.sum()
+            gl, hl, nl = np.cumsum(gh)[:-1], np.cumsum(hh)[:-1], np.cumsum(ch)[:-1]
+            gains = gl**2 / (hl + reg) + (G - gl) ** 2 / (H - hl + reg) - G**2 / (H + reg)
+            gains[(nl < min_leaf) | (N - nl < min_leaf)] = -np.inf
+            t_idx = int(np.argmax(gains))
+            if gains[t_idx] > max(1e-12, best[2] if best else 0.0):
+                best = (j, t_idx, gains[t_idx])
+        return best
+
+    def emit(r, depth):
+        split = best_split(r) if depth < config.max_depth else None
+        if split is None:
+            return builder.add_leaf(-g[r].sum() / (h[r].sum() + reg), w[r].sum())
+        j, t_idx, _ = split
+        c = binned.codes[r, j]
+        nan = c == binned.nan_code[j]
+        left = c <= t_idx
+        if nan.any():
+            left = np.where(nan, h[r][left & ~nan].sum() >= h[r][~left & ~nan].sum(), left)
+        node = builder.add_internal(j, binned.thresholds[j][t_idx], w[r].sum())
+        builder.set_children(node, emit(r[left], depth + 1), emit(r[~left], depth + 1))
+        return node
+
+    emit(rows, 0)
+    return builder.build()
 
 
 def dataset(seed=0, n=300, p=4):
@@ -135,6 +181,41 @@ class TestGradientBoosting:
         assert back.feature_names == model.feature_names
         assert np.array_equal(back.margin(X), model.margin(X))
 
+    @pytest.mark.parametrize("max_depth", [1, 3, 8])
+    @pytest.mark.parametrize("min_leaf", [1, 5, 20])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_grow_tree_matches_per_node_search(self, max_depth, min_leaf, weighted):
+        # NaN-heavy, one coarse column for shared bins; weighted: random
+        # weights (some 0) and margins; else one hessian for all rows, so
+        # NaN routing meets exact ties
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(400, 6))
+        X[:, 2] = np.round(X[:, 2])
+        X[rng.random(X.shape) < 0.3] = np.nan
+        y = (rng.random(400) < 0.3).astype(int)
+        if weighted:
+            w = rng.uniform(0.0, 3.0, size=400) * (rng.random(400) > 0.1)
+            g, h = grad_hess(y, rng.uniform(0.05, 0.95, size=400), w)
+        else:
+            w = np.ones(400)
+            g, h = grad_hess(y, np.full(400, 0.3), w)
+        binned = BinnedMatrix(X, max_bins=16)
+        rows = np.arange(100, 400)  # a subset, as the boosting loop may pass
+        cfg = BoostConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+        tree = grow_tree(binned, rows, g, h, w, cfg)
+        assert tree.n_nodes > 1
+        assert tree.to_dict() == per_node_tree(binned, rows, g, h, w, cfg).to_dict()
+
+    @pytest.mark.parametrize("min_leaf", [1, 7, 40])
+    def test_every_leaf_holds_min_samples_leaf(self, min_leaf):
+        X, y = dataset(12, n=300)  # complete rows: training and prediction route alike
+        cfg = BoostConfig(n_rounds=10, max_depth=6, min_samples_leaf=min_leaf, validation_fraction=0.0)
+        model = fit_gradient_boosting(X, y, [f"f{i}" for i in range(4)], cfg)
+        assert model.trees
+        for tree in model.trees:
+            rows_per_node = np.bincount(tree.apply(X), minlength=tree.n_nodes)
+            assert rows_per_node[tree.feature < 0].min() >= min_leaf
+
     def test_sample_weights_shift_base_score(self):
         X, y = dataset(6, n=100)
         w = np.where(y == 1, 5.0, 1.0)
@@ -186,6 +267,21 @@ class TestObliviousBoosting:
         from creditshap.metrics import roc_auc
 
         assert roc_auc(y, model.predict_proba(X)).auc > 0.8
+
+    def test_min_samples_leaf_is_ignored(self):
+        # symmetric trees split every leaf of a level at once (CatBoost's
+        # SymmetricTree growth has no per-leaf row minimum either)
+        X, y = dataset(13, n=200)
+        fits = [
+            fit_oblivious_boosting(
+                X, y, [f"f{i}" for i in range(4)],
+                BoostConfig(n_rounds=10, max_depth=6, min_samples_leaf=m, validation_fraction=0.0),
+            )
+            for m in (1, 100)
+        ]
+        trees = [[t.to_dict() for t in fit.trees] for fit in fits]
+        assert trees[0] and trees[0] == trees[1]
+        assert min(t.cover[t.feature < 0].min() for t in fits[1].trees) < 100
 
     def test_predict_matches_naive_traversal(self):
         X, y = dataset(11)

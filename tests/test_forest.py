@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from creditshap.metrics import roc_auc
-from creditshap.models.forest import ForestConfig, fit_random_forest
+from creditshap.models.forest import ForestConfig, _best_gini_split, fit_random_forest
 
 
 def small_config(n_trees=25, **kw):
@@ -83,3 +86,16 @@ class TestRandomForest:
         w = np.where(y == 1, 10.0, 1.0)
         boosted = fit_random_forest(X, y, ["a", "b"], cfg, sample_weight=w)
         assert boosted.predict_proba(X).mean() > plain.predict_proba(X).mean()
+
+
+class TestBestGiniSplit:
+    def test_zero_weight_side_keeps_the_split(self):
+        X = np.arange(10.0)[:, None]
+        y = (X[:, 0] > 5).astype(int)
+        rows = np.arange(10)
+        w = np.ones(10)
+        assert _best_gini_split(X, y, w, rows, [0], 1) == (0, 5.5, pytest.approx(4.8))
+        w[:2] = 0.0  # thresholds 0.5 and 1.5 leave a zero-weight left side
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _best_gini_split(X, y, w, rows, [0], 1) == (0, 5.5, pytest.approx(4.0))
