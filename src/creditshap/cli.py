@@ -122,15 +122,15 @@ def cmd_grid(config: PipelineConfig, args) -> int:
     for name in feature_sets:
         if name not in ("pruned", top):
             raise ConfigError(f"unknown feature set {name!r}; choose from pruned, top_k ({top})")
-    matrix, _ = pipeline.select_stage(_load_matrix(config), config)
-    matrices = {"pruned": matrix}
-    if top in feature_sets:
-        matrices[top], _, _ = pipeline.shap_reduce_stage(matrix, config)
     grid = GridSpec(
         models=args.models.split(",") if args.models else ["logistic", "oblivious_boosting"],
         resamplers=args.resamplers.split(",") if args.resamplers else ["none", "smote"],
         feature_sets=feature_sets,
     )
+    matrix, _ = pipeline.select_stage(_load_matrix(config), config)
+    matrices = {"pruned": matrix}
+    if top in feature_sets:
+        matrices[top], _, _ = pipeline.shap_reduce_stage(matrix, config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = pipeline.run_grid(grid, matrices, config, out / "grid.csv")

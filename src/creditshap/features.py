@@ -12,6 +12,7 @@ import csv
 import datetime
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,7 +309,8 @@ def median_impute(X: np.ndarray, medians: np.ndarray | None = None) -> tuple[np.
     """Fill NaNs with per-column medians (fit on train, reuse on test)."""
     X = np.array(X, dtype=float, copy=True)
     if medians is None:
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():  # an all-NaN column warns; it is filled with 0
+            warnings.simplefilter("ignore", RuntimeWarning)
             medians = np.nanmedian(X, axis=0)
         medians = np.where(np.isnan(medians), 0.0, medians)
     nan_rows, nan_cols = np.nonzero(np.isnan(X))

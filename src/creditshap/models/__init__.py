@@ -1,8 +1,10 @@
 """Model families behind one fit/predict surface.
 
 Families: logistic, logistic_binned, random_forest, gradient_boosting,
-oblivious_boosting, mlp.  Every fitted model exposes predict_proba; tree
-ensembles also expose margin() for SHAP.
+oblivious_boosting, mlp.  `fit_model` is the one training path: it fits
+column medians on the training rows, fills them in, resamples and fits
+the family.  The FittedModel keeps those medians and fills every row it
+scores with them; tree ensembles also expose margin() for SHAP.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import fit_scaler, median_impute
+from ..metrics import TrainSplit
+from ..resampling import ResamplingStrategy, apply_strategy
 from .boosting import DEFAULT_OBLIVIOUS_DEPTH, BoostConfig, fit_gradient_boosting, fit_oblivious_boosting
 from .ensemble import TreeEnsemble, classify, sigmoid
 from .forest import ForestConfig, fit_random_forest
@@ -41,44 +45,43 @@ class ModelSpec:
 
 @dataclass
 class FittedModel:
-    """A model plus the preprocessing state fitted on its training rows."""
+    """A model plus the column medians fitted on its training rows."""
 
     spec: ModelSpec
     model: object
     medians: np.ndarray
 
+    def impute(self, X) -> np.ndarray:
+        return median_impute(X, self.medians)[0]
+
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        family = self.spec.family
-        if family in ("logistic", "logistic_binned", "mlp"):
-            X, _ = median_impute(X, self.medians)
-        return self.model.predict_proba(X)
+        return self.model.predict_proba(self.impute(X))
 
 
-def fit_model(spec: ModelSpec, X, y, feature_names, sample_weight=None, seed: int = 0) -> FittedModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+def fit_model(spec: ModelSpec, split: TrainSplit, strategy=ResamplingStrategy(), seed: int = 0) -> FittedModel:
+    """Fill split.X with its column medians, resample with strategy and fit
+    the family on the result."""
+    X, medians = median_impute(split.X)
+    X, y, w = apply_strategy(strategy, TrainSplit(X, split.y))
+    names = split.columns or [f"f{j}" for j in range(X.shape[1])]
     params = dict(spec.params)
-    Ximp, medians = median_impute(X)
     if spec.family == "logistic":
-        model = fit_logistic(Ximp, y, feature_names, sample_weight)
+        model = fit_logistic(X, y, names, w)
     elif spec.family == "logistic_binned":
-        model = fit_binned_logistic(
-            Ximp, y, params.get("n_bins", 10), feature_names, sample_weight
-        )
+        model = fit_binned_logistic(X, y, params.get("n_bins", 10), names, w)
     elif spec.family == "random_forest":
         cfg = ForestConfig(seed=seed, **params)
-        model = fit_random_forest(X, y, feature_names, cfg, sample_weight)
+        model = fit_random_forest(X, y, names, cfg, w)
     elif spec.family == "gradient_boosting":
         cfg = BoostConfig(seed=seed, **params)
-        model = fit_gradient_boosting(X, y, feature_names, cfg, sample_weight)
+        model = fit_gradient_boosting(X, y, names, cfg, w)
     elif spec.family == "oblivious_boosting":
         cfg = BoostConfig(seed=seed, max_depth=params.pop("max_depth", DEFAULT_OBLIVIOUS_DEPTH), **params)
-        model = fit_oblivious_boosting(X, y, feature_names, cfg, sample_weight)
+        model = fit_oblivious_boosting(X, y, names, cfg, w)
     elif spec.family == "mlp":
-        scaler = fit_scaler(Ximp, feature_names)
+        scaler = fit_scaler(X, names)
         cfg = MlpConfig(seed=seed, **params)
-        model = fit_mlp(scaler.transform(Ximp), y, feature_names, scaler, cfg, sample_weight)
+        model = fit_mlp(scaler.transform(X), y, names, scaler, cfg, w)
     else:  # pragma: no cover - guarded by ModelSpec
         raise ValueError(spec.family)
     return FittedModel(spec, model, medians)

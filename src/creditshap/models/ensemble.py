@@ -16,7 +16,8 @@ FORMAT_VERSION = 1
 
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass

@@ -15,15 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import explain, plots, selection
-from .features import (
-    FeatureMatrix,
-    build_feature_matrix,
-    drop_inactive_accounts,
-    median_impute,
-)
+from .features import FeatureMatrix, build_feature_matrix, drop_inactive_accounts
 from .metrics import CvResult, TrainSplit, cross_validate, roc_auc
 from .models import FittedModel, ModelSpec, TreeEnsemble, classify, fit_model
-from .resampling import ResamplingStrategy, apply_strategy
+from .resampling import ResamplingStrategy
 from .tables import (
     DataError,
     LedgerBundle,
@@ -116,24 +111,13 @@ def cell_seed(global_seed: int, label: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def make_fit_and_score(spec: ModelSpec, strategy: ResamplingStrategy, seed: int):
-    """CV callback: impute, resample and fit on the training split only."""
+def evaluate_cell(spec, strategy, matrix: FeatureMatrix, k: int, seed: int) -> CvResult:
+    """k-fold CV Gini; each fold fits on its training split only."""
 
     def fit_and_score(split: TrainSplit, X_test, y_test):
-        X_tr, medians = median_impute(split.X)
-        Xb, yb, wb = apply_strategy(strategy, TrainSplit(X_tr, split.y))
-        names = split.columns or [f"f{j}" for j in range(X_tr.shape[1])]
-        fitted = fit_model(spec, Xb, yb, names, sample_weight=wb, seed=seed)
-        X_te, _ = median_impute(np.asarray(X_test, dtype=float), medians)
-        return fitted.predict_proba(X_te)
+        return fit_model(spec, split, strategy, seed).predict_proba(X_test)
 
-    return fit_and_score
-
-
-def evaluate_cell(spec, strategy, matrix: FeatureMatrix, k: int, seed: int) -> CvResult:
-    callback = make_fit_and_score(spec, strategy, seed)
-    X = matrix.values
-    result = cross_validate(callback, X, matrix.y, k=k, seed=seed)
+    result = cross_validate(fit_and_score, matrix.values, matrix.y, k=k, seed=seed)
     result.config.update({"model": spec.family, "resampling": strategy.kind})
     return result
 
@@ -168,10 +152,10 @@ def select_stage(matrix: FeatureMatrix, config: PipelineConfig):
 def shap_reduce_stage(matrix: FeatureMatrix, config: PipelineConfig):
     """Fit the benchmark oblivious booster on the pruned matrix, rank by
     mean |SHAP| and keep the top-k columns."""
-    X, _ = median_impute(matrix.values)
     spec = ModelSpec("oblivious_boosting", {"n_rounds": 150})
-    fitted = fit_model(spec, X, matrix.y, matrix.columns, seed=config.seed)
-    imp = explain.global_importance(matrix.columns, explain.shap_matrix(fitted.model, X))
+    fitted = fit_model(spec, TrainSplit(matrix.values, matrix.y, matrix.columns), seed=config.seed)
+    phi = explain.shap_matrix(fitted.model, fitted.impute(matrix.values))
+    imp = explain.global_importance(matrix.columns, phi)
     reduced, report = selection.select_top_k_by_shap(matrix, imp.as_dict(), config.top_k)
     return reduced, report, imp
 
@@ -200,7 +184,6 @@ class Run:
     features: FeatureMatrix | None = None  # every KPI column
     selection: selection.SelectionReport | None = None
     working: FeatureMatrix | None = None  # the columns the model sees
-    X: np.ndarray | None = None  # working values, median-imputed
     fitted: FittedModel | None = None
     cv: CvResult | None = None
 
@@ -239,11 +222,10 @@ def run_select(run: Run) -> None:
 
 
 def fit_final(run: Run) -> None:
-    """Impute, resample and fit the configured model on every working row."""
-    run.X, _ = median_impute(run.working.values)
-    Xb, yb, wb = apply_strategy(run.strategy, TrainSplit(run.X, run.working.y))
+    """Fit the configured model on every working row."""
+    split = TrainSplit(run.working.values, run.working.y, run.working.columns)
     spec = ModelSpec(run.config.model, run.config.model_params)
-    run.fitted = fit_model(spec, Xb, yb, run.working.columns, sample_weight=wb, seed=run.config.seed)
+    run.fitted = fit_model(spec, split, run.strategy, run.config.seed)
 
 
 def run_train(run: Run) -> None:
@@ -257,7 +239,7 @@ def run_evaluate(run: Run) -> None:
     if run.fitted is None:  # the staged evaluate: fit the final model as train does
         fit_final(run)
     run.cv = evaluate_cell(run.fitted.spec, run.strategy, run.working, config.cv_folds, config.seed)
-    roc = roc_auc(run.working.y, run.fitted.predict_proba(run.X))
+    roc = roc_auc(run.working.y, run.fitted.predict_proba(run.working.values))
     run.write_json(
         "eval.json",
         {
@@ -280,7 +262,7 @@ def run_explain(run: Run) -> None:
     model = run.fitted.model
     if not isinstance(model, TreeEnsemble):
         return
-    X = run.X[:50]
+    X = run.fitted.impute(run.working.values[:50])
     phi = explain.shap_matrix(model, X)
     ranking = explain.global_importance(model.feature_names, phi).ranking()
     run.write_json("importance.json", {"ranking": ranking})
@@ -327,6 +309,10 @@ class GridSpec:
     )
     resamplers: list[str] = field(default_factory=lambda: ["none", "smote"])
     feature_sets: list[str] = field(default_factory=lambda: ["pruned"])
+
+    def __post_init__(self):
+        if next(self.cells(), None) is None:
+            raise ConfigError(f"the grid has no cells: {self} (random_forest skips class-weight strategies)")
 
     def cells(self):
         # class-weight strategies only pair with weighted-loss models
@@ -381,8 +367,7 @@ def explain_account(fitted: FittedModel, matrix: FeatureMatrix, row_id: str, out
     if not isinstance(fitted.model, TreeEnsemble):
         raise ValueError("per-account explanation targets tree ensembles")
     i = matrix.row_ids.index(row_id)
-    X, _ = median_impute(matrix.values, fitted.medians)
-    x = X[i]
+    x = fitted.impute(matrix.values[i : i + 1])[0]
     p = float(fitted.predict_proba(x[None, :])[0])
     pred = int(classify(np.array([p]), threshold)[0])
     truth = int(matrix.y[i])

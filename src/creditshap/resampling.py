@@ -2,8 +2,12 @@
 and class-weight computation.
 
 Every resampler consumes a TrainSplit handle, never a full dataset, so test
-rows cannot leak into synthesis.  Neighbor searches run on standardized
-copies of the features; emitted rows stay in original units.
+rows cannot leak into synthesis.  The three SMOTE variants share one runner
+and differ only in the minority rows they seed synthesis from: every
+minority row (SMOTE), the danger points (Borderline-SMOTE-1) or the
+minority support vectors of a linear SVM (SVM-SMOTE).  Neighbor searches
+run on standardized copies of the features; emitted rows stay in original
+units.
 """
 
 from __future__ import annotations
@@ -37,10 +41,6 @@ class ResamplingStrategy:
             raise ValueError(f"unknown resampling strategy {self.kind!r}")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-
-    @property
-    def is_class_weight(self) -> bool:
-        return self.kind in ("class_weight", "sqrt_balanced")
 
 
 @dataclass(frozen=True)
@@ -134,39 +134,45 @@ def _knn_indices(points, query, k, exclude_self=False):
 
 
 def _synthesize(X, seeds, neighbor_pool, k, n_needed, rng):
-    """Interpolate n_needed rows between danger/seed points and minority neighbors."""
+    """Interpolate n_needed rows between seed points and minority neighbors."""
     Z = _scaled_view(X)
     pool = Z[neighbor_pool]
-    k_eff = min(k, len(neighbor_pool) - 1 if len(neighbor_pool) > 1 else 1)
+    k_eff = max(1, min(k, len(neighbor_pool) - 1))
     rows = []
-    parents = []
     for _ in range(n_needed):
         base = seeds[rng.integers(len(seeds))]
-        nn = _knn_indices(pool, Z[base][None, :], max(k_eff, 1))[0]
+        nn = _knn_indices(pool, Z[base][None, :], k_eff)[0]
         # drop the base itself when it sits in the pool
         nn = [neighbor_pool[j] for j in nn if neighbor_pool[j] != base]
         partner = nn[rng.integers(len(nn))] if nn else base
         lam = rng.random()
         rows.append(X[base] + lam * (X[partner] - X[base]))
-        parents.append((base, partner))
-    return np.asarray(rows), parents
+    return np.asarray(rows)
 
 
-def smote(split: TrainSplit, k: int = 5, seed: int = 0):
-    """Balance classes with synthetic minority rows on minority-neighbor segments."""
+def _smote_family(split: TrainSplit, k: int, seed: int, seed_rows):
+    """Balance classes with synthetic minority rows, each on the segment from
+    a row of seed_rows(X, y, minority, min_idx) to a minority neighbor."""
     X, y = _check_split(split)
-    rng = np.random.default_rng(seed)
     minority, majority = _classes(y)
     min_idx = np.nonzero(y == minority)[0]
     n_needed = int(np.sum(y == majority)) - len(min_idx)
     if n_needed == 0:
         return X.copy(), y.copy()
-    if len(min_idx) < 2:
-        raise ValueError("SMOTE needs at least 2 minority samples")
-    synth, _ = _synthesize(X, min_idx, min_idx, k, n_needed, rng)
-    Xb = np.vstack([X, synth])
-    yb = np.concatenate([y, np.full(n_needed, minority, dtype=int)])
-    return Xb, yb
+    seeds = seed_rows(X, y, minority, min_idx)
+    synth = _synthesize(X, seeds, min_idx, k, n_needed, np.random.default_rng(seed))
+    return np.vstack([X, synth]), np.concatenate([y, np.full(n_needed, minority, dtype=int)])
+
+
+def smote(split: TrainSplit, k: int = 5, seed: int = 0):
+    """Balance classes with synthetic minority rows on minority-neighbor segments."""
+
+    def every_minority_row(X, y, minority, min_idx):
+        if len(min_idx) < 2:
+            raise ValueError("SMOTE needs at least 2 minority samples")
+        return min_idx
+
+    return _smote_family(split, k, seed, every_minority_row)
 
 
 def danger_points(X, y, k: int, minority: int):
@@ -185,24 +191,18 @@ def danger_points(X, y, k: int, minority: int):
 
 def borderline_smote(split: TrainSplit, k: int = 5, seed: int = 0, warn=None):
     """SMOTE seeded only from borderline (danger) minority points."""
-    X, y = _check_split(split)
-    rng = np.random.default_rng(seed)
-    minority, majority = _classes(y)
-    min_idx = np.nonzero(y == minority)[0]
-    n_needed = int(np.sum(y == majority)) - len(min_idx)
-    if n_needed == 0:
-        return X.copy(), y.copy()
-    if len(min_idx) < 2:
-        raise ValueError("Borderline-SMOTE needs at least 2 minority samples")
-    danger = danger_points(X, y, min(k, len(y) - 1), minority)
-    if danger.size == 0:
-        if warn is not None:
-            warn("no borderline minority points; falling back to plain SMOTE")
-        return smote(split, k=k, seed=seed)
-    synth, _ = _synthesize(X, danger, min_idx, k, n_needed, rng)
-    Xb = np.vstack([X, synth])
-    yb = np.concatenate([y, np.full(n_needed, minority, dtype=int)])
-    return Xb, yb
+
+    def danger(X, y, minority, min_idx):
+        if len(min_idx) < 2:
+            raise ValueError("Borderline-SMOTE needs at least 2 minority samples")
+        seeds = danger_points(X, y, min(k, len(y) - 1), minority)
+        if seeds.size == 0:
+            if warn is not None:
+                warn("no borderline minority points; falling back to plain SMOTE")
+            return min_idx
+        return seeds
+
+    return _smote_family(split, k, seed, danger)
 
 
 def _linear_svm_margins(X, y, minority, c: float = 1.0, epochs: int = 200, seed: int = 0):
@@ -225,56 +225,34 @@ def _linear_svm_margins(X, y, minority, c: float = 1.0, epochs: int = 200, seed:
     return t * (Z @ w + b)
 
 
-def svm_smote(split: TrainSplit, k: int = 5, seed: int = 0, warn=None):
-    """SMOTE seeded from minority support vectors of an internal linear SVM."""
-    X, y = _check_split(split)
-    rng = np.random.default_rng(seed)
-    minority, majority = _classes(y)
-    min_idx = np.nonzero(y == minority)[0]
-    n_needed = int(np.sum(y == majority)) - len(min_idx)
-    if n_needed == 0:
-        return X.copy(), y.copy()
-    if len(min_idx) < 2:
-        if len(min_idx) == 1:
-            # the single minority point is trivially the only seed
-            extra = np.repeat(X[min_idx], n_needed, axis=0)
-            return np.vstack([X, extra]), np.concatenate([y, np.full(n_needed, minority, dtype=int)])
-        raise ValueError("SVM-SMOTE needs minority samples")
-    margins = _linear_svm_margins(X, y, minority, seed=seed)
-    support = min_idx[margins[min_idx] <= 1.0]
-    if support.size == len(y) and warn is not None:
-        warn("degenerate SVM: every point is a support vector")
-    if support.size == 0:
-        support = min_idx
-    synth, _ = _synthesize(X, support, min_idx, k, n_needed, rng)
-    Xb = np.vstack([X, synth])
-    yb = np.concatenate([y, np.full(n_needed, minority, dtype=int)])
-    return Xb, yb
+def svm_smote(split: TrainSplit, k: int = 5, seed: int = 0):
+    """SMOTE seeded from minority support vectors of an internal linear SVM;
+    every minority row seeds when none is a support vector."""
+
+    def support_vectors(X, y, minority, min_idx):
+        margins = _linear_svm_margins(X, y, minority, seed=seed)
+        support = min_idx[margins[min_idx] <= 1.0]
+        return support if support.size else min_idx
+
+    return _smote_family(split, k, seed, support_vectors)
 
 
 def apply_strategy(strategy: ResamplingStrategy, split: TrainSplit):
     """Dispatch a strategy; returns (X, y, sample_weights)."""
     if not isinstance(split, TrainSplit):
         raise TypeError("apply_strategy requires a TrainSplit; split your data first")
-    X = np.asarray(split.X, dtype=float)
-    y = np.asarray(split.y, dtype=int)
-    ones = lambda yy: np.ones(len(yy))
-    if strategy.kind == "none":
-        return X, y, ones(y)
-    if strategy.kind == "undersample":
-        Xb, yb = undersample_majority(split, seed=strategy.seed)
-        return Xb, yb, ones(yb)
-    if strategy.kind == "oversample":
-        Xb, yb = oversample_minority(split, seed=strategy.seed)
-        return Xb, yb, ones(yb)
-    if strategy.kind == "smote":
-        Xb, yb = smote(split, k=strategy.k_neighbors, seed=strategy.seed)
-        return Xb, yb, ones(yb)
-    if strategy.kind == "borderline_smote":
-        Xb, yb = borderline_smote(split, k=strategy.k_neighbors, seed=strategy.seed)
-        return Xb, yb, ones(yb)
-    if strategy.kind == "svm_smote":
-        Xb, yb = svm_smote(split, k=strategy.k_neighbors, seed=strategy.seed)
-        return Xb, yb, ones(yb)
-    mode = "proportional" if strategy.kind == "class_weight" else "sqrt_balanced"
-    return X, y, class_weights(y, mode).per_sample(y)
+    kind = strategy.kind
+    if kind in ("class_weight", "sqrt_balanced"):
+        y = np.asarray(split.y, dtype=int)
+        mode = "proportional" if kind == "class_weight" else "sqrt_balanced"
+        return np.asarray(split.X, dtype=float), y, class_weights(y, mode).per_sample(y)
+    if kind == "none":
+        X, y = np.asarray(split.X, dtype=float), np.asarray(split.y, dtype=int)
+    elif kind == "undersample":
+        X, y = undersample_majority(split, seed=strategy.seed)
+    elif kind == "oversample":
+        X, y = oversample_minority(split, seed=strategy.seed)
+    else:
+        smote_variant = {"smote": smote, "borderline_smote": borderline_smote, "svm_smote": svm_smote}[kind]
+        X, y = smote_variant(split, k=strategy.k_neighbors, seed=strategy.seed)
+    return X, y, np.ones(len(y))

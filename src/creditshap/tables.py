@@ -37,12 +37,6 @@ def parse_cents(text: str) -> int:
     return -cents if neg else cents
 
 
-def format_cents(cents: int) -> str:
-    sign = "-" if cents < 0 else ""
-    cents = abs(cents)
-    return f"{sign}{cents // 100}.{cents % 100:02d}"
-
-
 def _parse_date(text: str, where: str) -> datetime.date:
     try:
         return datetime.date.fromisoformat(text.strip())
@@ -174,10 +168,6 @@ class LedgerBundle:
     @property
     def labeled_account_ids(self) -> list[str]:
         return [a for a in self.accounts if a in self.outcomes]
-
-    @property
-    def unlabeled_account_ids(self) -> list[str]:
-        return [a for a in self.accounts if a not in self.outcomes]
 
 
 def join_bundle(clients, accounts, transactions, outcomes) -> LedgerBundle:

@@ -253,7 +253,7 @@ def test_determinism_round_trip(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
     spec = ModelSpec("gradient_boosting", {"n_rounds": 25, "validation_fraction": 0.0})
-    fitted = fit_model(spec, X, y, names, seed=0)
+    fitted = fit_model(spec, TrainSplit(X, y, names), seed=0)
     model_path = tmp_path / "model.json"
     fitted.model.save(model_path)
     back = TreeEnsemble.load(model_path)

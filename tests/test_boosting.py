@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,11 @@ class TestLossPieces:
     def test_logit_inverts_sigmoid(self):
         for p in (0.1, 0.5, 0.89):
             assert sigmoid(logit(p)) == pytest.approx(p, abs=1e-12)
+
+    def test_sigmoid_saturates_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(np.array([-1000.0, 0.0, 1000.0])).tolist() == [0.0, 0.5, 1.0]
 
 
 class TestBinnedMatrix:

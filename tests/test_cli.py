@@ -196,6 +196,14 @@ class TestExitCodes:
         assert rc in (EXIT_DATA, EXIT_COMPUTE)
         assert rc != EXIT_OK
 
+    def test_grid_without_cells_is_config_error(self, ledger_dir, tmp_path, capsys):
+        common = ["--data", str(ledger_dir), "--out", str(tmp_path / "out")]
+        assert run("featurize", *common) == EXIT_OK
+        capsys.readouterr()
+        assert run("grid", *common, "--models", "random_forest", "--resamplers", "class_weight") == EXIT_CONFIG
+        assert "the grid has no cells" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "grid.csv").exists()
+
     def test_train_without_select_is_data_error(self, ledger_dir, tmp_path):
         common = ["--data", str(ledger_dir), "--out", str(tmp_path / "out")]
         assert run("featurize", *common) == EXIT_OK

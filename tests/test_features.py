@@ -1,5 +1,6 @@
 import datetime
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,13 @@ class TestMedianImpute:
         assert filled[0, 1] == 6.0
         test, _ = median_impute(np.array([[np.nan, np.nan]]), med)
         assert list(test[0]) == [3.0, 6.0]
+
+    def test_all_nan_column_fills_zero_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filled, med = median_impute(np.array([[np.nan, 1.0], [np.nan, 3.0]]))
+        assert med.tolist() == [0.0, 2.0]
+        assert filled.tolist() == [[0.0, 1.0], [0.0, 3.0]]
 
 
 class TestRoundTrips:

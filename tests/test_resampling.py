@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from creditshap.metrics import TrainSplit
+from creditshap.models import ModelSpec, fit_model
 from creditshap.resampling import (
     ResamplingStrategy,
     apply_strategy,
@@ -286,3 +287,34 @@ class TestStrategyGuard:
         _, _, w = apply_strategy(ResamplingStrategy("sqrt_balanced"), split_of(X, y))
         assert set(w[y == 1]) == {2.0}
         assert set(w[y == 0]) == {1.0}
+
+
+class TestFitModelImputation:
+    """fit_model fits the medians on the training rows, before resampling,
+    and predict_proba fills every family's missing values with them."""
+
+    def _data(self):
+        X, y = imbalanced_blobs(60, 12, seed=3)
+        X[np.random.default_rng(4).random(X.shape) < 0.25] = np.nan
+        return X, y
+
+    def test_medians_come_from_the_training_rows(self):
+        X, y = self._data()
+        fitted = fit_model(ModelSpec("logistic"), TrainSplit(X, y), ResamplingStrategy("smote"))
+        assert np.array_equal(fitted.medians, np.nanmedian(X, axis=0))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec("random_forest", {"n_trees": 10}),
+            ModelSpec("gradient_boosting", {"n_rounds": 10}),
+            ModelSpec("oblivious_boosting", {"n_rounds": 10}),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_tree_families_score_rows_as_filled(self, spec):
+        X, y = self._data()
+        fitted = fit_model(spec, TrainSplit(X, y), seed=1)
+        assert np.array_equal(fitted.predict_proba(X), fitted.predict_proba(fitted.impute(X)))
+        # the rows exercise NaN routing: the trees alone send them elsewhere
+        assert not np.array_equal(fitted.model.predict_proba(X), fitted.predict_proba(X))
