@@ -7,9 +7,10 @@ a 2^m subset enumeration (oracle, small m only) and `shap_matrix`, which
 splits every tree once into a table of root-to-leaf paths (GPUTreeShap,
 Mitchell et al. 2020) and scores each path as a product game over its
 distinct features with numpy, rows and paths in bounded chunks.  Every
-other entry point (`tree_shap`, `dependence_data`, `waterfall_data`)
-goes through `shap_matrix`.  Attributions live in margin (log-odds)
-space, where the additive decomposition is exact.
+other entry point (`tree_shap`, `waterfall_data`) goes through
+`shap_matrix`.  Attributions live in margin space (log-odds for the
+boosters, probability for the forest), where the additive decomposition
+is exact.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models.ensemble import TreeEnsemble, sigmoid
+from .models.ensemble import TreeEnsemble
 from .models.trees import Tree
 
 BRUTE_FORCE_MAX_FEATURES = 20
@@ -340,37 +341,22 @@ def summary_data(feature_names, X, phi) -> dict:
     return {"schema": "summary/v1", "features": features}
 
 
-def dependence_data(ensemble: TreeEnsemble, X, feature: str, color_feature: str | None = None) -> dict:
-    X = np.asarray(X, dtype=float)
-    names = ensemble.feature_names
-    if feature not in names:
-        raise ValueError(f"unknown feature {feature!r}")
-    if color_feature is not None and color_feature not in names:
-        raise ValueError(f"unknown feature {color_feature!r}")
-    j = names.index(feature)
-    color = X[:, names.index(color_feature)] if color_feature else np.full(len(X), np.nan)
-    rows = [
-        {"value": v, "shap": s, "color_value": c}
-        for v, s, c in zip(_or_none(X[:, j]), shap_matrix(ensemble, X)[:, j].tolist(), _or_none(color))
-    ]
-    return {"schema": "dependence/v1", "feature": feature, "color_feature": color_feature, "rows": rows}
-
-
 def waterfall_data(ensemble: TreeEnsemble, x) -> dict:
     """Sorted contributions with margin-space endpoints and their probabilities.
 
-    Additivity is exact in margin space; probability labels are the sigmoid
-    of the endpoints.
+    Additivity is exact in margin space; probability labels are the
+    ensemble's link of the endpoints.
     """
     sv = tree_shap(ensemble, x)
     order = sorted(range(len(sv.contributions)), key=lambda j: (-abs(sv.contributions[j]), j))
+    space = "probability" if ensemble.kind == "random_forest" else "log-odds"
     return {
         "schema": "waterfall/v1",
-        "additivity_space": "margin (log-odds); probabilities are transformed endpoints",
+        "additivity_space": f"margin ({space}); probabilities are transformed endpoints",
         "baseline": sv.baseline,
-        "baseline_probability": float(sigmoid(sv.baseline)),
+        "baseline_probability": float(ensemble.link(sv.baseline)),
         "margin": sv.margin,
-        "probability": float(sigmoid(sv.margin)),
+        "probability": float(ensemble.link(sv.margin)),
         "contributions": [
             {
                 "feature": sv.feature_names[j],

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -146,10 +145,6 @@ class FeatureMatrix:
         if len(self.y) != len(self.row_ids):
             raise ValueError("label length mismatch")
 
-    @property
-    def missing_mask(self) -> np.ndarray:
-        return np.isnan(self.values)
-
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.columns.index(name)]
 
@@ -188,27 +183,6 @@ class FeatureMatrix:
                 rows.append([float(c) if c else math.nan for c in raw[1:-1]])
                 ys.append(int(raw[-1]))
         return cls(row_ids, columns, np.asarray(rows, dtype=float), np.asarray(ys, dtype=int))
-
-    def to_json(self, path) -> None:
-        payload = {
-            "row_ids": self.row_ids,
-            "columns": self.columns,
-            "values": [[None if math.isnan(v) else v for v in row] for row in self.values.tolist()],
-            "performance": self.y.tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def from_json(cls, path) -> "FeatureMatrix":
-        with open(path) as fh:
-            payload = json.load(fh)
-        values = np.asarray(
-            [[math.nan if v is None else v for v in row] for row in payload["values"]], dtype=float
-        )
-        if values.size == 0:
-            values = values.reshape(len(payload["row_ids"]), len(payload["columns"]))
-        return cls(payload["row_ids"], payload["columns"], values, np.asarray(payload["performance"], dtype=int))
 
 
 def account_features(bundle: LedgerBundle, acc_id: str) -> list[float]:
@@ -276,19 +250,6 @@ class ScalerParams:
         std = np.where(const, 1.0, self.std)
         mean = np.where(const, 0.0, self.mean)
         return (X - mean) / std
-
-    def inverse_transform(self, Z: np.ndarray) -> np.ndarray:
-        const = self.std == 0.0
-        std = np.where(const, 1.0, self.std)
-        mean = np.where(const, 0.0, self.mean)
-        return Z * std + mean
-
-    def to_dict(self) -> dict:
-        return {"columns": self.columns, "mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalerParams":
-        return cls(list(d["columns"]), np.asarray(d["mean"], dtype=float), np.asarray(d["std"], dtype=float))
 
 
 def fit_scaler(X: np.ndarray, columns) -> ScalerParams:

@@ -104,26 +104,22 @@ class TrainSplit:
     columns: list[str] = field(default_factory=list)
 
 
-def train_test_split(X, y, train_fraction: float = 0.75, seed: int = 0, stratified: bool = True):
-    """Disjoint exhaustive split; per-class proportions preserved when stratified."""
+def train_test_split(X, y, train_fraction: float = 0.75, seed: int = 0):
+    """Disjoint exhaustive split that preserves per-class proportions."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     X = np.asarray(X)
     y = np.asarray(y, dtype=int)
     rng = np.random.default_rng(seed)
     n = len(y)
-    if stratified:
-        train_idx = []
-        for cls in np.unique(y):
-            cls_idx = np.nonzero(y == cls)[0]
-            perm = rng.permutation(cls_idx)
-            k = int(round(train_fraction * len(cls_idx)))
-            k = min(max(k, 1), len(cls_idx) - 1) if len(cls_idx) > 1 else k
-            train_idx.append(perm[:k])
-        train_idx = np.sort(np.concatenate(train_idx))
-    else:
-        perm = rng.permutation(n)
-        train_idx = np.sort(perm[: int(round(train_fraction * n))])
+    train_idx = []
+    for cls in np.unique(y):
+        cls_idx = np.nonzero(y == cls)[0]
+        perm = rng.permutation(cls_idx)
+        k = int(round(train_fraction * len(cls_idx)))
+        k = min(max(k, 1), len(cls_idx) - 1) if len(cls_idx) > 1 else k
+        train_idx.append(perm[:k])
+    train_idx = np.sort(np.concatenate(train_idx))
     mask = np.zeros(n, dtype=bool)
     mask[train_idx] = True
     test_idx = np.nonzero(~mask)[0]

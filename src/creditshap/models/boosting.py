@@ -44,6 +44,8 @@ class BoostConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.reg_lambda <= 0:
+            raise ValueError("reg_lambda must be positive")
         if not 0.0 <= self.validation_fraction <= 0.5:
             raise ValueError("validation fraction must lie in [0, 0.5]")
 

@@ -59,11 +59,15 @@ class TreeEnsemble:
             out += self.learning_rate * tree.predict(X)
         return out
 
-    def predict_proba(self, X) -> np.ndarray:
-        m = self.margin(X)
+    def link(self, margin) -> np.ndarray:
+        """Bad-class probability of a margin: the sigmoid of the boosters'
+        log-odds; the forest's margin already is a probability, only clipped."""
         if self.kind == "random_forest":
-            return np.clip(m, 0.0, 1.0)
-        return sigmoid(m)
+            return np.clip(margin, 0.0, 1.0)
+        return sigmoid(margin)
+
+    def predict_proba(self, X) -> np.ndarray:
+        return self.link(self.margin(X))
 
     def to_dict(self) -> dict:
         return {

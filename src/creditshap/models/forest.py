@@ -18,6 +18,12 @@ class ForestConfig:
     max_features: str | int = "sqrt"
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError("a forest needs at least one tree")
+        if self.max_features != "sqrt" and not (isinstance(self.max_features, int) and self.max_features >= 1):
+            raise ValueError(f"max_features must be 'sqrt' or an integer >= 1, not {self.max_features!r}")
+
 
 def _gini_impurity(w1, w_total):
     # weighted two-class Gini: 1 - p0^2 - p1^2

@@ -368,11 +368,10 @@ def explain_account(fitted: FittedModel, matrix: FeatureMatrix, row_id: str, out
         raise ValueError("per-account explanation targets tree ensembles")
     i = matrix.row_ids.index(row_id)
     x = fitted.impute(matrix.values[i : i + 1])[0]
-    p = float(fitted.predict_proba(x[None, :])[0])
-    pred = int(classify(np.array([p]), threshold)[0])
+    data = explain.waterfall_data(fitted.model, x)
+    pred = int(classify(np.array([data["probability"]]), threshold)[0])
     truth = int(matrix.y[i])
     label = {(1, 1): "true positive", (0, 0): "true negative", (1, 0): "false positive", (0, 1): "false negative"}[(pred, truth)]
-    data = explain.waterfall_data(fitted.model, x)
     data.update({"row_id": row_id, "true_label": truth, "predicted_label": pred, "case": label})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

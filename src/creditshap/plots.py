@@ -1,6 +1,6 @@
 """Minimal static SVG rendering for the explanation plot datasets.
 
-Figures are artifacts, not an app: plain bars, dots and waterfall bridges,
+Figures are artifacts, not an app: plain bars and waterfall bridges,
 no interactivity.
 """
 
@@ -41,36 +41,6 @@ def importance_bar_svg(ranking: list[tuple[str, float]], top: int = 20) -> str:
         )
         parts.append(_text(165, y + bar_h / 2 + 3, name, 10, "end"))
         parts.append(_text(175 + w, y + bar_h / 2 + 3, f"{v:.4f}", 9))
-    return _svg(parts)
-
-
-def dependence_scatter_svg(data: dict) -> str:
-    rows = [r for r in data["rows"] if r["value"] is not None]
-    parts = [
-        _text(WIDTH / 2, 24, f"SHAP dependence: {data['feature']}", 13, "middle"),
-        _text(WIDTH / 2, HEIGHT - 12, data["feature"], 11, "middle"),
-    ]
-    if not rows:
-        return _svg(parts + [_text(WIDTH / 2, HEIGHT / 2, "no data", anchor="middle")])
-    xs = [r["value"] for r in rows]
-    ys = [r["shap"] for r in rows]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    xr = (x1 - x0) or 1.0
-    yr = (y1 - y0) or 1.0
-    colors = [r.get("color_value") for r in rows]
-    cvals = [c for c in colors if c is not None]
-    c0, c1 = (min(cvals), max(cvals)) if cvals else (0.0, 1.0)
-    cr = (c1 - c0) or 1.0
-    for r, c in zip(rows, colors):
-        px = MARGIN + (r["value"] - x0) / xr * (WIDTH - 2 * MARGIN)
-        py = HEIGHT - MARGIN - (r["shap"] - y0) / yr * (HEIGHT - 2 * MARGIN)
-        if c is None:
-            fill = "#1f77b4"
-        else:
-            t = (c - c0) / cr
-            fill = f"rgb({int(30 + 190 * t)},60,{int(220 - 180 * t)})"
-        parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" fill="{fill}" fill-opacity="0.7"/>')
     return _svg(parts)
 
 

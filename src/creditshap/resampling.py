@@ -189,16 +189,15 @@ def danger_points(X, y, k: int, minority: int):
     return np.asarray(danger, dtype=int)
 
 
-def borderline_smote(split: TrainSplit, k: int = 5, seed: int = 0, warn=None):
-    """SMOTE seeded only from borderline (danger) minority points."""
+def borderline_smote(split: TrainSplit, k: int = 5, seed: int = 0):
+    """SMOTE seeded only from borderline (danger) minority points, or from
+    every minority point when none is borderline."""
 
     def danger(X, y, minority, min_idx):
         if len(min_idx) < 2:
             raise ValueError("Borderline-SMOTE needs at least 2 minority samples")
         seeds = danger_points(X, y, min(k, len(y) - 1), minority)
         if seeds.size == 0:
-            if warn is not None:
-                warn("no borderline minority points; falling back to plain SMOTE")
             return min_idx
         return seeds
 

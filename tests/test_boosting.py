@@ -231,6 +231,12 @@ class TestGradientBoosting:
         expect = logit(float(np.average(y, weights=w)))
         assert model.base_score == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("reg_lambda", [0.0, -1.0])
+    def test_rejects_non_positive_reg_lambda(self, reg_lambda):
+        # lambda = 0 makes an empty side's gain 0/0, and a NaN gain loses every comparison
+        with pytest.raises(ValueError, match="reg_lambda"):
+            BoostConfig(reg_lambda=reg_lambda)
+
 
 class TestObliviousBoosting:
     def test_structure_invariants(self):

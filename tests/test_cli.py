@@ -196,6 +196,16 @@ class TestExitCodes:
         assert rc in (EXIT_DATA, EXIT_COMPUTE)
         assert rc != EXIT_OK
 
+    def test_forest_without_trees_is_compute_error(self, ledger_dir, tmp_path):
+        out = tmp_path / "out"
+        rc = run(
+            "report", "--data", str(ledger_dir), "--out", str(out),
+            "--set", "model=random_forest", "--set", "model.params.n_trees=0",
+        )
+        assert rc == EXIT_COMPUTE
+        assert (out / "train.partial").exists()
+        assert not (out / "model.json").exists()
+
     def test_grid_without_cells_is_config_error(self, ledger_dir, tmp_path, capsys):
         common = ["--data", str(ledger_dir), "--out", str(tmp_path / "out")]
         assert run("featurize", *common) == EXIT_OK

@@ -10,13 +10,14 @@ from creditshap.explain import (
     CoalitionEvaluator,
     GlobalImportance,
     brute_force_shapley,
-    dependence_data,
     global_importance,
     shap_matrix,
     summary_data,
     tree_shap,
     waterfall_data,
 )
+from creditshap.metrics import TrainSplit
+from creditshap.models import ModelSpec, fit_model
 from creditshap.models.boosting import BoostConfig, fit_gradient_boosting, fit_oblivious_boosting
 from creditshap.models.ensemble import TreeEnsemble, sigmoid
 from creditshap.models.forest import ForestConfig, fit_random_forest
@@ -224,6 +225,17 @@ class TestAxioms:
         sv = tree_shap(ens, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert all(sv.contributions[j] == 0.0 for j in range(1, 5))
 
+    def test_unused_feature_is_exactly_zero_in_matrix(self):
+        rng = np.random.default_rng(5)
+        X = np.column_stack([rng.normal(size=(120, 2)), np.ones(120)])  # no tree can split "c"
+        y = (X[:, 0] > 0).astype(int)
+        cfg = BoostConfig(n_rounds=10, max_depth=2, validation_fraction=0.0)
+        model = fit_gradient_boosting(X, y, ["a", "b", "c"], cfg)
+        assert 2 not in {f for t in model.trees for f in t.used_features()}
+        phi = shap_matrix(model, X[:20])
+        assert np.all(phi[:, 2] == 0.0)
+        assert np.any(phi[:, 0] != 0.0)
+
     def test_symmetric_players_get_equal_credit(self):
         # two identical stumps on different features, identical x values
         a = stump(0, 0.0, -1.0, 1.0, 5.0, 5.0)
@@ -294,21 +306,22 @@ class TestReportPayloads:
         mags = [abs(c["shap"]) for c in wf["contributions"]]
         assert mags == sorted(mags, reverse=True)
 
-    def test_dependence_ignored_feature_is_flat(self):
-        model, X = self._tiny_model()
-        # feature "c" is noise; if no tree splits on it the line is exactly flat
-        used = {f for t in model.trees for f in t.used_features()}
-        if 2 not in used:
-            dep = dependence_data(model, X[:20], "c")
-            assert all(r["shap"] == 0.0 for r in dep["rows"])
-        dep = dependence_data(model, X[:20], "a", color_feature="b")
-        assert len(dep["rows"]) == 20
-        assert dep["rows"][0]["color_value"] is not None
-
-    def test_dependence_unknown_feature(self):
-        model, X = self._tiny_model()
-        with pytest.raises(ValueError, match="unknown"):
-            dependence_data(model, X, "zzz")
+    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting", "oblivious_boosting"])
+    def test_waterfall_probability_is_predict_proba(self, kind):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(120, 3))
+        y = (X[:, 0] + 0.5 * rng.normal(size=120) > 0).astype(int)
+        if kind == "random_forest":
+            params = {"n_trees": 10, "max_depth": 4}
+        else:
+            params = {"n_rounds": 10, "max_depth": 2, "validation_fraction": 0.0}
+        model = fit_model(ModelSpec(kind, params), TrainSplit(X, y, list("abc"))).model
+        space = "probability" if kind == "random_forest" else "log-odds"
+        for row in X[:20]:
+            wf = waterfall_data(model, row)
+            assert wf["probability"] == model.predict_proba(row)[0]
+            assert wf["baseline_probability"] == float(model.link(wf["baseline"]))
+            assert wf["additivity_space"].startswith(f"margin ({space})")
 
     def test_summary_orders_by_importance(self):
         model, X = self._tiny_model()

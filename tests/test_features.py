@@ -196,7 +196,6 @@ class TestStandardize:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, 5)) * [1, 10, 100, 0.1, 3]
         Z, params = standardize(X, list("abcde"))
-        assert np.max(np.abs(params.inverse_transform(Z) - X)) < 1e-9
         assert np.max(np.abs(Z.mean(axis=0))) < 1e-9
         assert np.max(np.abs(Z.std(axis=0) - 1)) < 1e-9
 
@@ -226,13 +225,8 @@ class TestRoundTrips:
         m = self._matrix()
         m.to_csv(tmp_path / "m.csv")
         back = FeatureMatrix.from_csv(tmp_path / "m.csv")
-        assert back.columns == m.columns
-        assert np.array_equal(back.missing_mask, m.missing_mask)
-        assert np.allclose(back.values[~back.missing_mask], m.values[~m.missing_mask])
-
-    def test_json(self, tmp_path):
-        m = self._matrix()
-        m.to_json(tmp_path / "m.json")
-        back = FeatureMatrix.from_json(tmp_path / "m.json")
         assert back.row_ids == m.row_ids
-        assert np.array_equal(back.missing_mask, m.missing_mask)
+        assert back.columns == m.columns
+        assert np.array_equal(np.isnan(back.values), np.isnan(m.values))
+        assert np.allclose(back.values[~np.isnan(back.values)], m.values[~np.isnan(m.values)])
+        assert np.array_equal(back.y, m.y)

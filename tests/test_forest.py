@@ -88,6 +88,13 @@ class TestRandomForest:
         assert boosted.predict_proba(X).mean() > plain.predict_proba(X).mean()
 
 
+class TestForestConfig:
+    @pytest.mark.parametrize("kw", [{"n_trees": 0}, {"max_features": 0}, {"max_features": "log2"}])
+    def test_rejects_degenerate_settings(self, kw):
+        with pytest.raises(ValueError):
+            ForestConfig(**kw)
+
+
 class TestBestGiniSplit:
     def test_zero_weight_side_keeps_the_split(self):
         X = np.arange(10.0)[:, None]

@@ -195,13 +195,14 @@ class TestBorderline:
         assert balanced_counts(yb)[0] == balanced_counts(yb)[1]
         synthetic_rows_collinear(Xb, X, X[y == 1], tol=1e-7)
 
-    def test_fallback_warns(self):
+    def test_fallback_seeds_every_minority_row(self):
         X = np.vstack([np.zeros((5, 2)) + np.arange(10).reshape(5, 2) * 0.01, np.full((8, 2), 9.0) + np.arange(16).reshape(8, 2) * 0.01])
         y = np.array([1] * 5 + [0] * 8)
-        messages = []
-        Xb, yb = borderline_smote(split_of(X, y), k=3, seed=0, warn=messages.append)
-        assert messages  # no danger points -> plain-SMOTE fallback
+        assert danger_points(X, y, 3, 1).size == 0
+        Xb, yb = borderline_smote(split_of(X, y), k=3, seed=0)
         assert balanced_counts(yb)[0] == balanced_counts(yb)[1]
+        Xs, ys = smote(split_of(X, y), k=3, seed=0)  # plain SMOTE seeds from every minority row
+        assert np.array_equal(Xb, Xs) and np.array_equal(yb, ys)
 
 
 class TestSvmSmote:
