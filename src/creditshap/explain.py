@@ -4,9 +4,10 @@ Coalition semantics are path-dependent: descending a tree, a split on a
 feature inside the coalition follows x; outside it, both children are
 taken weighted by training cover.  Two routes compute the same values:
 a 2^m subset enumeration (oracle, small m only) and `shap_matrix`, which
-splits every tree once into a table of root-to-leaf paths (GPUTreeShap,
-Mitchell et al. 2020) and scores each path as a product game over its
-distinct features with numpy, rows and paths in bounded chunks.  Every
+cuts the stack of all trees that `TreeEnsemble.margin` routes rows through
+(`trees.stack`) into a table of root-to-leaf paths (GPUTreeShap, Mitchell
+et al. 2020) and scores each path as a product game over its distinct
+features with numpy, rows and paths in bounded chunks.  Every
 other entry point (`tree_shap`, `waterfall_data`) goes through
 `shap_matrix`.  Attributions live in margin space (log-odds for the
 boosters, probability for the forest), where the additive decomposition
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models.ensemble import TreeEnsemble
-from .models.trees import Tree
+from .models.trees import Tree, stack
 
 BRUTE_FORCE_MAX_FEATURES = 20
 
@@ -174,38 +175,16 @@ def brute_force_shapley(evaluator: CoalitionEvaluator, x) -> ShapValues:
 SHAP_CHUNK_ELEMENTS = 1 << 14
 
 
-class _Forest:
-    """Every tree of an ensemble in one node array, with each node's parent."""
-
-    def __init__(self, ensemble: TreeEnsemble):
-        sizes = [t.n_nodes for t in ensemble.trees]
-        shift = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-        names = ("feature", "threshold", "value", "cover", "left", "right")
-        parts = {k: np.concatenate([getattr(t, k) for t in ensemble.trees]) for k in names}
-        for k in ("left", "right"):
-            parts[k] = np.where(parts[k] >= 0, parts[k] + shift, -1)
-        self.tree = f = Tree(**parts)
-        internal = np.nonzero(f.feature >= 0)[0]
-        self.parent = np.full(f.n_nodes, -1)
-        self.parent[f.left[internal]] = self.parent[f.right[internal]] = internal
-        self.leaves = np.nonzero((f.feature < 0) & (self.parent >= 0))[0]  # a root leaf attributes nothing
-        self.depth, up = 0, self.parent[self.leaves]
-        while up.size:  # one step up every path at once
-            self.depth, up = self.depth + 1, self.parent[up]
-            up = up[up >= 0]
-
-
 class _PathTable:
-    """The root-to-leaf paths of some leaves of a `_Forest` as rows of E =
+    """The root-to-leaf paths of some leaves of a stacked forest as rows of E =
     depth edges, leaf first; shorter paths end in padding edges.  A path's
     slots are its distinct features: an edge's slot is the column of the
     first edge on the path that splits on the same feature.  Slots that no
     edge opens (padding, repeated features) have one = zero = 1: null
     players that get exactly 0."""
 
-    def __init__(self, ensemble: TreeEnsemble, forest: _Forest, leaves: np.ndarray):
-        self.forest = f = forest.tree
-        parent = forest.parent
+    def __init__(self, ensemble: TreeEnsemble, forest: Tree, parent: np.ndarray, leaves: np.ndarray):
+        self.forest = f = forest
         edges, child = [], leaves
         while (parent[child] >= 0).any():  # one step up every path at once
             edges.append((parent[child], child))
@@ -267,11 +246,18 @@ def shap_matrix(ensemble: TreeEnsemble, X) -> np.ndarray:
         raise ValueError("trees need training cover counts")
     phi = np.zeros((len(X), p + 1))  # column p collects the null slots
     if len(X) and ensemble.trees:
-        forest = _Forest(ensemble)
-        E = forest.depth  # a path's temporaries hold E x ceil(E / 2) quadrature nodes
-        batch = max(1, SHAP_CHUNK_ELEMENTS // max(1, E * ((E + 1) // 2)))
-        for b in range(0, len(forest.leaves), batch):
-            table = _PathTable(ensemble, forest, forest.leaves[b : b + batch])
+        forest = stack(ensemble.trees)[0]
+        internal = np.nonzero(forest.feature >= 0)[0]
+        parent = np.full(forest.n_nodes, -1)
+        parent[forest.left[internal]] = parent[forest.right[internal]] = internal
+        leaves = np.nonzero((forest.feature < 0) & (parent >= 0))[0]  # a root leaf attributes nothing
+        E, up = 0, parent[leaves]
+        while up.size:  # one step up every path at once
+            E, up = E + 1, parent[up]
+            up = up[up >= 0]
+        batch = max(1, SHAP_CHUNK_ELEMENTS // max(1, E * ((E + 1) // 2)))  # a path's temporaries hold E x ceil(E / 2) quadrature nodes
+        for b in range(0, len(leaves), batch):
+            table = _PathTable(ensemble, forest, parent, leaves[b : b + batch])
             rows_per = max(1, SHAP_CHUNK_ELEMENTS // (table.slot.size * len(table.t)))
             for r in range(0, len(X), rows_per):
                 rows = X[r : r + rows_per]

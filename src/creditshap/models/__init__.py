@@ -9,7 +9,7 @@ scores with them; tree ensembles also expose margin() for SHAP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,6 +41,19 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
+        accepted = self.accepted_params()
+        unknown = sorted(set(self.params) - set(accepted))
+        if unknown:
+            raise ValueError(
+                f"unknown {self.family} parameter(s) {', '.join(unknown)}; accepted: {', '.join(accepted) or 'none'}"
+            )
+
+    def accepted_params(self) -> list[str]:
+        """The names params may hold: the family's config fields but seed."""
+        if self.family.startswith("logistic"):
+            return ["n_bins"] if self.family == "logistic_binned" else []
+        config = {"random_forest": ForestConfig, "mlp": MlpConfig}.get(self.family, BoostConfig)
+        return sorted(f.name for f in fields(config) if f.name != "seed")
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..metrics import train_test_split
-from .ensemble import TreeEnsemble, sigmoid
+from .ensemble import TreeEnsemble, check_integers, sigmoid
 from .trees import Tree, TreeBuilder, oblivious_tree_from_levels
 
 PROB_CLIP = 1e-9  # cross-entropy diverges at 0/1
@@ -42,6 +42,7 @@ class BoostConfig:
     ordered_blocks: int = 8
 
     def __post_init__(self):
+        check_integers(self, "n_rounds", "max_depth", "max_bins", "min_samples_leaf", "ordered_blocks")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.reg_lambda <= 0:

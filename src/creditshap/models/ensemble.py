@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trees import Tree
+from .trees import Tree, stack
 
 ENSEMBLE_KINDS = ("random_forest", "gradient_boosting", "oblivious_boosting")
 
@@ -48,16 +49,18 @@ class TreeEnsemble:
         return X
 
     def margin(self, X) -> np.ndarray:
-        """Raw additive output: base + lr * sum of tree outputs.
+        """Raw additive output, base + lr * sum of tree outputs, routed through all trees' stack at once.
 
         Log-odds for the boosters; mean leaf probability for the forest
         (learning_rate = 1/n_trees there).
         """
         X = self._check_schema(X)
-        out = np.full(X.shape[0], self.base_score, dtype=float)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        if not self.trees:
+            return np.full(X.shape[0], self.base_score, dtype=float)
+        forest, roots = stack(self.trees)
+        terms = self.learning_rate * forest.value[forest.apply(X, roots)]
+        terms[:, 0] += self.base_score
+        return np.cumsum(terms, axis=1)[:, -1]  # a running sum adds the trees in order
 
     def link(self, margin) -> np.ndarray:
         """Bad-class probability of a margin: the sigmoid of the boosters'
@@ -101,6 +104,14 @@ class TreeEnsemble:
     def load(cls, path) -> "TreeEnsemble":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def check_integers(config, *names) -> None:
+    """Raise a ValueError naming the first of the config's fields that is not an integer."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def classify(p, threshold: float = 0.5) -> np.ndarray:

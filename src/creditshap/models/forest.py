@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import TreeEnsemble
+from .ensemble import TreeEnsemble, check_integers
 from .trees import Tree, TreeBuilder
 
 
@@ -19,8 +19,9 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, "n_trees", "max_depth", "min_samples_leaf")
         if self.n_trees < 1:
-            raise ValueError("a forest needs at least one tree")
+            raise ValueError(f"n_trees must be at least 1, not {self.n_trees}")
         if self.max_features != "sqrt" and not (isinstance(self.max_features, int) and self.max_features >= 1):
             raise ValueError(f"max_features must be 'sqrt' or an integer >= 1, not {self.max_features!r}")
 

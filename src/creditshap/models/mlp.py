@@ -14,7 +14,7 @@ import numpy as np
 from ..features import ScalerParams
 from ..metrics import roc_auc
 from .boosting import clip_proba
-from .ensemble import sigmoid
+from .ensemble import check_integers, sigmoid
 
 
 @dataclass
@@ -27,6 +27,11 @@ class MlpConfig:
     patience: int = 20
     validation_fraction: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        check_integers(self, "batch_size", "epochs")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, not {self.batch_size}")
 
 
 def _relu(z):

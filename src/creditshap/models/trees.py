@@ -1,9 +1,9 @@
 """Regression-tree structure shared by the forest, boosters and TreeSHAP.
 
-Trees are stored as flat node arrays.  Routing rule (`Tree.go_left`, used by
-prediction and TreeSHAP): x[f] < threshold goes left; a missing (NaN) value
-follows the child with the larger training cover.  Oblivious trees
-additionally record their per-level (feature, threshold) pairs.
+Trees are stored as flat node arrays; `stack` joins an ensemble's trees into one
+(as GPUTreeShap does) and `Tree.apply`, the one router, takes rows down from one
+root or many.  Routing rule (`Tree.go_left`): x[f] < threshold goes left; NaN
+follows the larger-cover child.  Oblivious trees also record their level splits.
 """
 
 from __future__ import annotations
@@ -63,20 +63,23 @@ class Tree:
         go_left = x < self.threshold[node]
         nan = np.isnan(x)
         if nan.any():
-            go_left = np.where(nan, self.cover[self.left[node]] >= self.cover[self.right[node]], go_left)
+            node = np.broadcast_to(node, nan.shape)[nan]
+            go_left[nan] = self.cover[self.left[node]] >= self.cover[self.right[node]]
         return go_left
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized routing of every row to its leaf's node index."""
-        X = np.asarray(X, dtype=float)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            active = np.nonzero(self.feature[node] >= 0)[0]
-            if not active.size:
-                return node
-            at = node[active]
-            go_left = self.go_left(X[active, self.feature[at]], at)
-            node[active] = np.where(go_left, self.left[at], self.right[at])
+    def apply(self, X: np.ndarray, roots=0) -> np.ndarray:
+        """Every row's leaf index from roots (a node or a 1-D array of them), shaped (rows,) + roots.shape."""
+        X = np.ascontiguousarray(X, dtype=float)
+        node = np.repeat(np.ravel(roots), len(X))  # flat (root, row) pairs, root-major: neighbours walk one tree
+        start = np.tile(np.arange(len(X)) * X.shape[1], np.size(roots))  # where the pair's row starts in X.ravel()
+        pending = np.arange(node.size)
+        while pending.size:
+            at = node[pending]
+            inner = self.feature[at] >= 0
+            pending, at = pending[inner], at[inner]
+            go_left = self.go_left(X.ravel()[start[pending] + self.feature[at]], at)
+            node[pending] = np.where(go_left, self.left[at], self.right[at])
+        return node.reshape(*np.shape(roots), len(X)).T
 
     def expected_value(self) -> float:
         """Cover-weighted mean of leaf values (the tree's SHAP baseline)."""
@@ -116,15 +119,26 @@ class Tree:
         )
 
 
+def stack(trees: list[Tree]) -> tuple[Tree, np.ndarray]:
+    """Every tree in one node array, child indices shifted, and each tree's root index."""
+    sizes = [t.n_nodes for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    names = ("feature", "threshold", "left", "right", "value", "cover")
+    parts = {k: np.concatenate([getattr(t, k) for t in trees]) for k in names}
+    for k in ("left", "right"):
+        parts[k] = np.where(parts[k] >= 0, parts[k] + np.repeat(roots, sizes), -1)
+    return Tree(**parts), roots
+
+
 def _node_depths(tree: Tree) -> np.ndarray:
     depths = np.zeros(tree.n_nodes, dtype=int)
-    stack = [0]
-    while stack:
-        i = stack.pop()
+    todo = [0]
+    while todo:
+        i = todo.pop()
         if tree.feature[i] >= 0:
             for c in (tree.left[i], tree.right[i]):
                 depths[c] = depths[i] + 1
-                stack.append(int(c))
+                todo.append(int(c))
     return depths
 
 

@@ -51,11 +51,12 @@ class PipelineConfig:
     cv_folds: int = 5
 
     def __post_init__(self):
-        from .models import MODEL_FAMILIES
         from .resampling import STRATEGY_KINDS
 
-        if self.model not in MODEL_FAMILIES:
-            raise ConfigError(f"unknown model family {self.model!r}")
+        try:
+            ModelSpec(self.model, self.model_params)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.resampling not in STRATEGY_KINDS:
             raise ConfigError(f"unknown resampling strategy {self.resampling!r}")
         if self.feature_set not in ("pruned", "top_k"):

@@ -14,7 +14,8 @@ from creditshap.models.boosting import (
     logit,
 )
 from creditshap.models.ensemble import TreeEnsemble, classify, sigmoid
-from creditshap.models.trees import TreeBuilder
+from creditshap.models.forest import ForestConfig, fit_random_forest
+from creditshap.models.trees import TreeBuilder, stack
 
 
 def naive_leaf(tree, x):
@@ -166,9 +167,12 @@ class TestGradientBoosting:
         model = fit_gradient_boosting(X, y, [f"f{i}" for i in range(4)], cfg)
         X_test = X[:20].copy()
         X_test[::3, 1] = np.nan
-        for tree in model.trees:
+        forest, roots = stack(model.trees)
+        stacked = forest.apply(X_test, roots) - roots  # every tree at once, in each tree's own indices
+        for t, tree in enumerate(model.trees):
             leaves = np.array([naive_leaf(tree, row) for row in X_test])
             assert np.array_equal(tree.apply(X_test), leaves)
+            assert np.array_equal(stacked[:, t], leaves)
             assert np.array_equal(tree.predict(X_test), tree.value[leaves])
 
     def test_early_stopping_trims_rounds(self):
@@ -302,10 +306,37 @@ class TestObliviousBoosting:
         model = fit_oblivious_boosting(X, y, [f"f{i}" for i in range(4)], cfg)
         X_test = X[:15].copy()
         X_test[::4, 0] = np.nan
-        for tree in model.trees:
+        forest, roots = stack(model.trees)
+        stacked = forest.apply(X_test, roots) - roots  # every tree at once, in each tree's own indices
+        for t, tree in enumerate(model.trees):
             leaves = np.array([naive_leaf(tree, row) for row in X_test])
             assert np.array_equal(tree.apply(X_test), leaves)
+            assert np.array_equal(stacked[:, t], leaves)
             assert np.array_equal(tree.predict(X_test), tree.value[leaves])
+
+
+class TestMargin:
+    def test_margin_adds_tree_outputs_in_order(self):
+        X, y = dataset(5)
+        X_test = X[:40].copy()
+        X_test[::3, 2] = np.nan
+        names = [f"f{i}" for i in range(4)]
+        cfg = BoostConfig(n_rounds=12, validation_fraction=0.0)
+        deep = fit_random_forest(X, y, names, ForestConfig(n_trees=4, max_depth=4))
+        leaves = fit_random_forest(X, y, names, ForestConfig(n_trees=3, max_depth=0))
+        assert all(t.n_nodes == 1 for t in leaves.trees)
+        models = [
+            fit_gradient_boosting(X, y, names, cfg),
+            fit_oblivious_boosting(X, y, names, cfg),
+            deep,
+            TreeEnsemble("random_forest", names, 0.0, 1 / 7, deep.trees[:2] + leaves.trees + deep.trees[2:]),
+            TreeEnsemble("gradient_boosting", names, 0.3, 0.1),  # no trees
+        ]
+        for model in models:
+            expect = np.full(len(X_test), model.base_score)
+            for tree in model.trees:
+                expect += model.learning_rate * tree.predict(X_test)
+            assert model.margin(X_test).tobytes() == expect.tobytes()
 
 
 class TestClassify:

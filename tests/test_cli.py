@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from creditshap import pipeline
 from creditshap.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from creditshap.models import ModelSpec
+from creditshap.models import BoostConfig, ForestConfig, MlpConfig, ModelSpec
 from creditshap.pipeline import PipelineConfig
 from creditshap.resampling import ResamplingStrategy
 from creditshap.synthetic import write_ledger_fixture
@@ -196,15 +197,45 @@ class TestExitCodes:
         assert rc in (EXIT_DATA, EXIT_COMPUTE)
         assert rc != EXIT_OK
 
-    def test_forest_without_trees_is_compute_error(self, ledger_dir, tmp_path):
+    def test_forest_without_trees_is_compute_error(self, ledger_dir, tmp_path, capsys):
+        # the forest without trees, and counts that are not integers or are too small
+        for i, (model, key, value) in enumerate([
+            ("random_forest", "n_trees", "0"),
+            ("random_forest", "n_trees", "2.5"),
+            ("gradient_boosting", "n_rounds", "2.5"),
+            ("oblivious_boosting", "max_bins", "8.5"),
+            ("oblivious_boosting", "ordered_blocks", "2.5"),
+            ("mlp", "batch_size", "0"),
+            ("mlp", "epochs", "1.5"),
+        ]):
+            out = tmp_path / f"out{i}"
+            rc = run(
+                "report", "--data", str(ledger_dir), "--out", str(out),
+                "--set", f"model={model}", "--set", f"model.params.{key}={value}",
+            )
+            assert rc == EXIT_COMPUTE, (model, key, value)
+            assert (out / "train.partial").exists()
+            assert not (out / "model.json").exists()
+            assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["logistic", "logistic_binned", "random_forest",
+                                        "gradient_boosting", "oblivious_boosting", "mlp"])
+    def test_unknown_model_param_is_config_error(self, family, ledger_dir, tmp_path, capsys):
         out = tmp_path / "out"
         rc = run(
-            "report", "--data", str(ledger_dir), "--out", str(out),
-            "--set", "model=random_forest", "--set", "model.params.n_trees=0",
+            "train", "--data", str(ledger_dir), "--out", str(out),
+            "--set", f"model={family}", "--set", "model.params.bogus=1",
         )
-        assert rc == EXIT_COMPUTE
-        assert (out / "train.partial").exists()
-        assert not (out / "model.json").exists()
+        assert rc == EXIT_CONFIG
+        configs = {"random_forest": ForestConfig, "gradient_boosting": BoostConfig,
+                   "oblivious_boosting": BoostConfig, "mlp": MlpConfig}
+        if family in configs:
+            accepted = sorted(f.name for f in dataclasses.fields(configs[family]) if f.name != "seed")
+        else:
+            accepted = ["n_bins"] if family == "logistic_binned" else []
+        err = capsys.readouterr().err
+        assert "bogus" in err and f"accepted: {', '.join(accepted) or 'none'}" in err
+        assert not out.exists()  # no stage ran
 
     def test_grid_without_cells_is_config_error(self, ledger_dir, tmp_path, capsys):
         common = ["--data", str(ledger_dir), "--out", str(tmp_path / "out")]

@@ -89,9 +89,12 @@ class TestRandomForest:
 
 
 class TestForestConfig:
-    @pytest.mark.parametrize("kw", [{"n_trees": 0}, {"max_features": 0}, {"max_features": "log2"}])
+    @pytest.mark.parametrize("kw", [
+        {"n_trees": 0}, {"max_features": 0}, {"max_features": "log2"},
+        {"n_trees": 2.5}, {"max_depth": 3.0}, {"min_samples_leaf": 0.5},
+    ])
     def test_rejects_degenerate_settings(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             ForestConfig(**kw)
 
 
