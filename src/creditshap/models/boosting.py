@@ -2,14 +2,22 @@
 
 Two tree shapes: plain depth-limited regression trees and oblivious
 (symmetric) trees that reuse one (feature, threshold) pair per level.
-Both grow level by level on one histogram split finder (`_level_gains`):
-a plain tree gives each node its own best split, an oblivious tree sums
-the gains over its nodes and takes one split for the level.  Plain trees
-honour `min_samples_leaf` (every leaf keeps at least that many training
-rows); oblivious trees ignore it, as CatBoost's SymmetricTree growth does.
-Pseudo-residuals are p - y in margin space; leaf values take one damped
-Newton step.  Optional ordered mode approximates per-individual gradients
-with permutation-prefix models over a fixed number of blocks.
+Both grow level by level on one histogram split finder (`_level_gains`).
+It takes the features a group at a time, in order of threshold count, and
+scores every threshold of a group with one `bincount` pair, one `cumsum`
+and one pass of the gain formula over (nodes × features × bins) arrays.
+LEVEL_BLOCK_ELEMENTS bounds both a group's histograms and its (rows ×
+features) keys, so the search builds no array as large as the matrix.
+Every sum is taken in the order a per-feature histogram would take it, so
+the gains, and with them the splits, do not depend on the grouping.  A
+plain tree gives each node its own best split, an oblivious tree sums the
+gains over its nodes and takes one split for the level; equal gains go to
+the lowest feature index.  Plain trees honour `min_samples_leaf` (every
+leaf keeps at least that many training rows); oblivious trees ignore it,
+as CatBoost's SymmetricTree growth does.  Pseudo-residuals are p - y in
+margin space; leaf values take one damped Newton step.  Optional ordered
+mode approximates per-individual gradients with permutation-prefix models
+over a fixed number of blocks.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .trees import Tree, TreeBuilder, oblivious_tree_from_levels
 PROB_CLIP = 1e-9  # cross-entropy diverges at 0/1
 MAX_OBLIVIOUS_DEPTH = 16
 DEFAULT_OBLIVIOUS_DEPTH = 6
+LEVEL_BLOCK_ELEMENTS = 16_384  # bound on one feature group's histogram and key arrays
 
 
 @dataclass
@@ -80,15 +89,17 @@ class BinnedMatrix:
     """Per-feature quantile thresholds and integer codes for histogram splits.
 
     code = number of thresholds <= x, so the split "x < T[j]" keeps codes
-    <= j on the left.  NaNs get the sentinel code n_thresholds + 1 and are
-    excluded from split statistics.
+    <= j on the left.  NaNs get the code n_thresholds + 1, a bin of their
+    own that no split statistic reads.  `search_order` lists the splittable
+    features by threshold count (stable), the order `_level_gains` groups
+    them in.
     """
 
     def __init__(self, X: np.ndarray, max_bins: int = 64):
         X = np.asarray(X, dtype=float)
         self.n, self.p = X.shape
         self.thresholds: list[np.ndarray] = []
-        codes = np.empty((self.n, self.p), dtype=np.int32)
+        codes = np.empty((self.n, self.p), dtype=np.int32, order="F")  # a feature's codes are contiguous
         for j in range(self.p):
             col = X[:, j]
             finite = col[~np.isnan(col)]
@@ -106,39 +117,88 @@ class BinnedMatrix:
             c[np.isnan(col)] = len(t) + 1
             codes[:, j] = c
         self.codes = codes
-        self.nan_code = np.asarray([len(t) + 1 for t in self.thresholds])
+        self.n_thresholds = np.asarray([len(t) for t in self.thresholds], dtype=np.int64)
+        self.nan_code = self.n_thresholds + 1
+        splittable = np.flatnonzero(self.n_thresholds)
+        self.search_order = splittable[np.argsort(self.n_thresholds[splittable], kind="stable")]
 
 
-def _level_gains(binned, codes, node, n_nodes, g, h, reg, min_leaf):
-    """The one split finder: yield (feature, gains) for every splittable feature.
+def _groups(binned, n_nodes, n_rows):
+    """Runs of `search_order` whose histograms (nodes × group × W, W = the
+    group's largest threshold count + 2) and keys (rows × group) both stay
+    within LEVEL_BLOCK_ELEMENTS; a feature too large for it goes alone."""
+    counts = binned.n_thresholds[binned.search_order].tolist()
+    start = 0
+    while start < len(counts):
+        stop = start + 1
+        while stop < len(counts):
+            size = stop + 1 - start
+            if max(n_rows, n_nodes * (counts[stop] + 2)) * size > LEVEL_BLOCK_ELEMENTS:
+                break
+            stop += 1
+        yield binned.search_order[start:stop], counts[start:stop]
+        start = stop
 
-    codes, g and h hold one level's rows and node[i] is row i's node; gains
-    is the (n_nodes × thresholds) Newton gain of splitting each node at each
-    threshold, from one bincount pair per feature.  NaN rows are left out.
-    With min_leaf > 0, a split leaving fewer than min_leaf rows on a side
-    gets -inf.
+
+def _bin_sums(hist, counts):
+    """Each slot's sum over its own real bins (counts[s] + 1 of them), one
+    pairwise `.sum` per run of equal counts: the floats of `hist[:, s, :nb].sum(axis=1)`."""
+    total = np.empty(hist.shape[:2] + (1,), dtype=hist.dtype)
+    bounds = np.flatnonzero(np.diff(counts)) + 1
+    for s0, s1 in zip([0, *bounds], [*bounds, len(counts)]):
+        total[:, s0:s1, 0] = hist[:, s0:s1, : counts[s0] + 1].sum(axis=2)
+    return total
+
+
+def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious):
+    """The one split finder: every feature's best (gain, threshold index) at one level.
+
+    rows are the level's rows (None: all of them) and node[i] is the node of
+    the i-th; g and h are indexed like the matrix.  A feature's gains are the
+    (nodes × thresholds) Newton gains of splitting at each threshold, from
+    histograms built a group of features at a time (`_groups`); NaN rows fill
+    their own bin and are left out.  With min_leaf > 0 a split leaving fewer
+    than min_leaf rows on a side gets -inf.  An oblivious level sums the
+    gains over its nodes and returns (features,) arrays; otherwise they are
+    (nodes × features).  Unsplittable features get -inf.
     """
-    for j, t in enumerate(binned.thresholds):
-        if len(t) == 0:
-            continue
-        c = codes[:, j]
-        valid = c <= len(t)  # excludes the NaN sentinel
-        nb = len(t) + 1
-        key = node[valid] * nb + c[valid]
-        size = n_nodes * nb
-        gh = np.bincount(key, weights=g[valid], minlength=size).reshape(n_nodes, nb)
-        hh = np.bincount(key, weights=h[valid], minlength=size).reshape(n_nodes, nb)
-        G = gh.sum(axis=1, keepdims=True)
-        H = hh.sum(axis=1, keepdims=True)
-        gl = np.cumsum(gh, axis=1)[:, :-1]
-        hl = np.cumsum(hh, axis=1)[:, :-1]
-        gains = gl**2 / (hl + reg) + (G - gl) ** 2 / (H - hl + reg) - G**2 / (H + reg)
+    shape = (binned.p,) if oblivious else (n_nodes, binned.p)
+    best_gain, best_t = np.full(shape, -np.inf), np.zeros(shape, dtype=np.int64)
+    codes = binned.codes.T  # (features × rows), C-contiguous
+    if rows is not None:
+        g, h = g[rows], h[rows]
+    for feats, counts in _groups(binned, n_nodes, len(node)):
+        k, W = len(feats), counts[-1] + 2
+        key = codes[feats] if rows is None else codes[feats[:, None], rows]
+        # slot-major, so each bin adds its rows in row order, as a per-feature bincount does
+        key = (key + (np.arange(k) * W)[:, None] + node * (k * W)).ravel()
+        size = n_nodes * k * W
+        gh = np.bincount(key, weights=np.tile(g, k), minlength=size).reshape(n_nodes, k, W)
+        hh = np.bincount(key, weights=np.tile(h, k), minlength=size).reshape(n_nodes, k, W)
+        G, H = _bin_sums(gh, counts), _bin_sums(hh, counts)
+        gl = np.cumsum(gh[:, :, :-2], axis=2)
+        hl = np.cumsum(hh[:, :, :-2], axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # past a feature's thresholds the NaN bin joins in
+            gains = gl**2 / (hl + reg) + (G - gl) ** 2 / (H - hl + reg) - G**2 / (H + reg)
+        valid = np.arange(W - 2) < np.asarray(counts)[:, None]
         if min_leaf > 0:
-            ch = np.bincount(key, minlength=size).reshape(n_nodes, nb)
-            nl = np.cumsum(ch, axis=1)[:, :-1]
-            N = ch.sum(axis=1, keepdims=True)
-            gains = np.where((nl >= min_leaf) & (N - nl >= min_leaf), gains, -np.inf)
-        yield j, gains
+            ch = np.bincount(key, minlength=size).reshape(n_nodes, k, W)
+            nl = np.cumsum(ch[:, :, :-2], axis=2)
+            N = _bin_sums(ch, counts)
+            valid = valid & (nl >= min_leaf) & (N - nl >= min_leaf)
+        gains = np.where(valid, gains, -np.inf)
+        if oblivious:
+            total = gains.sum(axis=0)  # node by node, as a (nodes × thresholds) sum over axis 0
+            single = counts.count(1)  # a one-threshold feature's (nodes × 1) gains sum pairwise
+            if single:
+                total[:single, 0] = np.ascontiguousarray(gains[:, :single, 0].T).sum(axis=1)
+            t = np.argmax(total, axis=1)
+            best_gain[feats], best_t[feats] = total[np.arange(k), t], t
+        else:
+            t = np.argmax(gains, axis=2)
+            best_gain[:, feats] = np.take_along_axis(gains, t[:, :, None], axis=2)[:, :, 0]
+            best_t[:, feats] = t
+    return best_gain, best_t
 
 
 def _go_left(c, t_idx, nan_code, h):
@@ -156,19 +216,17 @@ def grow_tree(binned, rows, g, h, w, config: BoostConfig) -> Tree:
     reg = config.reg_lambda
     node_rows = [rows]  # every node's rows (kept in the given order), by node id
     splits = {}  # node -> (feature, threshold index, left node, right node)
-    level = [0]
+    level = [0] if binned.search_order.size else []
     for _ in range(config.max_depth):
         if not level:
             break
         n = len(level)
         sub = np.concatenate([node_rows[k] for k in level])
         node = np.repeat(np.arange(n), [len(node_rows[k]) for k in level])
-        best_gain, best_j, best_t = np.full(n, 1e-12), np.full(n, -1), np.zeros(n, dtype=np.int64)
-        for j, gains in _level_gains(binned, binned.codes[sub], node, n, g[sub], h[sub], reg, config.min_samples_leaf):
-            t = np.argmax(gains, axis=1)
-            gain = gains[np.arange(n), t]
-            better = gain > best_gain
-            best_gain[better], best_j[better], best_t[better] = gain[better], j, t[better]
+        gain, t = _level_gains(binned, sub, node, n, g, h, reg, config.min_samples_leaf, oblivious=False)
+        best_j = np.argmax(gain, axis=1)  # the lowest-index feature among equal gains
+        best_t = t[np.arange(n), best_j]
+        best_j[~(gain[np.arange(n), best_j] > 1e-12)] = -1
         parents, level = level, []
         for k, j, t_idx in zip(parents, best_j, best_t):
             if j < 0:
@@ -204,16 +262,12 @@ def grow_oblivious_tree(binned, g, h, w, config: BoostConfig) -> Tree:
     leaf = np.zeros(binned.n, dtype=np.int64)
     levels: list[tuple[int, float]] = []
     reg = config.reg_lambda
-    for depth in range(config.max_depth):
-        best = None
-        for j, gains in _level_gains(binned, binned.codes, leaf, 1 << depth, g, h, reg, 0):
-            gains = gains.sum(axis=0)
-            t_idx = int(np.argmax(gains))
-            if gains[t_idx] > 1e-12 and (best is None or gains[t_idx] > best[2]):
-                best = (j, t_idx, gains[t_idx])
-        if best is None:
+    for depth in range(config.max_depth if binned.search_order.size else 0):
+        gain, t = _level_gains(binned, None, leaf, 1 << depth, g, h, reg, 0, oblivious=True)
+        j = int(np.argmax(gain))  # the lowest-index feature among equal gains
+        if not gain[j] > 1e-12:
             break
-        j, t_idx, _ = best
+        t_idx = t[j]
         go_left = _go_left(binned.codes[:, j], t_idx, binned.nan_code[j], h)
         levels.append((j, float(binned.thresholds[j][t_idx])))
         leaf = leaf * 2 + ~go_left

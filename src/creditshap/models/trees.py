@@ -175,7 +175,7 @@ class TreeBuilder:
         self.left[node] = left
         self.right[node] = right
 
-    def build(self, oblivious: bool = False, levels=None) -> Tree:
+    def build(self) -> Tree:
         return Tree(
             feature=np.asarray(self.feature, dtype=np.int64),
             threshold=np.asarray(self.threshold, dtype=float),
@@ -183,8 +183,6 @@ class TreeBuilder:
             right=np.asarray(self.right, dtype=np.int64),
             value=np.asarray(self.value, dtype=float),
             cover=np.asarray(self.cover, dtype=float),
-            oblivious=oblivious,
-            levels=list(levels or []),
         )
 
 
@@ -192,27 +190,29 @@ def oblivious_tree_from_levels(levels, leaf_values, leaf_covers) -> Tree:
     """Materialize a symmetric tree from per-level splits and 2^depth leaves.
 
     Leaf index bit b (from the most significant) is 1 when x >= threshold at
-    level b.  Internal covers accumulate bottom-up from the leaf covers.
+    level b.  Nodes are laid out depth first, as a recursive walk adds them:
+    the node with prefix q at level l sits at l plus, for each right turn
+    of q at a level i < l, the 2^(depth - i) - 1 nodes of the left subtree
+    it passes.  An internal node's cover is the sum of its leaves' covers.
     """
     depth = len(levels)
     n_leaves = 1 << depth
     assert len(leaf_values) == n_leaves and len(leaf_covers) == n_leaves
-    builder = TreeBuilder()
+    n_nodes = 2 * n_leaves - 1
+    feature, left, right = (np.full(n_nodes, -1, dtype=np.int64) for _ in range(3))
+    threshold, value, cover = np.full(n_nodes, np.nan), np.zeros(n_nodes), np.empty(n_nodes)
 
-    def cover_of(prefix: int, level: int) -> float:
-        span = 1 << (depth - level)
-        base = prefix * span
-        return float(np.sum(leaf_covers[base : base + span]))
+    def index(level):
+        i = np.arange(level)
+        turns = (np.arange(1 << level)[:, None] >> (level - 1 - i)) & 1
+        return level + turns @ ((1 << (depth - i)) - 1)
 
-    def emit(prefix: int, level: int) -> int:
-        if level == depth:
-            return builder.add_leaf(leaf_values[prefix], leaf_covers[prefix])
-        f, t = levels[level]
-        node = builder.add_internal(f, t, cover_of(prefix, level))
-        lc = emit(prefix * 2, level + 1)
-        rc = emit(prefix * 2 + 1, level + 1)
-        builder.set_children(node, lc, rc)
-        return node
-
-    emit(0, 0)
-    return builder.build(oblivious=True, levels=[(int(f), float(t)) for f, t in levels])
+    for level, (f, t) in enumerate(levels):
+        at, span = index(level), 1 << (depth - level)  # span: the leaves under each node
+        feature[at], threshold[at] = f, t
+        left[at], right[at] = at + 1, at + span
+        cover[at] = np.reshape(leaf_covers, (-1, span)).sum(axis=1)
+    leaves = index(depth)
+    value[leaves], cover[leaves] = leaf_values, leaf_covers
+    levels = [(int(f), float(t)) for f, t in levels]
+    return Tree(feature, threshold, left, right, value, cover, oblivious=True, levels=levels)

@@ -1,8 +1,11 @@
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from creditshap.models import boosting
 from creditshap.models.boosting import (
     BinnedMatrix,
     BoostConfig,
@@ -10,6 +13,7 @@ from creditshap.models.boosting import (
     fit_gradient_boosting,
     fit_oblivious_boosting,
     grad_hess,
+    grow_oblivious_tree,
     grow_tree,
     logit,
 )
@@ -75,6 +79,60 @@ def per_node_tree(binned, rows, g, h, w, config):
 
     emit(rows, 0)
     return builder.build()
+
+
+def node_gains(c, n_thresholds, g, h, reg, min_leaf=0):
+    """One node's Newton gain at each threshold, from its own histogram; NaN codes are left out."""
+    valid = c <= n_thresholds
+    gh, hh, ch = (np.bincount(c[valid], weights=v, minlength=n_thresholds + 1) for v in (g[valid], h[valid], None))
+    G, H, N = gh.sum(), hh.sum(), ch.sum()
+    gl, hl, nl = np.cumsum(gh)[:-1], np.cumsum(hh)[:-1], np.cumsum(ch)[:-1]
+    gains = gl**2 / (hl + reg) + (G - gl) ** 2 / (H - hl + reg) - G**2 / (H + reg)
+    gains[(nl < min_leaf) | (N - nl < min_leaf)] = -np.inf
+    return gains
+
+
+def per_level_oblivious_tree(binned, g, h, w, config):
+    """Reference for grow_oblivious_tree: each level tries one feature at a
+    time with one histogram per node, sums the nodes' gains and keeps the
+    first strictly better split; the tree is written by a recursive walk."""
+    reg = config.reg_lambda
+    leaf = np.zeros(binned.n, dtype=np.int64)
+    levels = []
+    for depth in range(config.max_depth):
+        best = None
+        for j, t in enumerate(binned.thresholds):
+            if len(t) == 0:
+                continue
+            c = binned.codes[:, j]
+            per_node = [node_gains(c[leaf == k], len(t), g[leaf == k], h[leaf == k], reg) for k in range(1 << depth)]
+            gains = np.sum(per_node, axis=0)
+            t_idx = int(np.argmax(gains))
+            if gains[t_idx] > max(1e-12, best[2] if best else 0.0):
+                best = (j, t_idx, gains[t_idx])
+        if best is None:
+            break
+        j, t_idx, _ = best
+        c = binned.codes[:, j]
+        nan = c == binned.nan_code[j]
+        left = c <= t_idx
+        if nan.any():
+            left = np.where(nan, h[left & ~nan].sum() >= h[~left & ~nan].sum(), left)
+        levels.append((j, float(binned.thresholds[j][t_idx])))
+        leaf = leaf * 2 + ~left
+    gs, hs, ws = (np.bincount(leaf, weights=v, minlength=1 << len(levels)) for v in (g, h, w))
+    builder = TreeBuilder()
+
+    def emit(prefix, level):
+        if level == len(levels):
+            return builder.add_leaf(-gs[prefix] / (hs[prefix] + reg), ws[prefix])
+        span = 1 << (len(levels) - level)
+        node = builder.add_internal(*levels[level], np.sum(ws[prefix * span : (prefix + 1) * span]))
+        builder.set_children(node, emit(2 * prefix, level + 1), emit(2 * prefix + 1, level + 1))
+        return node
+
+    emit(0, 0)
+    return dataclasses.replace(builder.build(), oblivious=True, levels=levels)
 
 
 def dataset(seed=0, n=300, p=4):
@@ -217,6 +275,56 @@ class TestGradientBoosting:
         assert tree.n_nodes > 1
         assert tree.to_dict() == per_node_tree(binned, rows, g, h, w, cfg).to_dict()
 
+    @pytest.mark.parametrize("budget", [1, 10**9])
+    def test_feature_groups_do_not_change_trees(self, monkeypatch, budget):
+        # threshold counts below 8, from 8 to 63, and 64 reach every branch of
+        # numpy's pairwise sum; at 10**9 the two one-threshold columns share a group
+        rng = np.random.default_rng(3)
+        X = np.column_stack([rng.integers(0, k, 600) for k in (2, 2, 3, 6, 9, 30, 64, 65)] + [rng.normal(size=600)])
+        X = X.astype(float)
+        X[rng.random(X.shape) < 0.2] = np.nan
+        binned = BinnedMatrix(X, max_bins=64)
+        assert [len(t) for t in binned.thresholds] == [1, 1, 2, 5, 8, 29, 63, 64, 63]
+        y = (rng.random(600) < 0.3).astype(int)
+        w = rng.uniform(0.0, 3.0, size=600)
+        g, h = grad_hess(y, rng.uniform(0.05, 0.95, size=600), w)
+        rows = np.arange(50, 600)
+        obl, plain = BoostConfig(max_depth=6), BoostConfig(max_depth=6, min_samples_leaf=3)
+
+        def grow():
+            return [grow_oblivious_tree(binned, g, h, w, obl), grow_tree(binned, rows, g, h, w, plain)]
+
+        default = [t.to_dict() for t in grow()]
+        monkeypatch.setattr(boosting, "LEVEL_BLOCK_ELEMENTS", budget)
+        assert [t.to_dict() for t in grow()] == default
+
+    @pytest.mark.parametrize("oblivious", [True, False])
+    @pytest.mark.parametrize("min_leaf", [0, 3])
+    def test_level_gains_match_per_node_histograms(self, oblivious, min_leaf):
+        # float for float: each feature's best gain per node (per level when
+        # oblivious: the (nodes × thresholds) gains summed over axis 0)
+        rng = np.random.default_rng(5)
+        X = np.column_stack([rng.integers(0, k, 500) for k in (2, 1, 2, 4, 12, 70)] + [rng.normal(size=500)])
+        X = X.astype(float)
+        X[rng.random(X.shape) < 0.3] = np.nan
+        binned = BinnedMatrix(X, max_bins=64)
+        g, h = grad_hess((rng.random(500) < 0.3).astype(int), rng.uniform(0.05, 0.95, size=500), rng.uniform(0, 3, 500))
+        rows = rng.permutation(500)[:400]
+        for n_nodes in (1, 3, 9, 40):
+            node = rng.integers(0, n_nodes, len(rows))
+            gain, t = boosting._level_gains(binned, rows, node, n_nodes, g, h, 1.0, min_leaf, oblivious)
+            for j, th in enumerate(binned.thresholds):
+                if len(th) == 0:
+                    assert np.all(gain[..., j] == -np.inf)
+                    continue
+                r = [rows[node == k] for k in range(n_nodes)]
+                gains = np.array([node_gains(binned.codes[rk, j], len(th), g[rk], h[rk], 1.0, min_leaf) for rk in r])
+                if oblivious:
+                    gains = gains.sum(axis=0, keepdims=True)
+                best = np.argmax(gains, axis=1)
+                assert np.array_equal(t[..., j], best.reshape(t[..., j].shape))
+                assert gain[..., j].tobytes() == gains[np.arange(len(gains)), best].tobytes()
+
     @pytest.mark.parametrize("min_leaf", [1, 7, 40])
     def test_every_leaf_holds_min_samples_leaf(self, min_leaf):
         X, y = dataset(12, n=300)  # complete rows: training and prediction route alike
@@ -299,6 +407,55 @@ class TestObliviousBoosting:
         trees = [[t.to_dict() for t in fit.trees] for fit in fits]
         assert trees[0] and trees[0] == trees[1]
         assert min(t.cover[t.feature < 0].min() for t in fits[1].trees) < 100
+
+    @pytest.mark.parametrize("max_depth", [1, 4, 8])
+    @pytest.mark.parametrize("nan_share", [0.0, 0.3])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_grow_oblivious_tree_matches_per_level_search(self, max_depth, nan_share, weighted):
+        # a constant and a three-valued column; a copy of column 0 (equal
+        # gains: the lower index wins) and two-valued columns that cut like a
+        # threshold of a coarse column (equal partitions, gains apart by
+        # rounding only); unweighted: one hessian for all rows, so NaN
+        # routing meets exact ties
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(400, 8))
+        X[:, 1] = 2.5
+        X[:, 2] = rng.integers(0, 3, 400)
+        X[:, 4] = rng.integers(0, 5, 400)
+        X[rng.random(X.shape) < nan_share] = np.nan
+        X[:, 5] = np.where(np.isnan(X[:, 4]), np.nan, X[:, 4] >= 2)
+        X[:, 6] = X[:, 0]
+        X[:, 7] = np.where(np.isnan(X[:, 2]), np.nan, X[:, 2] >= 1)
+        y = (rng.random(400) < sigmoid(np.nan_to_num(X[:, 0] + X[:, 5] - 1))).astype(int)
+        if weighted:
+            w = rng.uniform(0.0, 3.0, size=400) * (rng.random(400) > 0.1)
+            g, h = grad_hess(y, rng.uniform(0.05, 0.95, size=400), w)
+        else:
+            w = np.ones(400)
+            g, h = grad_hess(y, np.full(400, 0.3), w)
+        binned = BinnedMatrix(X, max_bins=16)
+        cfg = BoostConfig(max_depth=max_depth)
+        tree = grow_oblivious_tree(binned, g, h, w, cfg)
+        assert len(tree.levels) == max_depth
+        assert tree.to_dict() == per_level_oblivious_tree(binned, g, h, w, cfg).to_dict()
+
+    def test_level_search_memory_is_bounded(self):
+        # rows × group keys and weights would take about 10 MB here
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(5000, 87))
+        X[rng.random(X.shape) < 0.3] = np.nan
+        binned = BinnedMatrix(X)
+        y = (rng.random(5000) < 0.3).astype(int)
+        w = np.ones(5000)
+        g, h = grad_hess(y, rng.uniform(0.05, 0.95, size=5000), w)
+        tracemalloc.start()
+        try:
+            tree = grow_oblivious_tree(binned, g, h, w, BoostConfig(max_depth=6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tree.levels) == 6
+        assert peak < 4 * 2**20
 
     def test_predict_matches_naive_traversal(self):
         X, y = dataset(11)
