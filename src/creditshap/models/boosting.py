@@ -11,8 +11,10 @@ features) keys, so the search builds no array as large as the matrix.
 Every sum is taken in the order a per-feature histogram would take it, so
 the gains, and with them the splits, do not depend on the grouping.  A
 plain tree gives each node its own best split, an oblivious tree sums the
-gains over its nodes and takes one split for the level; equal gains go to
-the lowest feature index.  Plain trees honour `min_samples_leaf` (every
+gains over its nodes and takes one split for the level, scoring only the
+nodes that hold rows (an empty node's gains are exactly 0.0, and the sums
+are taken as if its zeros were there); equal gains go to the lowest
+feature index.  Plain trees honour `min_samples_leaf` (every
 leaf keeps at least that many training rows); oblivious trees ignore it,
 as CatBoost's SymmetricTree growth does.  Pseudo-residuals are p - y in
 margin space; leaf values take one damped Newton step.  Optional ordered
@@ -159,14 +161,17 @@ def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious):
     histograms built a group of features at a time (`_groups`); NaN rows fill
     their own bin and are left out.  With min_leaf > 0 a split leaving fewer
     than min_leaf rows on a side gets -inf.  An oblivious level sums the
-    gains over its nodes and returns (features,) arrays; otherwise they are
-    (nodes × features).  Unsplittable features get -inf.
+    gains over its occupied nodes and returns (features,) arrays; otherwise
+    they are (nodes × features).  Unsplittable features get -inf.
     """
     shape = (binned.p,) if oblivious else (n_nodes, binned.p)
     best_gain, best_t = np.full(shape, -np.inf), np.zeros(shape, dtype=np.int64)
     codes = binned.codes.T  # (features × rows), C-contiguous
     if rows is not None:
         g, h = g[rows], h[rows]
+    if oblivious:  # an empty node's gains are exactly 0.0: score only the nodes that hold rows
+        occupied, node = np.unique(node, return_inverse=True)
+        all_nodes, n_nodes = n_nodes, len(occupied)
     for feats, counts in _groups(binned, n_nodes, len(node)):
         k, W = len(feats), counts[-1] + 2
         key = codes[feats] if rows is None else codes[feats[:, None], rows]
@@ -190,8 +195,10 @@ def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious):
         if oblivious:
             total = gains.sum(axis=0)  # node by node, as a (nodes × thresholds) sum over axis 0
             single = counts.count(1)  # a one-threshold feature's (nodes × 1) gains sum pairwise
-            if single:
-                total[:single, 0] = np.ascontiguousarray(gains[:, :single, 0].T).sum(axis=1)
+            if single:  # padded with the empty nodes' zeros, so the pairwise sum groups as before
+                padded = np.zeros((single, all_nodes))
+                padded[:, occupied] = gains[:, :single, 0].T
+                total[:single, 0] = padded.sum(axis=1)
             t = np.argmax(total, axis=1)
             best_gain[feats], best_t[feats] = total[np.arange(k), t], t
         else:

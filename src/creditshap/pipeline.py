@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -61,6 +62,14 @@ class PipelineConfig:
             raise ConfigError(f"unknown resampling strategy {self.resampling!r}")
         if self.feature_set not in ("pruned", "top_k"):
             raise ConfigError(f"feature_set must be pruned or top_k, not {self.feature_set!r}")
+        for key in ("correlation_threshold", "missing_threshold"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{key} must be a number in [0, 1], not {value!r}")
+        for key, least in (("top_k", 1), ("cv_folds", 2), ("k_neighbors", 1)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{key} must be an integer >= {least}, not {value!r}")
 
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()

@@ -1,4 +1,12 @@
-"""Feature pruning: constants, missing-heavy columns, correlated pairs, SHAP top-k."""
+"""Feature pruning: constants, missing-heavy columns, correlated pairs, SHAP top-k.
+
+`correlation_prune` screens every column pair at once: four matrix
+products give each pair's pairwise-complete Pearson r (`_screened_pearson`).
+Only pairs whose screened |r| is not below the threshold by SCREEN_MARGIN,
+or whose screen is too ill-conditioned to trust, go to `_pairwise_pearson`,
+which alone decides a removal and writes its reason, so the scan removes
+the same columns in the same order as scoring every pair exactly.
+"""
 
 from __future__ import annotations
 
@@ -105,17 +113,68 @@ def _pairwise_pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(xd, yd) / denom)
 
 
+SCREEN_MARGIN = 1e-6  # a skipped pair's screened |r| lies at least this far below the threshold
+
+
+def _screened_pearson(values: np.ndarray) -> np.ndarray:
+    """(columns × columns) pairwise-complete Pearson r, from four matrix products.
+
+    Each column is centred by its own mean and scaled by its own std over its
+    non-missing rows, with missing rows set to 0 (Z).  With P the presence
+    mask, n = PᵀP counts a pair's joint rows, S = ZᵀP and Q = (Z∘Z)ᵀP hold
+    column i's sum and sum of squares over them, and C = ZᵀZ their cross
+    products, so cov = C − S∘Sᵀ/n and var = Q − S∘S/n.
+
+    A pair is NaN unless both of its columns pass two rounding bounds, which
+    together keep the screened r within SCREEN_MARGIN of `_pairwise_pearson`'s
+    (ε = rows × machine eps): var keeps at least 8ε / SCREEN_MARGIN of Q (the
+    screen's own cancellation), and the joint std is at least
+    √(8 / SCREEN_MARGIN) · ε times the column's largest |value| (the rounding
+    of the exact formula's mean).  Pairs with fewer than two joint rows or no
+    variance are NaN as well.
+    """
+    present = ~np.isnan(values)
+    P = present.astype(float)
+    count = P.sum(axis=0)
+    Z = np.where(present, values, 0.0)
+    eps = len(values) * np.finfo(float).eps
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        peak = np.maximum(Z.max(axis=0, initial=0.0), -Z.min(axis=0, initial=0.0))
+        Z -= np.divide(Z.sum(axis=0), count, out=np.zeros_like(count), where=count > 0)
+        Z *= P
+        std = np.sqrt(np.divide(np.einsum("ij,ij->j", Z, Z), count, out=np.zeros_like(count), where=count > 0))
+        scale = np.where(std > 0, std, 1.0)
+        Z /= scale
+        n = P.T @ P
+        C = Z.T @ Z
+        S = Z.T @ P
+        Z *= Z
+        Q = Z.T @ P
+        var = Q - S * S / n
+        r = (C - S * S.T / n) / np.sqrt(var * var.T)
+        bound = 8 / SCREEN_MARGIN
+        trusted = (var >= bound * eps * Q) & (var >= bound * n * (eps * peak / scale)[:, None] ** 2)
+    r[~(trusted & trusted.T)] = np.nan
+    return r
+
+
 def correlation_prune(
     matrix: FeatureMatrix, threshold: float = 0.95
 ) -> tuple[FeatureMatrix, SelectionReport]:
-    """Scan ordered column pairs; drop the later member of each |r|>threshold pair."""
+    """Scan ordered column pairs; drop the later member of each |r|>threshold pair.
+
+    Pairs the screen places at or below threshold − SCREEN_MARGIN are skipped;
+    NaN screen values count as candidates.
+    """
     report = SelectionReport(list(matrix.columns))
     cols = matrix.columns
+    screened = _screened_pearson(matrix.values)
+    candidate = ~(np.abs(screened) <= threshold - SCREEN_MARGIN)
     removed: set[int] = set()
     for i in range(len(cols)):
         if i in removed:
             continue
-        for j in range(i + 1, len(cols)):
+        for j in (np.flatnonzero(candidate[i, i + 1 :]) + i + 1).tolist():
             if j in removed:
                 continue
             r = _pairwise_pearson(matrix.values[:, i], matrix.values[:, j])

@@ -325,6 +325,29 @@ class TestGradientBoosting:
                 assert np.array_equal(t[..., j], best.reshape(t[..., j].shape))
                 assert gain[..., j].tobytes() == gains[np.arange(len(gains)), best].tobytes()
 
+    @pytest.mark.parametrize("n_nodes", [8, 16, 64])
+    def test_oblivious_level_gains_skip_empty_nodes_exactly(self, n_nodes):
+        # rows land in every third node only; each feature's gains summed over
+        # all nodes, the empty ones' zeros included, must come out float for float
+        rng = np.random.default_rng(n_nodes)
+        X = np.column_stack([rng.integers(0, k, 600) for k in (2, 2, 3, 3, 7)] + [rng.normal(size=600)])
+        X = X.astype(float)
+        X[rng.random(X.shape) < 0.2] = np.nan
+        binned = BinnedMatrix(X, max_bins=64)
+        assert [len(t) for t in binned.thresholds][:4] == [1, 1, 2, 2]
+        w = rng.uniform(0.0, 3.0, 600)
+        g, h = grad_hess((rng.random(600) < 0.3).astype(int), rng.uniform(0.05, 0.95, size=600), w)
+        occupied = np.arange(0, n_nodes, 3)
+        node = rng.choice(occupied, 600)
+        gain, t = boosting._level_gains(binned, None, node, n_nodes, g, h, 1.0, 0, True)
+        for j, th in enumerate(binned.thresholds):
+            gains = np.array([node_gains(binned.codes[node == k, j], len(th), g[node == k], h[node == k], 1.0)
+                              for k in range(n_nodes)])
+            assert not gains[np.setdiff1d(np.arange(n_nodes), occupied)].any()
+            total = gains.sum(axis=0)
+            assert t[j] == np.argmax(total)
+            assert gain[j].tobytes() == total[t[j]].tobytes()
+
     @pytest.mark.parametrize("min_leaf", [1, 7, 40])
     def test_every_leaf_holds_min_samples_leaf(self, min_leaf):
         X, y = dataset(12, n=300)  # complete rows: training and prediction route alike

@@ -197,6 +197,26 @@ class TestExitCodes:
         assert rc in (EXIT_DATA, EXIT_COMPUTE)
         assert rc != EXIT_OK
 
+    @pytest.mark.parametrize("key, value", [
+        ("correlation_threshold", "abc"),
+        ("correlation_threshold", "1.5"),
+        ("correlation_threshold", "true"),
+        ("missing_threshold", "abc"),
+        ("missing_threshold", "-0.1"),
+        ("cv_folds", "2.5"),
+        ("cv_folds", "1"),
+        ("top_k", "0"),
+        ("k_neighbors", "0"),
+        ("k_neighbors", "1.5"),
+    ])
+    def test_bad_selection_or_cv_setting_is_config_error(self, key, value, ledger_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run("report", "--data", str(ledger_dir), "--out", str(out),
+                 "--set", "feature_set=top_k", "--set", f"{key}={value}")
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()  # no stage ran
+
     def test_forest_without_trees_is_compute_error(self, ledger_dir, tmp_path, capsys):
         # the forest without trees, and counts that are not integers or are too small
         for i, (model, key, value) in enumerate([

@@ -3,6 +3,9 @@ import pytest
 
 from creditshap.features import FeatureMatrix
 from creditshap.selection import (
+    SCREEN_MARGIN,
+    _pairwise_pearson,
+    _screened_pearson,
     correlation_prune,
     drop_constant,
     missing_fraction,
@@ -108,6 +111,125 @@ class TestCorrelationPrune:
         out, report = correlation_prune(m, threshold=0.95)
         assert len(report.removed) == 27
         assert len(out.columns) == 79
+
+
+def pair_loop_prune(m, threshold):
+    """The exact pair loop the screen replaces: every ordered pair scored by _pairwise_pearson."""
+    cols = m.columns
+    removed, reasons = set(), {}
+    for i in range(len(cols)):
+        if i in removed:
+            continue
+        for j in range(i + 1, len(cols)):
+            if j in removed:
+                continue
+            r = _pairwise_pearson(m.values[:, i], m.values[:, j])
+            if abs(r) > threshold:
+                removed.add(j)
+                reasons[cols[j]] = f"correlated(with={cols[i]}, r={r:.4f})"
+    return reasons, [c for k, c in enumerate(cols) if k not in removed]
+
+
+def with_r(x, rho, rng):
+    """A column whose Pearson r with x is rho, up to rounding."""
+    xc = (x - x.mean()) / np.linalg.norm(x - x.mean())
+    e = rng.normal(size=x.size)
+    e -= e.mean() + (e @ xc) * xc
+    return rho * xc + np.sqrt(1 - rho**2) * e / np.linalg.norm(e)
+
+
+def adversarial(kind, rng, n=120):
+    """Columns built to strain a Gram-matrix screen of pairwise-complete r."""
+    if kind == "large_offset":
+        base = rng.normal(size=(n, 3))
+        cols = [base[:, 0], base[:, 0] + 0.05 * base[:, 1], base[:, 1], base[:, 2] - 0.4 * base[:, 0], base[:, 0]]
+        return 1e9 + 1e-3 * np.column_stack(cols)
+    if kind == "half_missing":
+        vals = rng.normal(size=(n, 6))
+        vals[:, 1] = vals[:, 0] + 0.1 * vals[:, 1]
+        vals[: n // 2, 0] = np.nan
+        vals[n // 2 :, 2] = np.nan  # disjoint from column 0
+        vals[: n // 2 - 2, 3] = np.nan  # two rows shared with column 2
+        vals[n // 2 - 3 :, 4] = np.nan  # three rows shared with column 3
+        vals[rng.random(n) < 0.5, 5] = np.nan
+        vals[:, 5] = np.where(np.isnan(vals[:, 5]), np.nan, vals[:, 1])
+        return vals
+    if kind == "constant_on_joint_rows":
+        vals = rng.normal(size=(n, 5))
+        vals[: n // 2, 1] = 4.0  # constant where column 2 is present
+        vals[n // 2 :, 2] = np.nan
+        vals[:, 3] = np.nan
+        vals[:3, 3] = [1.0, 1.0, 1.0]
+        # nearly constant on the joint rows, far from its column mean, and perfectly correlated there
+        vals[-3:, 0] = 30.0 + 1e-7 * np.arange(3)
+        vals[:, 4] = np.nan
+        vals[-3:, 4] = 2.0 * vals[-3:, 0]
+        return vals
+    if kind == "duplicated_negated":
+        base = rng.normal(size=(n, 3))
+        return np.column_stack([base[:, 0], -base[:, 0], base[:, 1], base[:, 0], 3 - 2 * base[:, 1], base[:, 2], -base[:, 2]])
+    if kind == "near_threshold":
+        x = rng.normal(size=n)
+        cols = [x]
+        for d in (1e-10, -1e-10, 2e-10, -2e-10):
+            cols.append(with_r(x, 0.95 + d, rng))
+        vals = np.column_stack(cols)
+        gap = rng.random(n) < 0.3  # the pairs' joint rows stop at the NaNs
+        vals[gap, 2] = np.nan
+        vals[~gap, 2] = with_r(x[~gap], 0.95 - 1e-10, rng)
+        return vals
+    if kind == "all_missing":
+        vals = rng.normal(size=(n, 3))
+        vals[:, 1] = np.nan
+        vals[:, 2] = vals[:, 0]
+        return vals
+    raise ValueError(kind)
+
+
+ADVERSARIAL = ["large_offset", "half_missing", "constant_on_joint_rows", "duplicated_negated", "near_threshold", "all_missing"]
+
+
+class TestScreenMatchesPairLoop:
+    @pytest.mark.parametrize("kind", ADVERSARIAL)
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.95, 1.0])
+    def test_same_removals_in_order(self, kind, threshold):
+        for seed in range(3):
+            vals = adversarial(kind, np.random.default_rng(seed))
+            m = matrix([f"c{j}" for j in range(vals.shape[1])], vals)
+            out, report = correlation_prune(m, threshold)
+            reasons, surviving = pair_loop_prune(m, threshold)
+            assert list(report.removed.items()) == list(reasons.items()), (kind, threshold, seed)
+            assert report.surviving == surviving == out.columns
+
+    @pytest.mark.parametrize("kind", ADVERSARIAL + [1e6, 1e11, 1e13])
+    def test_screen_within_margin_where_trusted(self, kind):
+        rng = np.random.default_rng(4)
+        if isinstance(kind, float):  # an offset this large leaves the exact formula's mean a few ulps off
+            base = rng.normal(size=(300, 3))
+            vals = kind + 1e-3 * np.column_stack([base[:, 0], base[:, 0] + 0.3 * base[:, 1], base[:, 2]])
+        else:
+            vals = adversarial(kind, rng)
+        screened = _screened_pearson(vals)
+        for i in range(vals.shape[1]):
+            for j in range(vals.shape[1]):
+                if not np.isnan(screened[i, j]):
+                    assert abs(screened[i, j] - _pairwise_pearson(vals[:, i], vals[:, j])) <= SCREEN_MARGIN
+
+    def test_near_threshold_pairs_straddle_it(self):
+        # the built r = 0.95 ± 1e-10 pairs are decided by the exact r, one each way
+        vals = adversarial("near_threshold", np.random.default_rng(0))
+        m = matrix([f"c{j}" for j in range(vals.shape[1])], vals)
+        _, report = correlation_prune(m, 0.95)
+        assert set(report.removed) == {"c1", "c3"}
+
+    def test_ledger_grid_matches(self, tmp_path):
+        from creditshap.pipeline import featurize_stage, ingest_stage
+        from creditshap.synthetic import write_ledger_fixture
+
+        m = featurize_stage(ingest_stage(write_ledger_fixture(tmp_path, n_accounts=80, seed=2)))
+        for threshold in (0.5, 0.95):
+            _, report = correlation_prune(m, threshold)
+            assert list(report.removed.items()) == list(pair_loop_prune(m, threshold)[0].items())
 
 
 class TestTopK:
