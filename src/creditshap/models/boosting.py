@@ -14,12 +14,13 @@ plain tree gives each node its own best split, an oblivious tree sums the
 gains over its nodes and takes one split for the level, scoring only the
 nodes that hold rows (an empty node's gains are exactly 0.0, and the sums
 are taken as if its zeros were there); equal gains go to the lowest
-feature index.  Plain trees honour `min_samples_leaf` (every
-leaf keeps at least that many training rows); oblivious trees ignore it,
-as CatBoost's SymmetricTree growth does.  Pseudo-residuals are p - y in
-margin space; leaf values take one damped Newton step.  Optional ordered
-mode approximates per-individual gradients with permutation-prefix models
-over a fixed number of blocks.
+feature index.  Plain trees honour `min_samples_leaf` (every leaf keeps at
+least that many training rows); oblivious trees ignore it, as CatBoost's
+SymmetricTree growth does.  NaN rows take the larger-cover side, as at
+prediction (`trees.training_side`), so the growers return each training
+row's leaf.  Pseudo-residuals are p - y in margin space; leaf values take
+one damped Newton step.  Optional ordered mode approximates per-individual
+gradients with permutation-prefix models over a fixed number of blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from ..metrics import train_test_split
 from .ensemble import TreeEnsemble, check_integers, sigmoid
-from .trees import Tree, TreeBuilder, oblivious_tree_from_levels
+from .trees import Tree, TreeBuilder, oblivious_tree_from_levels, training_side
 
 PROB_CLIP = 1e-9  # cross-entropy diverges at 0/1
 MAX_OBLIVIOUS_DEPTH = 16
@@ -60,6 +61,8 @@ class BoostConfig:
             raise ValueError("reg_lambda must be positive")
         if not 0.0 <= self.validation_fraction <= 0.5:
             raise ValueError("validation fraction must lie in [0, 0.5]")
+        if self.ordered_blocks < 1:
+            raise ValueError(f"ordered_blocks must be at least 1, not {self.ordered_blocks}")
 
 
 def clip_proba(p):
@@ -208,18 +211,9 @@ def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious):
     return best_gain, best_t
 
 
-def _go_left(c, t_idx, nan_code, h):
-    """Rows with code <= t_idx go left; NaN rows join the side with the larger hessian sum."""
-    go_left = c <= t_idx
-    nan = c == nan_code
-    if nan.any():
-        go_left = np.where(nan, h[go_left & ~nan].sum() >= h[~go_left & ~nan].sum(), go_left)
-    return go_left
-
-
-def grow_tree(binned, rows, g, h, w, config: BoostConfig) -> Tree:
+def grow_tree(binned, rows, g, h, w, config: BoostConfig) -> tuple[Tree, np.ndarray]:
     """Depth-limited regression tree, grown level by level (each node takes
-    its own best split) and written in depth-first node order."""
+    its own best split) and written in depth-first node order; rows' leaves."""
     reg = config.reg_lambda
     node_rows = [rows]  # every node's rows (kept in the given order), by node id
     splits = {}  # node -> (feature, threshold index, left node, right node)
@@ -239,7 +233,8 @@ def grow_tree(binned, rows, g, h, w, config: BoostConfig) -> Tree:
             if j < 0:
                 continue
             r = node_rows[k]
-            go_left = _go_left(binned.codes[r, j], t_idx, binned.nan_code[j], h[r])
+            c = binned.codes[r, j]
+            go_left = training_side(c <= t_idx, c == binned.nan_code[j], w[r])
             if go_left.all() or not go_left.any():
                 continue  # a split that moves no row stays a leaf
             left, right = len(node_rows), len(node_rows) + 1
@@ -248,25 +243,27 @@ def grow_tree(binned, rows, g, h, w, config: BoostConfig) -> Tree:
             node_rows += [r[go_left], r[~go_left]]
 
     builder = TreeBuilder()
+    leaf = np.empty(binned.n, dtype=np.int64)
 
     def emit(k):
         r = node_rows[k]
         if k not in splits:
-            return builder.add_leaf(-g[r].sum() / (h[r].sum() + reg), w[r].sum())
+            node = leaf[r] = builder.add_leaf(-g[r].sum() / (h[r].sum() + reg), w[r].sum())
+            return node
         j, t_idx, left, right = splits[k]
         node = builder.add_internal(j, binned.thresholds[j][t_idx], w[r].sum())
         builder.set_children(node, emit(left), emit(right))
         return node
 
     emit(0)
-    return builder.build()
+    return builder.build(), leaf[rows]
 
 
-def grow_oblivious_tree(binned, g, h, w, config: BoostConfig) -> Tree:
-    """Symmetric tree: one (feature, threshold) per level, chosen by the
-    Newton gain summed over all current leaves.  min_samples_leaf is not
-    applied (as CatBoost's SymmetricTree growth), so leaves may be empty."""
-    leaf = np.zeros(binned.n, dtype=np.int64)
+def grow_oblivious_tree(binned, g, h, w, config: BoostConfig) -> tuple[Tree, np.ndarray]:
+    """Symmetric tree: one (feature, threshold) per level, chosen by the Newton
+    gain summed over all current leaves; every row's leaf.  min_samples_leaf is
+    not applied (as CatBoost's SymmetricTree growth), so leaves may be empty."""
+    leaf = np.zeros(binned.n, dtype=np.int64)  # the leaf code: bit b set when the row went right at level b
     levels: list[tuple[int, float]] = []
     reg = config.reg_lambda
     for depth in range(config.max_depth if binned.search_order.size else 0):
@@ -274,15 +271,16 @@ def grow_oblivious_tree(binned, g, h, w, config: BoostConfig) -> Tree:
         j = int(np.argmax(gain))  # the lowest-index feature among equal gains
         if not gain[j] > 1e-12:
             break
-        t_idx = t[j]
-        go_left = _go_left(binned.codes[:, j], t_idx, binned.nan_code[j], h)
-        levels.append((j, float(binned.thresholds[j][t_idx])))
+        c = binned.codes[:, j]
+        go_left = training_side(c <= t[j], c == binned.nan_code[j], w, leaf)
+        levels.append((j, float(binned.thresholds[j][t[j]])))
         leaf = leaf * 2 + ~go_left
     n_leaves = 1 << len(levels)
     gs = np.bincount(leaf, weights=g, minlength=n_leaves)
     hs = np.bincount(leaf, weights=h, minlength=n_leaves)
     ws = np.bincount(leaf, weights=w, minlength=n_leaves)
-    return oblivious_tree_from_levels(levels, -gs / (hs + reg), ws)
+    tree = oblivious_tree_from_levels(levels, -gs / (hs + reg), ws)
+    return tree, np.flatnonzero(tree.feature < 0)[leaf]  # leaves sit in code order
 
 
 def _split_validation(n, y, config, rng_seed):
@@ -348,10 +346,10 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool) -
             g, h = grad_hess(yt, sigmoid(own), wt)
         else:
             g, h = grad_hess(yt, sigmoid(margins), wt)
-        tree = grow_oblivious_tree(binned, g, h, wt, config) if oblivious else grow_tree(binned, rows, g, h, wt, config)
+        tree, leaf = grow_oblivious_tree(binned, g, h, wt, config) if oblivious else grow_tree(binned, rows, g, h, wt, config)
         if tree.n_nodes == 1:
             break
-        update = tree.predict(Xt)
+        update = tree.value[leaf]
         if config.ordered:
             # each block's prefix model only absorbs leaf values refit on
             # earlier blocks; the stored tree keeps the all-sample values
@@ -360,7 +358,7 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool) -
                 if not prefix.any():
                     prefix_margins[b] += config.learning_rate * update
                     continue
-                scale = _prefix_leaf_scale(tree, Xt, g, h, prefix, config.reg_lambda)
+                scale = _prefix_leaf_scale(tree, leaf, g, h, prefix, config.reg_lambda)
                 prefix_margins[b] += config.learning_rate * scale
         margins += config.learning_rate * update
         ensemble.trees.append(tree)
@@ -381,9 +379,8 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool) -
     return ensemble
 
 
-def _prefix_leaf_scale(tree, X, g, h, prefix_mask, reg):
+def _prefix_leaf_scale(tree, leaf_of, g, h, prefix_mask, reg):
     """Per-sample update using leaf values refit on the prefix rows only."""
-    leaf_of = tree.apply(X)
     values = np.zeros(tree.n_nodes)
     for leaf in np.unique(leaf_of):
         in_leaf = (leaf_of == leaf) & prefix_mask

@@ -1,4 +1,5 @@
-"""Bagged random forest with Gini-impurity splits and random feature subsets."""
+"""Bagged random forest with Gini-impurity splits and random feature subsets.
+A split's NaN rows join the side whose known rows weigh more (`trees.training_side`)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import TreeEnsemble, check_integers
-from .trees import Tree, TreeBuilder
+from .trees import Tree, TreeBuilder, training_side
 
 
 @dataclass
@@ -100,12 +101,7 @@ def _grow_classification_tree(X, y, w, rows, config, rng):
             return builder.add_leaf(leaf_value(r), cover)
         f, thr, _ = split
         col = X[r, f]
-        go_left = col < thr
-        nan = np.isnan(col)
-        if nan.any():
-            wl = w[r[go_left & ~nan]].sum()
-            wr = w[r[~go_left & ~nan]].sum()
-            go_left = np.where(nan, wl >= wr, go_left)
+        go_left = training_side(col < thr, np.isnan(col), w[r])
         left_rows, right_rows = r[go_left], r[~go_left]
         if len(left_rows) == 0 or len(right_rows) == 0:
             return builder.add_leaf(leaf_value(r), cover)

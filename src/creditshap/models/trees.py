@@ -3,12 +3,13 @@
 Trees are stored as flat node arrays; `stack` joins an ensemble's trees into one
 (as GPUTreeShap does) and `Tree.apply`, the one router, takes rows down from one
 root or many.  Routing rule (`Tree.go_left`): x[f] < threshold goes left; NaN
-follows the larger-cover child.  Oblivious trees also record their level splits.
+follows the larger-cover child.  Growth routes its training rows by the same
+rule (`training_side`), so every leaf holds the rows it was fitted on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,6 @@ class Tree:
     value: np.ndarray  # float64 leaf value; 0 at internal nodes
     cover: np.ndarray  # float64 weighted training sample count
     oblivious: bool = False
-    levels: list[tuple[int, float]] = field(default_factory=list)
 
     def __post_init__(self):
         internal = self.feature >= 0
@@ -90,7 +90,7 @@ class Tree:
         return float(np.dot(self.value[leaves], self.cover[leaves]) / total)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "oblivious": self.oblivious,
             "feature": self.feature.tolist(),
             "threshold": [None if np.isnan(t) else t for t in self.threshold.tolist()],
@@ -99,9 +99,6 @@ class Tree:
             "value": self.value.tolist(),
             "cover": self.cover.tolist(),
         }
-        if self.oblivious:
-            d["levels"] = [[f, t] for f, t in self.levels]
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
@@ -115,8 +112,18 @@ class Tree:
             value=np.asarray(d["value"], dtype=float),
             cover=np.asarray(d["cover"], dtype=float),
             oblivious=bool(d.get("oblivious", False)),
-            levels=[(int(f), float(t)) for f, t in d.get("levels", [])],
         )
+
+
+def training_side(go_left, nan, w, node=0):
+    """Growth's routing: known values take go_left; NaN rows join, per node (each
+    row's, or one for all), the side whose known rows weigh more by w, ties left:
+    a child's cover is its rows' weight, so `Tree.go_left` picks the same child."""
+    if not nan.any():
+        return go_left
+    node, known = np.broadcast_to(node, nan.shape), ~nan
+    weight = np.bincount(2 * node[known] + ~go_left[known], weights=w[known], minlength=2 * node.max() + 2)
+    return np.where(nan, weight[2 * node] >= weight[2 * node + 1], go_left)
 
 
 def stack(trees: list[Tree]) -> tuple[Tree, np.ndarray]:
@@ -214,5 +221,4 @@ def oblivious_tree_from_levels(levels, leaf_values, leaf_covers) -> Tree:
         cover[at] = np.reshape(leaf_covers, (-1, span)).sum(axis=1)
     leaves = index(depth)
     value[leaves], cover[leaves] = leaf_values, leaf_covers
-    levels = [(int(f), float(t)) for f, t in levels]
-    return Tree(feature, threshold, left, right, value, cover, oblivious=True, levels=levels)
+    return Tree(feature, threshold, left, right, value, cover, oblivious=True)

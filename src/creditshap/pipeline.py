@@ -1,8 +1,8 @@
 """End-to-end orchestration: config, staged runs, the experiment grid and
 per-account explanation artifacts.
 
-Every artifact embeds the config hash and seed so a rerun with the same
-inputs is byte-identical (timestamps are deliberately absent).
+Every artifact embeds the config hash (of the settings, not the paths) and
+seed so a rerun with the same inputs is byte-identical (no timestamps).
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be an integer >= {least}, not {value!r}")
 
     def hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
+        settings = {k: v for k, v in asdict(self).items() if k not in ("data_dir", "out_dir")}
+        blob = json.dumps(settings, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def selection_settings(self) -> dict:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 import warnings
 
@@ -18,8 +19,8 @@ from creditshap.models.boosting import (
     logit,
 )
 from creditshap.models.ensemble import TreeEnsemble, classify, sigmoid
-from creditshap.models.forest import ForestConfig, fit_random_forest
-from creditshap.models.trees import TreeBuilder, stack
+from creditshap.models.forest import ForestConfig, _grow_classification_tree, fit_random_forest
+from creditshap.models.trees import TreeBuilder, _node_depths, stack
 
 
 def naive_leaf(tree, x):
@@ -71,8 +72,8 @@ def per_node_tree(binned, rows, g, h, w, config):
         c = binned.codes[r, j]
         nan = c == binned.nan_code[j]
         left = c <= t_idx
-        if nan.any():
-            left = np.where(nan, h[r][left & ~nan].sum() >= h[r][~left & ~nan].sum(), left)
+        if nan.any():  # NaN joins the side whose known rows weigh more, ties left
+            left = np.where(nan, w[r][left & ~nan].sum() >= w[r][~left & ~nan].sum(), left)
         node = builder.add_internal(j, binned.thresholds[j][t_idx], w[r].sum())
         builder.set_children(node, emit(r[left], depth + 1), emit(r[~left], depth + 1))
         return node
@@ -116,8 +117,9 @@ def per_level_oblivious_tree(binned, g, h, w, config):
         c = binned.codes[:, j]
         nan = c == binned.nan_code[j]
         left = c <= t_idx
-        if nan.any():
-            left = np.where(nan, h[left & ~nan].sum() >= h[~left & ~nan].sum(), left)
+        for k in range(1 << depth):  # node by node, NaN joins the side whose known rows weigh more, ties left
+            at = leaf == k
+            left[at & nan] = w[at & left & ~nan].sum() >= w[at & ~left & ~nan].sum()
         levels.append((j, float(binned.thresholds[j][t_idx])))
         leaf = leaf * 2 + ~left
     gs, hs, ws = (np.bincount(leaf, weights=v, minlength=1 << len(levels)) for v in (g, h, w))
@@ -132,7 +134,7 @@ def per_level_oblivious_tree(binned, g, h, w, config):
         return node
 
     emit(0, 0)
-    return dataclasses.replace(builder.build(), oblivious=True, levels=levels)
+    return dataclasses.replace(builder.build(), oblivious=True)
 
 
 def dataset(seed=0, n=300, p=4):
@@ -255,8 +257,8 @@ class TestGradientBoosting:
     @pytest.mark.parametrize("weighted", [True, False])
     def test_grow_tree_matches_per_node_search(self, max_depth, min_leaf, weighted):
         # NaN-heavy, one coarse column for shared bins; weighted: random
-        # weights (some 0) and margins; else one hessian for all rows, so
-        # NaN routing meets exact ties
+        # weights (some 0) and margins; else unit weights, so NaN routing
+        # meets exact ties
         rng = np.random.default_rng(0)
         X = rng.normal(size=(400, 6))
         X[:, 2] = np.round(X[:, 2])
@@ -271,7 +273,7 @@ class TestGradientBoosting:
         binned = BinnedMatrix(X, max_bins=16)
         rows = np.arange(100, 400)  # a subset, as the boosting loop may pass
         cfg = BoostConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
-        tree = grow_tree(binned, rows, g, h, w, cfg)
+        tree, _ = grow_tree(binned, rows, g, h, w, cfg)
         assert tree.n_nodes > 1
         assert tree.to_dict() == per_node_tree(binned, rows, g, h, w, cfg).to_dict()
 
@@ -292,7 +294,7 @@ class TestGradientBoosting:
         obl, plain = BoostConfig(max_depth=6), BoostConfig(max_depth=6, min_samples_leaf=3)
 
         def grow():
-            return [grow_oblivious_tree(binned, g, h, w, obl), grow_tree(binned, rows, g, h, w, plain)]
+            return [grow_oblivious_tree(binned, g, h, w, obl)[0], grow_tree(binned, rows, g, h, w, plain)[0]]
 
         default = [t.to_dict() for t in grow()]
         monkeypatch.setattr(boosting, "LEVEL_BLOCK_ELEMENTS", budget)
@@ -381,7 +383,7 @@ class TestObliviousBoosting:
         assert model.trees
         for tree in model.trees:
             assert tree.oblivious
-            depth = len(tree.levels)
+            depth = tree.max_depth()
             assert 1 <= depth <= 4
             assert int(np.sum(tree.feature < 0)) == 2**depth  # leaf count
             # one (feature, threshold) pair per level, shared by all its nodes
@@ -438,8 +440,8 @@ class TestObliviousBoosting:
         # a constant and a three-valued column; a copy of column 0 (equal
         # gains: the lower index wins) and two-valued columns that cut like a
         # threshold of a coarse column (equal partitions, gains apart by
-        # rounding only); unweighted: one hessian for all rows, so NaN
-        # routing meets exact ties
+        # rounding only); unweighted: unit weights, so NaN routing meets
+        # exact ties
         rng = np.random.default_rng(1)
         X = rng.normal(size=(400, 8))
         X[:, 1] = 2.5
@@ -458,9 +460,21 @@ class TestObliviousBoosting:
             g, h = grad_hess(y, np.full(400, 0.3), w)
         binned = BinnedMatrix(X, max_bins=16)
         cfg = BoostConfig(max_depth=max_depth)
-        tree = grow_oblivious_tree(binned, g, h, w, cfg)
-        assert len(tree.levels) == max_depth
+        tree, _ = grow_oblivious_tree(binned, g, h, w, cfg)
+        assert tree.max_depth() == max_depth
         assert tree.to_dict() == per_level_oblivious_tree(binned, g, h, w, cfg).to_dict()
+
+    def test_loads_files_that_carry_levels(self):
+        # earlier files list each level's (feature, threshold); loading ignores them
+        X, y = dataset(7)
+        model = fit_oblivious_boosting(X, y, [f"f{i}" for i in range(4)], BoostConfig(n_rounds=5, validation_fraction=0.0))
+        d = model.to_dict()
+        for t in d["trees"]:
+            internal = [i for i, f in enumerate(t["feature"]) if f >= 0]
+            t["levels"] = [[t["feature"][i], t["threshold"][i]] for i in internal[: int(np.log2(len(internal) + 1))]]
+        back = TreeEnsemble.from_dict(json.loads(json.dumps(d)))
+        assert back.to_dict() == model.to_dict()
+        assert np.array_equal(back.margin(X), model.margin(X))
 
     def test_level_search_memory_is_bounded(self):
         # rows × group keys and weights would take about 10 MB here
@@ -473,11 +487,11 @@ class TestObliviousBoosting:
         g, h = grad_hess(y, rng.uniform(0.05, 0.95, size=5000), w)
         tracemalloc.start()
         try:
-            tree = grow_oblivious_tree(binned, g, h, w, BoostConfig(max_depth=6))
+            tree, _ = grow_oblivious_tree(binned, g, h, w, BoostConfig(max_depth=6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(tree.levels) == 6
+        assert tree.max_depth() == 6
         assert peak < 4 * 2**20
 
     def test_predict_matches_naive_traversal(self):
@@ -493,6 +507,70 @@ class TestObliviousBoosting:
             assert np.array_equal(tree.apply(X_test), leaves)
             assert np.array_equal(stacked[:, t], leaves)
             assert np.array_equal(tree.predict(X_test), tree.value[leaves])
+
+
+def assert_newton_leaves(tree, leaf, g, h, reg):
+    """Every leaf value is -sum(g) / (sum(h) + reg) over the rows in leaf."""
+    at = np.flatnonzero(tree.feature < 0)
+    gs, hs = (np.bincount(leaf, weights=v, minlength=tree.n_nodes)[at] for v in (g, h))
+    np.testing.assert_allclose(tree.value[at], -gs / (hs + reg), rtol=1e-12, atol=0)
+
+
+class TestOnePartition:
+    """Growth routes NaN as prediction does, so the rows a grower fits each
+    leaf on are the rows `Tree.apply` sends there."""
+
+    @staticmethod
+    def nan_heavy(seed, n=300, p=5):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p))
+        y = (rng.random(n) < sigmoid(X[:, 0] - X[:, 1])).astype(int)
+        X[rng.random(X.shape) < 0.3] = np.nan
+        w = rng.choice([0.5, 1.0, 2.0, 3.0], size=n)
+        g, h = grad_hess(y, rng.uniform(0.05, 0.95, size=n), w)
+        return rng, X, y, w, g, h
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_growers_hand_back_the_partition_prediction_routes(self, seed):
+        rng, X, y, w, g, h = self.nan_heavy(seed)
+        binned = BinnedMatrix(X, max_bins=16)
+        for rows in (np.arange(len(y)), np.flatnonzero(rng.random(len(y)) < 0.6)):
+            cfg = BoostConfig(max_depth=6, min_samples_leaf=1)
+            tree, leaf = grow_tree(binned, rows, g, h, w, cfg)
+            assert np.array_equal(leaf, tree.apply(X[rows]))
+            assert_newton_leaves(tree, leaf, g[rows], h[rows], cfg.reg_lambda)
+        cfg = BoostConfig(max_depth=6)
+        tree, leaf = grow_oblivious_tree(binned, g, h, w, cfg)
+        assert np.array_equal(leaf, tree.apply(X))
+        assert_newton_leaves(tree, leaf, g, h, cfg.reg_lambda)
+        internal = tree.feature >= 0
+        splits = zip(_node_depths(tree)[internal], tree.feature[internal], tree.threshold[internal])
+        assert len(set(splits)) == tree.max_depth()  # one (feature, threshold) per level
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_boosted_leaves_are_newton_steps_on_routed_rows(self, seed):
+        _, X, y, w, _, _ = self.nan_heavy(seed)
+        cfg = BoostConfig(n_rounds=4, max_depth=4, min_samples_leaf=3, validation_fraction=0.0)
+        for fit in (fit_gradient_boosting, fit_oblivious_boosting):
+            model = fit(X, y, [f"f{i}" for i in range(X.shape[1])], cfg, sample_weight=w)
+            assert model.trees
+            margins = np.full(len(y), model.base_score)
+            for tree in model.trees:
+                g, h = grad_hess(y, sigmoid(margins), w)
+                assert_newton_leaves(tree, tree.apply(X), g, h, cfg.reg_lambda)
+                margins += model.learning_rate * tree.predict(X)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_forest_leaves_are_bad_fractions_of_routed_in_bag_rows(self, seed):
+        rng, X, y, w, _, _ = self.nan_heavy(seed)
+        counts = np.bincount(rng.integers(0, len(y), len(y)), minlength=len(y))
+        wt, rows = w * counts, np.flatnonzero(counts)
+        tree = _grow_classification_tree(X, y, wt, rows, ForestConfig(max_depth=4, min_samples_leaf=3), rng)
+        assert tree.n_nodes > 1
+        leaf = tree.apply(X[rows])
+        at = np.flatnonzero(tree.feature < 0)
+        bad, weight = (np.bincount(leaf, weights=v, minlength=tree.n_nodes)[at] for v in (wt[rows] * y[rows], wt[rows]))
+        np.testing.assert_allclose(tree.value[at], bad / weight, rtol=1e-12, atol=0)
 
 
 class TestMargin:

@@ -137,18 +137,20 @@ class TestStagedMatchesReport:
 
 class TestDeterminism:
     def test_report_rerun_byte_identical(self, ledger_dir, tmp_path):
-        out = tmp_path / "out"
+        # into the same directory and into another: the config hash leaves the paths out
         args = (
-            "report", "--data", str(ledger_dir), "--out", str(out),
+            "report", "--data", str(ledger_dir),
             "--seed", "3", "--set", 'model.params.n_rounds=30', "--set", "cv_folds=3",
         )
-        assert run(*args) == EXIT_OK
-        first = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert run(*args) == EXIT_OK
-        second = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert first.keys() == second.keys()
-        for name in first:
-            assert first[name] == second[name], f"{name} differs between reruns"
+        runs = []
+        for out in (tmp_path / "out", tmp_path / "out", tmp_path / "elsewhere"):
+            assert run(*args, "--out", str(out)) == EXIT_OK
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        first, *others = runs
+        for other in others:
+            assert first.keys() == other.keys()
+            for name in first:
+                assert first[name] == other[name], f"{name} differs between reruns"
 
     def test_seed_changes_outputs(self, ledger_dir, tmp_path):
         outs = []
@@ -225,6 +227,7 @@ class TestExitCodes:
             ("gradient_boosting", "n_rounds", "2.5"),
             ("oblivious_boosting", "max_bins", "8.5"),
             ("oblivious_boosting", "ordered_blocks", "2.5"),
+            ("oblivious_boosting", "ordered_blocks", "0"),
             ("mlp", "batch_size", "0"),
             ("mlp", "epochs", "1.5"),
         ]):
