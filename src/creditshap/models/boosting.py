@@ -1,8 +1,10 @@
-"""Gradient boosting on the weighted cross-entropy loss.
+"""Gradient boosting on the weighted cross-entropy loss, and the one tree grower.
 
 Two tree shapes: plain depth-limited regression trees and oblivious
 (symmetric) trees that reuse one (feature, threshold) pair per level.
-Both grow level by level on one histogram split finder (`_level_gains`).
+Both grow level by level on one histogram split finder (`_level_gains`),
+and so does the random forest, whose plain trees (`grow_tree` with a
+per-node feature draw) fit g = -w·y, h = w with no regularisation.
 It takes the features a group at a time, in order of threshold count, and
 scores every threshold of a group with one `bincount` pair, one `cumsum`
 and one pass of the gain formula over (nodes × features × bins) arrays.
@@ -37,6 +39,7 @@ PROB_CLIP = 1e-9  # cross-entropy diverges at 0/1
 MAX_OBLIVIOUS_DEPTH = 16
 DEFAULT_OBLIVIOUS_DEPTH = 6
 LEVEL_BLOCK_ELEMENTS = 16_384  # bound on one feature group's histogram and key arrays
+DEFAULT_MAX_BINS = 64  # quantile thresholds per feature, for the boosters and the forest
 
 
 @dataclass
@@ -46,7 +49,7 @@ class BoostConfig:
     max_depth: int = 3
     min_samples_leaf: int = 5  # plain trees only; oblivious trees ignore it
     reg_lambda: float = 1.0
-    max_bins: int = 64
+    max_bins: int = DEFAULT_MAX_BINS
     patience: int = 20
     validation_fraction: float = 0.1
     seed: int = 0
@@ -100,7 +103,7 @@ class BinnedMatrix:
     them in.
     """
 
-    def __init__(self, X: np.ndarray, max_bins: int = 64):
+    def __init__(self, X: np.ndarray, max_bins: int = DEFAULT_MAX_BINS):
         X = np.asarray(X, dtype=float)
         self.n, self.p = X.shape
         self.thresholds: list[np.ndarray] = []
@@ -155,6 +158,16 @@ def _bin_sums(hist, counts):
     return total
 
 
+def _den(H, reg):
+    """H + reg, the denominator of a side's Newton term G² / (H + reg).  With
+    reg = 0 (the forest) a side with no weight must score 0, not 0/0, so a
+    non-positive denominator becomes inf; with reg > 0 a real side's is positive."""
+    den = H + reg
+    if reg <= 0:
+        den[den <= 0] = np.inf
+    return den
+
+
 def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious):
     """The one split finder: every feature's best (gain, threshold index) at one level.
 
@@ -187,7 +200,7 @@ def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious):
         gl = np.cumsum(gh[:, :, :-2], axis=2)
         hl = np.cumsum(hh[:, :, :-2], axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):  # past a feature's thresholds the NaN bin joins in
-            gains = gl**2 / (hl + reg) + (G - gl) ** 2 / (H - hl + reg) - G**2 / (H + reg)
+            gains = gl**2 / _den(hl, reg) + (G - gl) ** 2 / _den(H - hl, reg) - G**2 / _den(H, reg)
         valid = np.arange(W - 2) < np.asarray(counts)[:, None]
         if min_leaf > 0:
             ch = np.bincount(key, minlength=size).reshape(n_nodes, k, W)
@@ -211,20 +224,36 @@ def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious):
     return best_gain, best_t
 
 
-def grow_tree(binned, rows, g, h, w, config: BoostConfig) -> tuple[Tree, np.ndarray]:
+def grow_tree(binned, rows, g, h, w, config, features=None) -> tuple[Tree, np.ndarray]:
     """Depth-limited regression tree, grown level by level (each node takes
-    its own best split) and written in depth-first node order; rows' leaves."""
+    its own best split) and written in depth-first node order; rows' leaves.
+
+    config gives max_depth, min_samples_leaf and reg_lambda (a BoostConfig,
+    or the forest's settings with reg_lambda 0).  Nodes with fewer than
+    2·min_samples_leaf rows stay leaves unsearched.  features, if given, is
+    called once per searched node, in level order, with the node's rows and
+    returns the features that node may split on; none keeps it a leaf.
+    """
     reg = config.reg_lambda
     node_rows = [rows]  # every node's rows (kept in the given order), by node id
     splits = {}  # node -> (feature, threshold index, left node, right node)
     level = [0] if binned.search_order.size else []
     for _ in range(config.max_depth):
+        level = [k for k in level if len(node_rows[k]) >= 2 * config.min_samples_leaf]
+        if features is not None:
+            allowed = {k: features(node_rows[k]) for k in level}
+            level = [k for k in level if len(allowed[k])]
         if not level:
             break
         n = len(level)
         sub = np.concatenate([node_rows[k] for k in level])
         node = np.repeat(np.arange(n), [len(node_rows[k]) for k in level])
         gain, t = _level_gains(binned, sub, node, n, g, h, reg, config.min_samples_leaf, oblivious=False)
+        if features is not None:
+            drawn = np.zeros(gain.shape, dtype=bool)
+            for i, k in enumerate(level):
+                drawn[i, allowed[k]] = True
+            gain = np.where(drawn, gain, -np.inf)
         best_j = np.argmax(gain, axis=1)  # the lowest-index feature among equal gains
         best_t = t[np.arange(n), best_j]
         best_j[~(gain[np.arange(n), best_j] > 1e-12)] = -1
@@ -380,15 +409,12 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool) -
 
 
 def _prefix_leaf_scale(tree, leaf_of, g, h, prefix_mask, reg):
-    """Per-sample update using leaf values refit on the prefix rows only."""
-    values = np.zeros(tree.n_nodes)
-    for leaf in np.unique(leaf_of):
-        in_leaf = (leaf_of == leaf) & prefix_mask
-        if in_leaf.any():
-            values[leaf] = -g[in_leaf].sum() / (h[in_leaf].sum() + reg)
-        else:
-            values[leaf] = tree.value[leaf]
-    return values[leaf_of]
+    """Per-sample update using leaf values refit on the prefix rows only;
+    a leaf no prefix row reaches keeps its all-sample value."""
+    leaf = leaf_of[prefix_mask]
+    gs, hs = (np.bincount(leaf, weights=v[prefix_mask], minlength=tree.n_nodes) for v in (g, h))
+    reached = np.bincount(leaf, minlength=tree.n_nodes) > 0
+    return np.where(reached, -gs / (hs + reg), tree.value)[leaf_of]
 
 
 def fit_gradient_boosting(X, y, feature_names, config: BoostConfig | None = None, sample_weight=None) -> TreeEnsemble:

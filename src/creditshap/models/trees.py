@@ -31,14 +31,12 @@ class Tree:
         bad = internal & (mismatch | (self.left < 0) | (self.right < 0))
         if bad.any():
             raise ValueError("node cover must equal the sum of child covers")
-        if self.oblivious:
-            depths = _node_depths(self)
-            seen: dict[int, tuple[int, float]] = {}
-            for i in np.nonzero(internal)[0]:
-                pair = (int(self.feature[i]), float(self.threshold[i]))
-                d = depths[i]
-                if seen.setdefault(d, pair) != pair:
-                    raise ValueError("oblivious tree has distinct splits at one level")
+        if self.oblivious:  # every internal node takes the split of its level's first one
+            depth = _node_depths(self)[internal]
+            first = np.flatnonzero(internal)[np.unique(depth, return_index=True)[1]][depth]
+            f, t = self.feature, self.threshold
+            if (f[internal] != f[first]).any() or (t[internal] != t[first]).any():
+                raise ValueError("oblivious tree has distinct splits at one level")
 
     @property
     def n_nodes(self) -> int:
@@ -138,14 +136,13 @@ def stack(trees: list[Tree]) -> tuple[Tree, np.ndarray]:
 
 
 def _node_depths(tree: Tree) -> np.ndarray:
+    """Every node's depth, found one level of nodes at a time."""
     depths = np.zeros(tree.n_nodes, dtype=int)
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        if tree.feature[i] >= 0:
-            for c in (tree.left[i], tree.right[i]):
-                depths[c] = depths[i] + 1
-                todo.append(int(c))
+    level, d = np.zeros(1, dtype=np.int64), 0
+    while level.size:
+        depths[level] = d
+        level = level[tree.feature[level] >= 0]
+        level, d = np.concatenate([tree.left[level], tree.right[level]]), d + 1
     return depths
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from creditshap.models.boosting import (
     logit,
 )
 from creditshap.models.ensemble import TreeEnsemble, classify, sigmoid
-from creditshap.models.forest import ForestConfig, _grow_classification_tree, fit_random_forest
-from creditshap.models.trees import TreeBuilder, _node_depths, stack
+from creditshap.models.forest import ForestConfig, fit_random_forest
+from creditshap.models.trees import Tree, TreeBuilder, _node_depths, oblivious_tree_from_levels, stack
 
 
 def naive_leaf(tree, x):
@@ -300,6 +301,25 @@ class TestGradientBoosting:
         monkeypatch.setattr(boosting, "LEVEL_BLOCK_ELEMENTS", budget)
         assert [t.to_dict() for t in grow()] == default
 
+    def test_features_callable_restricts_every_split(self):
+        X, y = dataset(6, n=300, p=4)
+        g, h = grad_hess(y, np.full(len(y), 0.4), np.ones(len(y)))
+        binned, rows = BinnedMatrix(X), np.arange(len(y))
+        cfg = BoostConfig(max_depth=4, min_samples_leaf=3)
+        free, _ = grow_tree(binned, rows, g, h, np.ones(len(y)), cfg)
+        searched = []
+
+        def only(r):
+            searched.append(len(r))
+            return [2]
+
+        tree, leaf = grow_tree(binned, rows, g, h, np.ones(len(y)), cfg, only)
+        internal = tree.feature >= 0
+        assert free.feature[0] != 2 and internal.sum() > 1
+        assert set(tree.feature[internal]) == {2}
+        assert np.array_equal(leaf, tree.apply(X))
+        assert min(searched) >= 2 * cfg.min_samples_leaf and len(searched) >= internal.sum()
+
     @pytest.mark.parametrize("oblivious", [True, False])
     @pytest.mark.parametrize("min_leaf", [0, 3])
     def test_level_gains_match_per_node_histograms(self, oblivious, min_leaf):
@@ -516,6 +536,76 @@ def assert_newton_leaves(tree, leaf, g, h, reg):
     np.testing.assert_allclose(tree.value[at], -gs / (hs + reg), rtol=1e-12, atol=0)
 
 
+def prefix_leaf_scale_loop(tree, leaf_of, g, h, prefix_mask, reg):
+    """Reference for _prefix_leaf_scale: each leaf refit on its prefix rows, one leaf at a time."""
+    values = np.zeros(tree.n_nodes)
+    for leaf in np.unique(leaf_of):
+        in_leaf = (leaf_of == leaf) & prefix_mask
+        values[leaf] = -g[in_leaf].sum() / (h[in_leaf].sum() + reg) if in_leaf.any() else tree.value[leaf]
+    return values[leaf_of]
+
+
+class TestPrefixLeafScale:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_per_leaf_loop(self, seed):
+        X, y = dataset(seed, n=200, p=4)
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.5, 2.0, size=len(y))
+        g, h = grad_hess(y, rng.uniform(0.05, 0.95, size=len(y)), w)
+        cfg = BoostConfig(max_depth=4, min_samples_leaf=3)
+        binned, rows = BinnedMatrix(X), np.arange(len(y))
+        for tree, leaf in (grow_oblivious_tree(binned, g, h, w, cfg), grow_tree(binned, rows, g, h, w, cfg)):
+            for share in (0.0, 0.05, 0.5, 1.0):  # small prefixes leave leaves no prefix row reaches
+                prefix = rng.random(len(y)) < share
+                got = boosting._prefix_leaf_scale(tree, leaf, g, h, prefix, cfg.reg_lambda)
+                want = prefix_leaf_scale_loop(tree, leaf, g, h, prefix, cfg.reg_lambda)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestTreeChecks:
+    @staticmethod
+    def recursive_depths(tree):
+        depths = np.zeros(tree.n_nodes, dtype=int)
+
+        def walk(i, d):
+            depths[i] = d
+            if tree.feature[i] >= 0:
+                walk(tree.left[i], d + 1)
+                walk(tree.right[i], d + 1)
+
+        walk(0, 0)
+        return depths
+
+    def test_node_depths_match_a_recursive_walk(self):
+        X, y = dataset(7)
+        g, h = grad_hess(y, np.full(len(y), 0.4), np.ones(len(y)))
+        binned = BinnedMatrix(X)
+        trees = [
+            grow_tree(binned, np.arange(len(y)), g, h, np.ones(len(y)), BoostConfig(max_depth=6, min_samples_leaf=2))[0],
+            grow_oblivious_tree(binned, g, h, np.ones(len(y)), BoostConfig(max_depth=5))[0],
+            oblivious_tree_from_levels([], [0.5], [3.0]),
+        ]
+        for tree in trees:
+            assert np.array_equal(_node_depths(tree), self.recursive_depths(tree))
+
+    @pytest.mark.parametrize("field,node", [("feature", 5), ("threshold", 12), ("feature", 8), ("threshold", 9)])
+    def test_oblivious_tree_rejects_distinct_splits_at_one_level(self, field, node):
+        good = oblivious_tree_from_levels([(0, 0.5), (1, 1.5), (2, 2.5)], np.arange(8.0), np.ones(8))
+        parts = {k: getattr(good, k).copy() for k in ("feature", "threshold", "left", "right", "value", "cover")}
+        assert parts["feature"][node] >= 0
+        parts[field][node] += 1
+        Tree(**parts)  # a plain tree may split each node its own way
+        with pytest.raises(ValueError, match="distinct splits"):
+            Tree(**parts, oblivious=True)
+
+    def test_cover_mismatch_raises(self):
+        tree = oblivious_tree_from_levels([(0, 0.5)], np.zeros(2), np.ones(2))
+        parts = {k: getattr(tree, k).copy() for k in ("feature", "threshold", "left", "right", "value", "cover")}
+        parts["cover"][0] = 3.0
+        with pytest.raises(ValueError, match="cover"):
+            Tree(**parts)
+
+
 class TestOnePartition:
     """Growth routes NaN as prediction does, so the rows a grower fits each
     leaf on are the rows `Tree.apply` sends there."""
@@ -565,7 +655,12 @@ class TestOnePartition:
         rng, X, y, w, _, _ = self.nan_heavy(seed)
         counts = np.bincount(rng.integers(0, len(y), len(y)), minlength=len(y))
         wt, rows = w * counts, np.flatnonzero(counts)
-        tree = _grow_classification_tree(X, y, wt, rows, ForestConfig(max_depth=4, min_samples_leaf=3), rng)
+        forest = SimpleNamespace(max_depth=4, min_samples_leaf=3, reg_lambda=0.0)  # the forest's grow_tree settings
+
+        def draw(r):
+            return rng.choice(X.shape[1], size=2, replace=False) if y[r].min() < y[r].max() else []
+
+        tree, _ = grow_tree(BinnedMatrix(X), rows, -wt * y, wt, wt, forest, draw)
         assert tree.n_nodes > 1
         leaf = tree.apply(X[rows])
         at = np.flatnonzero(tree.feature < 0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from creditshap.metrics import roc_auc
-from creditshap.models.forest import ForestConfig, _best_gini_split, fit_random_forest
+from creditshap.models.boosting import BinnedMatrix, _level_gains
+from creditshap.models.forest import ForestConfig, fit_random_forest
 
 
 def small_config(n_trees=25, **kw):
@@ -98,14 +99,61 @@ class TestForestConfig:
             ForestConfig(**kw)
 
 
-class TestBestGiniSplit:
+def gini_decreases(X, y, w, rows, binned, j, min_leaf):
+    """Brute-force weighted Gini decrease of splitting rows at each of feature
+    j's thresholds (x < T goes left, NaN rows left out); a side with no weight
+    has impurity 0, a side with fewer than min_leaf rows gets -inf."""
+
+    def impurity(side):  # total weight × two-class Gini
+        total = sum(w[i] for i in side)
+        bad = sum(w[i] for i in side if y[i] == 1)
+        return 0.0 if total == 0 else total * 2 * (bad / total) * (1 - bad / total)
+
+    known = [i for i in rows if not np.isnan(X[i, j])]
+    out = []
+    for t in binned.thresholds[j]:
+        left = [i for i in known if X[i, j] < t]
+        right = [i for i in known if X[i, j] >= t]
+        ok = len(left) >= min_leaf and len(right) >= min_leaf
+        out.append(impurity(known) - impurity(left) - impurity(right) if ok else -np.inf)
+    return np.array(out)
+
+
+class TestForestSplitGain:
+    """With g = -w·y, h = w and reg = 0, the boosters' Newton gain is half the
+    weighted Gini decrease, so the forest keeps its split criterion."""
+
+    @staticmethod
+    def forest_gains(X, y, w, rows, binned, min_leaf):
+        return _level_gains(binned, rows, np.zeros(len(rows), dtype=int), 1, -w * y, w, 0.0, min_leaf, oblivious=False)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gains_are_half_the_gini_decrease(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(120, 4))
+        X[:, 3] = np.round(X[:, 3])
+        X[rng.random(X.shape) < 0.2] = np.nan
+        y = (rng.random(120) < 0.4).astype(int)
+        w = rng.uniform(0.1, 3.0, size=120)
+        rows = np.flatnonzero(rng.random(120) < 0.7)
+        binned = BinnedMatrix(X, max_bins=16)
+        gain, t = self.forest_gains(X, y, w, rows, binned, 3)
+        for j in range(4):
+            decrease = gini_decreases(X, y, w, rows, binned, j, 3)
+            assert t[0, j] == np.argmax(decrease)
+            np.testing.assert_allclose(gain[0, j], decrease.max() / 2, rtol=1e-12, atol=0)
+
     def test_zero_weight_side_keeps_the_split(self):
         X = np.arange(10.0)[:, None]
         y = (X[:, 0] > 5).astype(int)
         rows = np.arange(10)
+        binned = BinnedMatrix(X)
         w = np.ones(10)
-        assert _best_gini_split(X, y, w, rows, [0], 1) == (0, 5.5, pytest.approx(4.8))
         w[:2] = 0.0  # thresholds 0.5 and 1.5 leave a zero-weight left side
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _best_gini_split(X, y, w, rows, [0], 1) == (0, 5.5, pytest.approx(4.0))
+            gain, t = self.forest_gains(X, y, w, rows, binned, 1)
+        decrease = gini_decreases(X, y, w, rows, binned, 0, 1)
+        assert decrease[:2].tolist() == [0.0, 0.0]
+        assert binned.thresholds[0][t[0, 0]] == 5.5 == binned.thresholds[0][np.argmax(decrease)]
+        assert gain[0, 0] == pytest.approx(decrease.max() / 2) == pytest.approx(2.0)
