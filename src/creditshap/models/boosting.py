@@ -4,7 +4,8 @@ Two tree shapes: plain depth-limited regression trees and oblivious
 (symmetric) trees that reuse one (feature, threshold) pair per level.
 Both grow level by level on one histogram split finder (`_level_gains`),
 and so does the random forest, whose plain trees (`grow_tree` with a
-per-node feature draw) fit g = -w·y, h = w with no regularisation.
+per-node feature draw; a level searches only the features its nodes drew)
+fit g = -w·y, h = w with no regularisation.
 It takes the features a group at a time, in order of threshold count, and
 scores every threshold of a group with one `bincount` pair, one `cumsum`
 and one pass of the gain formula over (nodes × features × bins) arrays.
@@ -131,11 +132,12 @@ class BinnedMatrix:
         self.search_order = splittable[np.argsort(self.n_thresholds[splittable], kind="stable")]
 
 
-def _groups(binned, n_nodes, n_rows):
-    """Runs of `search_order` whose histograms (nodes × group × W, W = the
-    group's largest threshold count + 2) and keys (rows × group) both stay
-    within LEVEL_BLOCK_ELEMENTS; a feature too large for it goes alone."""
-    counts = binned.n_thresholds[binned.search_order].tolist()
+def _groups(binned, order, n_nodes, n_rows):
+    """Runs of `order` (features in search order) whose histograms (nodes ×
+    group × W, W = the group's largest threshold count + 2) and keys (rows ×
+    group) both stay within LEVEL_BLOCK_ELEMENTS; a feature too large for it
+    goes alone."""
+    counts = binned.n_thresholds[order].tolist()
     start = 0
     while start < len(counts):
         stop = start + 1
@@ -144,7 +146,7 @@ def _groups(binned, n_nodes, n_rows):
             if max(n_rows, n_nodes * (counts[stop] + 2)) * size > LEVEL_BLOCK_ELEMENTS:
                 break
             stop += 1
-        yield binned.search_order[start:stop], counts[start:stop]
+        yield order[start:stop], counts[start:stop]
         start = stop
 
 
@@ -168,7 +170,7 @@ def _den(H, reg):
     return den
 
 
-def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious):
+def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious, features=None):
     """The one split finder: every feature's best (gain, threshold index) at one level.
 
     rows are the level's rows (None: all of them) and node[i] is the node of
@@ -178,7 +180,8 @@ def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious):
     their own bin and are left out.  With min_leaf > 0 a split leaving fewer
     than min_leaf rows on a side gets -inf.  An oblivious level sums the
     gains over its occupied nodes and returns (features,) arrays; otherwise
-    they are (nodes × features).  Unsplittable features get -inf.
+    they are (nodes × features).  Unsplittable features get -inf, and so do
+    the features left out of `features` (None: search them all).
     """
     shape = (binned.p,) if oblivious else (n_nodes, binned.p)
     best_gain, best_t = np.full(shape, -np.inf), np.zeros(shape, dtype=np.int64)
@@ -188,7 +191,10 @@ def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious):
     if oblivious:  # an empty node's gains are exactly 0.0: score only the nodes that hold rows
         occupied, node = np.unique(node, return_inverse=True)
         all_nodes, n_nodes = n_nodes, len(occupied)
-    for feats, counts in _groups(binned, n_nodes, len(node)):
+    order = binned.search_order
+    if features is not None:
+        order = order[np.isin(order, features)]
+    for feats, counts in _groups(binned, order, n_nodes, len(node)):
         k, W = len(feats), counts[-1] + 2
         key = codes[feats] if rows is None else codes[feats[:, None], rows]
         # slot-major, so each bin adds its rows in row order, as a per-feature bincount does
@@ -232,7 +238,9 @@ def grow_tree(binned, rows, g, h, w, config, features=None) -> tuple[Tree, np.nd
     or the forest's settings with reg_lambda 0).  Nodes with fewer than
     2·min_samples_leaf rows stay leaves unsearched.  features, if given, is
     called once per searched node, in level order, with the node's rows and
-    returns the features that node may split on; none keeps it a leaf.
+    returns the features that node may split on; none keeps it a leaf.  A
+    level's search covers the union of its nodes' features, and each node
+    then takes its best among its own.
     """
     reg = config.reg_lambda
     node_rows = [rows]  # every node's rows (kept in the given order), by node id
@@ -248,7 +256,8 @@ def grow_tree(binned, rows, g, h, w, config, features=None) -> tuple[Tree, np.nd
         n = len(level)
         sub = np.concatenate([node_rows[k] for k in level])
         node = np.repeat(np.arange(n), [len(node_rows[k]) for k in level])
-        gain, t = _level_gains(binned, sub, node, n, g, h, reg, config.min_samples_leaf, oblivious=False)
+        searched = None if features is None else np.concatenate([allowed[k] for k in level])
+        gain, t = _level_gains(binned, sub, node, n, g, h, reg, config.min_samples_leaf, False, searched)
         if features is not None:
             drawn = np.zeros(gain.shape, dtype=bool)
             for i, k in enumerate(level):

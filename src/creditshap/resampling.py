@@ -6,8 +6,11 @@ rows cannot leak into synthesis.  The three SMOTE variants share one runner
 and differ only in the minority rows they seed synthesis from: every
 minority row (SMOTE), the danger points (Borderline-SMOTE-1) or the
 minority support vectors of a linear SVM (SVM-SMOTE).  Neighbor searches
-run on standardized copies of the features; emitted rows stay in original
-units.
+run on standardized copies of the features, a chunk of query rows at a
+time under KNN_BLOCK_ELEMENTS, and the runner searches each seed row's
+neighbors once however often it is drawn; emitted rows stay in original
+units.  The SVM keeps its weight as a scalar times a vector, so only its
+hinge-violating steps touch the vector.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ STRATEGY_KINDS = (
     "class_weight",
     "sqrt_balanced",
 )
+KNN_BLOCK_ELEMENTS = 1 << 20  # bound on one chunk's (query × points × features) differences
+SVM_SCALE_FLOOR = 1e-100  # the SVM's weight scale is folded into its vector below this
 
 
 @dataclass(frozen=True)
@@ -124,13 +129,19 @@ def _scaled_view(X):
     return (X - mean) / std
 
 
-def _knn_indices(points, query, k, exclude_self=False):
-    """Indices of the k nearest rows of `points` for each row of `query`."""
-    d2 = ((query[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    if exclude_self:
-        np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+def _knn_indices(points, query, k):
+    """Indices of the k nearest rows of `points` for each row of `query`.
+
+    Query rows go KNN_BLOCK_ELEMENTS // (points × features) at a time, so the
+    (query × points × features) difference stays under the budget; each row's
+    distances are the same floats whatever the chunk.
+    """
+    step = max(1, KNN_BLOCK_ELEMENTS // points.size)
+    order = np.empty((len(query), min(k, len(points))), dtype=np.int64)
+    for start in range(0, len(query), step):
+        d2 = ((query[start : start + step, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        order[start : start + step] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return order
 
 
 def _synthesize(X, seeds, neighbor_pool, k, n_needed, rng):
@@ -138,12 +149,15 @@ def _synthesize(X, seeds, neighbor_pool, k, n_needed, rng):
     Z = _scaled_view(X)
     pool = Z[neighbor_pool]
     k_eff = max(1, min(k, len(neighbor_pool) - 1))
+    partners = {}  # base row -> its minority neighbors, searched once per base
     rows = []
     for _ in range(n_needed):
         base = seeds[rng.integers(len(seeds))]
-        nn = _knn_indices(pool, Z[base][None, :], k_eff)[0]
-        # drop the base itself when it sits in the pool
-        nn = [neighbor_pool[j] for j in nn if neighbor_pool[j] != base]
+        if base not in partners:
+            nn = _knn_indices(pool, Z[base][None, :], k_eff)[0]
+            # drop the base itself when it sits in the pool
+            partners[base] = [neighbor_pool[j] for j in nn if neighbor_pool[j] != base]
+        nn = partners[base]
         partner = nn[rng.integers(len(nn))] if nn else base
         lam = rng.random()
         rows.append(X[base] + lam * (X[partner] - X[base]))
@@ -205,23 +219,38 @@ def borderline_smote(split: TrainSplit, k: int = 5, seed: int = 0):
 
 
 def _linear_svm_margins(X, y, minority, c: float = 1.0, epochs: int = 200, seed: int = 0):
-    """Hinge-loss linear SVM by subgradient descent; returns per-sample margins y*(wx+b)."""
+    """Hinge-loss linear SVM by subgradient descent; returns per-sample margins y*(wx+b).
+
+    Each step of an epoch at rate lr = 1/epoch decays w by 1 - lr/epochs and,
+    when the row's margin is below 1, adds lr·c·t·z to w and lr·c·t to b.  w
+    is kept as scale·v (Pegasos' scaled weight), so the decay is one float
+    multiply and only the hinge steps touch the vector; when scale falls
+    below SVM_SCALE_FLOOR it is folded into v, before it can underflow.  The
+    margins match the per-step vector update to rounding, not bit for bit.
+    """
     Z = _scaled_view(X)
     t = np.where(y == minority, 1.0, -1.0)
     rng = np.random.default_rng(seed)
     n, p = Z.shape
-    w = np.zeros(p)
+    rows, labels = list(Z), t.tolist()
+    v = np.zeros(p)
+    scale = 1.0
     b = 0.0
     for epoch in range(1, epochs + 1):
         lr = 1.0 / epoch
-        for i in rng.permutation(n):
-            margin = t[i] * (Z[i] @ w + b)
-            if margin < 1.0:
-                w = (1 - lr / epochs) * w + lr * c * t[i] * Z[i]
-                b = b + lr * c * t[i]
-            else:
-                w = (1 - lr / epochs) * w
-    return t * (Z @ w + b)
+        decay = 1.0 - lr / epochs
+        for i in rng.permutation(n).tolist():
+            z, ti = rows[i], labels[i]
+            hinge = ti * (scale * z.dot(v) + b) < 1.0
+            scale *= decay
+            if scale < SVM_SCALE_FLOOR:
+                v *= scale
+                scale = 1.0
+            if hinge:
+                step = lr * c * ti
+                v += (step / scale) * z
+                b += step
+    return t * (scale * (Z @ v) + b)
 
 
 def svm_smote(split: TrainSplit, k: int = 5, seed: int = 0):

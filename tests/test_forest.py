@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from creditshap.metrics import roc_auc
+from creditshap.models import boosting
 from creditshap.models.boosting import BinnedMatrix, _level_gains
 from creditshap.models.forest import ForestConfig, fit_random_forest
 
@@ -87,6 +88,46 @@ class TestRandomForest:
         w = np.where(y == 1, 10.0, 1.0)
         boosted = fit_random_forest(X, y, ["a", "b"], cfg, sample_weight=w)
         assert boosted.predict_proba(X).mean() > plain.predict_proba(X).mean()
+
+
+class TestDrawnFeatureSearch:
+    """A level searches only the features its nodes drew; the oracle scores
+    every feature and masks the rest away."""
+
+    @staticmethod
+    def data(seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(400, 40))
+        X[:, :6] = np.round(X[:, :6] * 2)  # few thresholds: shared feature groups
+        X[rng.random(X.shape) < 0.1] = np.nan
+        y = (rng.random(400) < 1 / (1 + np.exp(-np.nan_to_num(X[:, 0] - X[:, 7])))).astype(int)
+        return X, y
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_level_gains_of_a_feature_subset(self, seed):
+        X, y = self.data(seed)
+        rng = np.random.default_rng(seed + 10)
+        binned = BinnedMatrix(X)
+        w = rng.uniform(0.5, 2.0, 400)
+        rows = np.flatnonzero(rng.random(400) < 0.8)
+        for n_nodes in (1, 4, 16):
+            node = rng.integers(0, n_nodes, len(rows))
+            args = (binned, rows, node, n_nodes, -w * y, w, 0.0, 2, False)
+            every_gain, every_t = _level_gains(*args)
+            features = np.unique(rng.choice(40, size=12))
+            gain, t = _level_gains(*args, features)
+            assert gain[:, features].tobytes() == every_gain[:, features].tobytes()
+            assert t[:, features].tobytes() == every_t[:, features].tobytes()
+            assert np.all(np.delete(gain, features, axis=1) == -np.inf)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_trees_equal_the_masked_search(self, seed, monkeypatch):
+        X, y = self.data(seed)
+        forest = fit_random_forest(X, y, [f"c{j}" for j in range(40)], small_config(n_trees=8, seed=seed))
+        level_gains = boosting._level_gains
+        monkeypatch.setattr(boosting, "_level_gains", lambda *args: level_gains(*args[:9]))
+        masked = fit_random_forest(X, y, [f"c{j}" for j in range(40)], small_config(n_trees=8, seed=seed))
+        assert [t.to_dict() for t in forest.trees] == [t.to_dict() for t in masked.trees]
 
 
 class TestForestConfig:

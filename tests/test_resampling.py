@@ -1,7 +1,12 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from creditshap.metrics import TrainSplit
+from creditshap import pipeline, resampling
+from creditshap.features import median_impute
+from creditshap.metrics import TrainSplit, stratified_kfold
 from creditshap.models import ModelSpec, fit_model
 from creditshap.resampling import (
     ResamplingStrategy,
@@ -15,7 +20,7 @@ from creditshap.resampling import (
     undersample_majority,
     _linear_svm_margins,
 )
-from creditshap.synthetic import imbalanced_blobs
+from creditshap.synthetic import imbalanced_blobs, planted_signal_dataset, write_ledger_fixture
 
 
 def split_of(X, y):
@@ -241,6 +246,126 @@ class TestSvmSmote:
         Xb, yb = svm_smote(split_of(X, y), k=3, seed=2)
         assert balanced_counts(yb)[0] == balanced_counts(yb)[1]
         synthetic_rows_collinear(Xb, X, X[y == 1], tol=1e-7)
+
+
+def loop_svm_margins(X, y, minority, c=1.0, epochs=200, seed=0):
+    """The SVM fit with w updated as a vector at every step: the oracle."""
+    Z = resampling._scaled_view(X)
+    t = np.where(y == minority, 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    n, p = Z.shape
+    w = np.zeros(p)
+    b = 0.0
+    for epoch in range(1, epochs + 1):
+        lr = 1.0 / epoch
+        for i in rng.permutation(n):
+            margin = t[i] * (Z[i] @ w + b)
+            if margin < 1.0:
+                w = (1 - lr / epochs) * w + lr * c * t[i] * Z[i]
+                b = b + lr * c * t[i]
+            else:
+                w = (1 - lr / epochs) * w
+    return t * (Z @ w + b)
+
+
+def search_per_sample_synthesize(X, seeds, neighbor_pool, k, n_needed, rng):
+    """The SMOTE runner with one neighbor search per synthetic row: the oracle."""
+    Z = resampling._scaled_view(X)
+    pool = Z[neighbor_pool]
+    k_eff = max(1, min(k, len(neighbor_pool) - 1))
+    rows = []
+    for _ in range(n_needed):
+        base = seeds[rng.integers(len(seeds))]
+        d2 = ((Z[base][None, None, :] - pool[None, :, :]) ** 2).sum(axis=2)
+        nn = np.argsort(d2, axis=1, kind="stable")[0, :k_eff]
+        nn = [neighbor_pool[j] for j in nn if neighbor_pool[j] != base]
+        partner = nn[rng.integers(len(nn))] if nn else base
+        lam = rng.random()
+        rows.append(X[base] + lam * (X[partner] - X[base]))
+    return np.asarray(rows)
+
+
+@pytest.fixture(scope="module")
+def fold_corpus(tmp_path_factory):
+    """25 training folds, each under both minority labels: 150-row folds of
+    planted data, folds of a 150-account ledger, and Gaussian blobs."""
+    folds = []
+    for seed in range(5):
+        X, y, _ = planted_signal_dataset(300, 20, seed=seed)
+        folds += [(X[tr], y[tr]) for tr, _ in stratified_kfold(y, 2, seed=seed)]
+    ledger = write_ledger_fixture(tmp_path_factory.mktemp("ledger"), 150, seed=0)
+    matrix = pipeline.featurize_stage(pipeline.ingest_stage(ledger))
+    X, _ = median_impute(matrix.values)
+    folds += [(X[tr], matrix.y[tr]) for tr, _ in stratified_kfold(matrix.y, 5, seed=0)]
+    for seed in range(10):
+        folds.append(imbalanced_blobs(40 + 8 * seed, 8 + 2 * seed, p=3 + seed % 5, seed=seed))
+    # the second copy relabels the classes and fits the SVM from another seed
+    return [(X, y, 1, 0) for X, y in folds] + [(X, 1 - y, 0, 1) for X, y in folds]
+
+
+class TestScaledSvmWeight:
+    def test_margins_match_the_per_step_update(self, fold_corpus):
+        assert len(fold_corpus) >= 50
+        for X, y, minority, seed in fold_corpus:
+            margins = _linear_svm_margins(X, y, minority, seed=seed)
+            oracle = loop_svm_margins(X, y, minority, seed=seed)
+            assert np.array_equal(margins <= 1.0, oracle <= 1.0)
+            np.testing.assert_allclose(margins, oracle, rtol=1e-10)
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_short_fits_fold_the_scale_before_it_underflows(self, epochs):
+        # each step of the first epoch halves (epochs=2) or zeroes (epochs=1)
+        # the weight: 0.5**1500 is below the smallest float
+        X, y, _ = planted_signal_dataset(1500, 20, seed=4)
+        margins = _linear_svm_margins(X, y, 1, epochs=epochs)
+        oracle = loop_svm_margins(X, y, 1, epochs=epochs)
+        assert np.isfinite(margins).all()
+        assert np.array_equal(margins <= 1.0, oracle <= 1.0)
+        np.testing.assert_allclose(margins, oracle, rtol=1e-10)
+
+
+class TestNeighborsOncePerSeed:
+    @pytest.mark.parametrize("variant", [smote, borderline_smote, svm_smote], ids=lambda f: f.__name__)
+    def test_rows_equal_one_search_per_sample(self, fold_corpus, variant, monkeypatch):
+        synthesize = resampling._synthesize
+
+        def both(X, seeds, neighbor_pool, k, n_needed, rng):
+            oracle_rng = copy.deepcopy(rng)
+            oracle = search_per_sample_synthesize(X, seeds, neighbor_pool, k, n_needed, oracle_rng)
+            rows = synthesize(X, seeds, neighbor_pool, k, n_needed, rng)
+            assert rows.tobytes() == oracle.tobytes()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            calls.append(n_needed)
+            return rows
+
+        calls = []
+        monkeypatch.setattr(resampling, "_synthesize", both)
+        for X, y, _, seed in fold_corpus:
+            variant(split_of(X, y), k=5, seed=seed)
+        assert len(calls) == len(fold_corpus)
+
+
+class TestDangerPointsMemory:
+    def test_neighbor_search_memory_is_bounded(self):
+        # in one piece the (320 minority × 1 600 rows × 87 features)
+        # differences alone would take 356 MB
+        X, y, _ = planted_signal_dataset(1600, 87, bad_rate=0.2, seed=0)
+        tracemalloc.start()
+        try:
+            danger = danger_points(X, y, 5, minority=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        Z = resampling._scaled_view(X)
+        oracle = []
+        for i in np.flatnonzero(y == 1):
+            d2 = ((Z - Z[i]) ** 2).sum(axis=1)
+            d2[i] = np.inf
+            majority = np.sum(y[np.argsort(d2, kind="stable")[:5]] == 0)
+            if 2.5 <= majority < 5:
+                oracle.append(i)
+        assert len(oracle) and np.array_equal(danger, oracle)
 
 
 class TestClassWeights:
