@@ -20,13 +20,6 @@ from .tables import DataError, LedgerBundle
 
 HORIZON_DAYS = 120
 
-WINDOWS = (
-    ("last30", 0, 30),
-    ("30_60", 30, 60),
-    ("60_90", 60, 90),
-    ("90_120", 90, 120),
-)
-
 TRX_STATS = ("min", "max", "mean", "sum", "count", "std")
 DIRECTIONS = ("incoming", "outgoing", "all")
 BAL_STATS = ("var", "max_pos", "max_neg", "min", "max", "mean", "std", "slope")
@@ -45,17 +38,22 @@ class WindowSpec:
             raise ValueError(f"bad window [{self.lo}, {self.hi})")
 
 
-CANONICAL_WINDOWS = tuple(WindowSpec(*w) for w in WINDOWS)
+CANONICAL_WINDOWS = (
+    WindowSpec("last30", 0, 30),
+    WindowSpec("30_60", 30, 60),
+    WindowSpec("60_90", 60, 90),
+    WindowSpec("90_120", 90, 120),
+)
 
 
 def kpi_columns() -> list[str]:
     cols = []
-    for label, _, _ in WINDOWS:
+    for spec in CANONICAL_WINDOWS:
         for stat in TRX_STATS:
             for direction in DIRECTIONS:
-                cols.append(f"trx_{stat}_{direction}_{label}")
+                cols.append(f"trx_{stat}_{direction}_{spec.label}")
         for stat in BAL_STATS:
-            cols.append(f"acc_bal_{stat}_{label}")
+            cols.append(f"acc_bal_{stat}_{spec.label}")
     cols.extend(GLOBAL_KPIS)
     return cols
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..metrics import train_test_split
 from .ensemble import TreeEnsemble, check_integers, sigmoid
-from .trees import Tree, TreeBuilder, oblivious_tree_from_levels, training_side
+from .trees import Tree, depth_first, training_side
 
 PROB_CLIP = 1e-9  # cross-entropy diverges at 0/1
 MAX_OBLIVIOUS_DEPTH = 16
@@ -59,14 +59,15 @@ class BoostConfig:
 
     def __post_init__(self):
         check_integers(self, "n_rounds", "max_depth", "max_bins", "min_samples_leaf", "ordered_blocks")
+        for name in ("n_rounds", "max_depth", "max_bins", "ordered_blocks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.reg_lambda <= 0:
             raise ValueError("reg_lambda must be positive")
         if not 0.0 <= self.validation_fraction <= 0.5:
             raise ValueError("validation fraction must lie in [0, 0.5]")
-        if self.ordered_blocks < 1:
-            raise ValueError(f"ordered_blocks must be at least 1, not {self.ordered_blocks}")
 
 
 def clip_proba(p):
@@ -232,7 +233,8 @@ def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious, fe
 
 def grow_tree(binned, rows, g, h, w, config, features=None) -> tuple[Tree, np.ndarray]:
     """Depth-limited regression tree, grown level by level (each node takes
-    its own best split) and written in depth-first node order; rows' leaves.
+    its own best split) and handed to `trees.depth_first`, the one tree
+    writer, in level order; rows' leaves.
 
     config gives max_depth, min_samples_leaf and reg_lambda (a BoostConfig,
     or the forest's settings with reg_lambda 0).  Nodes with fewer than
@@ -280,29 +282,27 @@ def grow_tree(binned, rows, g, h, w, config, features=None) -> tuple[Tree, np.nd
             level += [left, right]
             node_rows += [r[go_left], r[~go_left]]
 
-    builder = TreeBuilder()
+    feature, left, right = (np.full(len(node_rows), -1, dtype=np.int64) for _ in range(3))
+    threshold, value = np.full(len(node_rows), np.nan), np.zeros(len(node_rows))
     leaf = np.empty(binned.n, dtype=np.int64)
-
-    def emit(k):
-        r = node_rows[k]
-        if k not in splits:
-            node = leaf[r] = builder.add_leaf(-g[r].sum() / (h[r].sum() + reg), w[r].sum())
-            return node
-        j, t_idx, left, right = splits[k]
-        node = builder.add_internal(j, binned.thresholds[j][t_idx], w[r].sum())
-        builder.set_children(node, emit(left), emit(right))
-        return node
-
-    emit(0)
-    return builder.build(), leaf[rows]
+    for k, r in enumerate(node_rows):
+        if k in splits:
+            j, t_idx, left[k], right[k] = splits[k]
+            feature[k], threshold[k] = j, binned.thresholds[j][t_idx]
+        else:
+            value[k], leaf[r] = -g[r].sum() / (h[r].sum() + reg), k
+    cover = np.array([w[r].sum() for r in node_rows])
+    tree, at = depth_first(feature, threshold, left, right, value, cover)
+    return tree, at[leaf[rows]]
 
 
 def grow_oblivious_tree(binned, g, h, w, config: BoostConfig) -> tuple[Tree, np.ndarray]:
     """Symmetric tree: one (feature, threshold) per level, chosen by the Newton
     gain summed over all current leaves; every row's leaf.  min_samples_leaf is
-    not applied (as CatBoost's SymmetricTree growth), so leaves may be empty."""
+    not applied (as CatBoost's SymmetricTree growth), so leaves may be empty.
+    The complete tree goes to `trees.depth_first` in heap order."""
     leaf = np.zeros(binned.n, dtype=np.int64)  # the leaf code: bit b set when the row went right at level b
-    levels: list[tuple[int, float]] = []
+    feats, thresholds = [], []
     reg = config.reg_lambda
     for depth in range(config.max_depth if binned.search_order.size else 0):
         gain, t = _level_gains(binned, None, leaf, 1 << depth, g, h, reg, 0, oblivious=True)
@@ -311,14 +311,24 @@ def grow_oblivious_tree(binned, g, h, w, config: BoostConfig) -> tuple[Tree, np.
             break
         c = binned.codes[:, j]
         go_left = training_side(c <= t[j], c == binned.nan_code[j], w, leaf)
-        levels.append((j, float(binned.thresholds[j][t[j]])))
+        feats.append(j)
+        thresholds.append(binned.thresholds[j][t[j]])
         leaf = leaf * 2 + ~go_left
-    n_leaves = 1 << len(levels)
-    gs = np.bincount(leaf, weights=g, minlength=n_leaves)
-    hs = np.bincount(leaf, weights=h, minlength=n_leaves)
-    ws = np.bincount(leaf, weights=w, minlength=n_leaves)
-    tree = oblivious_tree_from_levels(levels, -gs / (hs + reg), ws)
-    return tree, np.flatnonzero(tree.feature < 0)[leaf]  # leaves sit in code order
+    # heap order: node i's children are 2i + 1 and 2i + 2, and leaf code q is node 2^depth - 1 + q
+    depth, n_leaves = len(feats), 1 << len(feats)
+    level = np.repeat(np.arange(depth), 1 << np.arange(depth))  # each internal node's level
+    inner, none = np.arange(n_leaves - 1), np.full(n_leaves, -1)
+    gs, hs, ws = (np.bincount(leaf, weights=v, minlength=n_leaves) for v in (g, h, w))
+    tree, at = depth_first(
+        np.concatenate([np.asarray(feats, dtype=np.int64)[level], none]),
+        np.concatenate([np.asarray(thresholds)[level], np.full(n_leaves, np.nan)]),
+        np.concatenate([2 * inner + 1, none]),
+        np.concatenate([2 * inner + 2, none]),
+        np.concatenate([np.zeros(n_leaves - 1), -gs / (hs + reg)]),
+        np.concatenate([ws.reshape(1 << d, -1).sum(axis=1) for d in range(depth)] + [ws]),
+        oblivious=True,
+    )
+    return tree, at[n_leaves - 1 + leaf]
 
 
 def _split_validation(n, y, config, rng_seed):

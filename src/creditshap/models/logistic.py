@@ -106,7 +106,7 @@ class BinningMap:
             idx = np.searchsorted(e, col, side="right")
             onehot = np.zeros((len(col), nb + 1))
             nan = np.isnan(col)
-            idx = np.where(nan, nb, np.clip(idx, 0, nb - 1))
+            idx = np.where(nan, nb, idx)
             onehot[np.arange(len(col)), idx] = 1.0
             outs.append(onehot)
         return np.hstack(outs)

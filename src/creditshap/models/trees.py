@@ -1,10 +1,12 @@
 """Regression-tree structure shared by the forest, boosters and TreeSHAP.
 
-Trees are stored as flat node arrays; `stack` joins an ensemble's trees into one
-(as GPUTreeShap does) and `Tree.apply`, the one router, takes rows down from one
-root or many.  Routing rule (`Tree.go_left`): x[f] < threshold goes left; NaN
-follows the larger-cover child.  Growth routes its training rows by the same
-rule (`training_side`), so every leaf holds the rows it was fitted on.
+Trees are stored as flat node arrays in depth-first order; `depth_first`, the
+one tree writer, sets that order for both growers.  `stack` joins an
+ensemble's trees into one (as GPUTreeShap does) and `Tree.apply`, the one
+router, takes rows down from one root or many.  Routing rule
+(`Tree.go_left`): x[f] < threshold goes left; NaN follows the larger-cover
+child.  Growth routes its training rows by the same rule (`training_side`),
+so every leaf holds the rows it was fitted on.
 """
 
 from __future__ import annotations
@@ -135,87 +137,38 @@ def stack(trees: list[Tree]) -> tuple[Tree, np.ndarray]:
     return Tree(**parts), roots
 
 
+def _levels(feature, left, right) -> list[np.ndarray]:
+    """The nodes at each depth, root first, found one level of nodes at a time."""
+    levels = [np.zeros(1, dtype=np.int64)]
+    while True:
+        inner = levels[-1][feature[levels[-1]] >= 0]
+        if not inner.size:
+            return levels
+        levels.append(np.concatenate([left[inner], right[inner]]))
+
+
 def _node_depths(tree: Tree) -> np.ndarray:
-    """Every node's depth, found one level of nodes at a time."""
+    """Every node's depth."""
     depths = np.zeros(tree.n_nodes, dtype=int)
-    level, d = np.zeros(1, dtype=np.int64), 0
-    while level.size:
+    for d, level in enumerate(_levels(tree.feature, tree.left, tree.right)):
         depths[level] = d
-        level = level[tree.feature[level] >= 0]
-        level, d = np.concatenate([tree.left[level], tree.right[level]]), d + 1
     return depths
 
 
-class TreeBuilder:
-    """Append-only builder producing the flat node arrays."""
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.cover: list[float] = []
-
-    def add_leaf(self, value: float, cover: float) -> int:
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(float(value))
-        self.cover.append(float(cover))
-        return len(self.feature) - 1
-
-    def add_internal(self, feature: int, threshold: float, cover: float) -> int:
-        self.feature.append(int(feature))
-        self.threshold.append(float(threshold))
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        self.cover.append(float(cover))
-        return len(self.feature) - 1
-
-    def set_children(self, node: int, left: int, right: int) -> None:
-        self.left[node] = left
-        self.right[node] = right
-
-    def build(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            value=np.asarray(self.value, dtype=float),
-            cover=np.asarray(self.cover, dtype=float),
-        )
-
-
-def oblivious_tree_from_levels(levels, leaf_values, leaf_covers) -> Tree:
-    """Materialize a symmetric tree from per-level splits and 2^depth leaves.
-
-    Leaf index bit b (from the most significant) is 1 when x >= threshold at
-    level b.  Nodes are laid out depth first, as a recursive walk adds them:
-    the node with prefix q at level l sits at l plus, for each right turn
-    of q at a level i < l, the 2^(depth - i) - 1 nodes of the left subtree
-    it passes.  An internal node's cover is the sum of its leaves' covers.
-    """
-    depth = len(levels)
-    n_leaves = 1 << depth
-    assert len(leaf_values) == n_leaves and len(leaf_covers) == n_leaves
-    n_nodes = 2 * n_leaves - 1
-    feature, left, right = (np.full(n_nodes, -1, dtype=np.int64) for _ in range(3))
-    threshold, value, cover = np.full(n_nodes, np.nan), np.zeros(n_nodes), np.empty(n_nodes)
-
-    def index(level):
-        i = np.arange(level)
-        turns = (np.arange(1 << level)[:, None] >> (level - 1 - i)) & 1
-        return level + turns @ ((1 << (depth - i)) - 1)
-
-    for level, (f, t) in enumerate(levels):
-        at, span = index(level), 1 << (depth - level)  # span: the leaves under each node
-        feature[at], threshold[at] = f, t
-        left[at], right[at] = at + 1, at + span
-        cover[at] = np.reshape(leaf_covers, (-1, span)).sum(axis=1)
-    leaves = index(depth)
-    value[leaves], cover[leaves] = leaf_values, leaf_covers
-    return Tree(feature, threshold, left, right, value, cover, oblivious=True)
+def depth_first(feature, threshold, left, right, value, cover, oblivious=False) -> tuple[Tree, np.ndarray]:
+    """The one tree writer: renumbers a tree given as node arrays in any order
+    (root 0) the way a recursive walk visits it (node, left subtree, right
+    subtree); returns the Tree and each input node's new index.  Subtree sizes
+    come from the bottom level up, positions from the root down: a left child
+    follows its parent, a right child its left sibling's subtree."""
+    inner = [level[feature[level] >= 0] for level in _levels(feature, left, right)]
+    size = np.ones(len(feature), dtype=np.int64)
+    for k in reversed(inner):
+        size[k] += size[left[k]] + size[right[k]]
+    at = np.zeros(len(feature), dtype=np.int64)
+    for k in inner:
+        at[left[k]] = at[k] + 1
+        at[right[k]] = at[k] + 1 + size[left[k]]
+    order = np.argsort(at)
+    left, right = (np.where(c[order] >= 0, at[c[order]], -1) for c in (left, right))
+    return Tree(feature[order], threshold[order], left, right, value[order], cover[order], oblivious), at

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -21,7 +20,7 @@ from creditshap.models.boosting import (
 )
 from creditshap.models.ensemble import TreeEnsemble, classify, sigmoid
 from creditshap.models.forest import ForestConfig, fit_random_forest
-from creditshap.models.trees import Tree, TreeBuilder, _node_depths, oblivious_tree_from_levels, stack
+from creditshap.models.trees import Tree, _node_depths, depth_first, stack
 
 
 def naive_leaf(tree, x):
@@ -39,10 +38,20 @@ def naive_leaf(tree, x):
     return node
 
 
+def tree_from_nodes(nodes, oblivious=False):
+    """A Tree from [feature, threshold, left, right, value, cover] lists, one per node, in node order."""
+    f, t, l, r, v, c = zip(*nodes)
+    return Tree(
+        np.array(f, dtype=np.int64), np.array(t, dtype=float), np.array(l, dtype=np.int64),
+        np.array(r, dtype=np.int64), np.array(v, dtype=float), np.array(c, dtype=float), oblivious,
+    )
+
+
 def per_node_tree(binned, rows, g, h, w, config):
     """Reference for grow_tree: a recursive search that splits one node at a
-    time with its own histograms, in the same arithmetic and row order."""
-    builder = TreeBuilder()
+    time with its own histograms, in the same arithmetic and row order; nodes
+    are written as the recursion visits them."""
+    nodes = []
     reg, min_leaf = config.reg_lambda, config.min_samples_leaf
 
     def best_split(r):
@@ -66,21 +75,25 @@ def per_node_tree(binned, rows, g, h, w, config):
         return best
 
     def emit(r, depth):
+        node = len(nodes)
+        nodes.append([-1, np.nan, -1, -1, 0.0, w[r].sum()])
         split = best_split(r) if depth < config.max_depth else None
         if split is None:
-            return builder.add_leaf(-g[r].sum() / (h[r].sum() + reg), w[r].sum())
+            nodes[node][4] = -g[r].sum() / (h[r].sum() + reg)
+            return node
         j, t_idx, _ = split
         c = binned.codes[r, j]
         nan = c == binned.nan_code[j]
         left = c <= t_idx
         if nan.any():  # NaN joins the side whose known rows weigh more, ties left
             left = np.where(nan, w[r][left & ~nan].sum() >= w[r][~left & ~nan].sum(), left)
-        node = builder.add_internal(j, binned.thresholds[j][t_idx], w[r].sum())
-        builder.set_children(node, emit(r[left], depth + 1), emit(r[~left], depth + 1))
+        nodes[node][:2] = j, binned.thresholds[j][t_idx]
+        nodes[node][2] = emit(r[left], depth + 1)
+        nodes[node][3] = emit(r[~left], depth + 1)
         return node
 
     emit(rows, 0)
-    return builder.build()
+    return tree_from_nodes(nodes)
 
 
 def node_gains(c, n_thresholds, g, h, reg, min_leaf=0):
@@ -124,18 +137,27 @@ def per_level_oblivious_tree(binned, g, h, w, config):
         levels.append((j, float(binned.thresholds[j][t_idx])))
         leaf = leaf * 2 + ~left
     gs, hs, ws = (np.bincount(leaf, weights=v, minlength=1 << len(levels)) for v in (g, h, w))
-    builder = TreeBuilder()
+    return symmetric_tree(levels, -gs / (hs + reg), ws)
+
+
+def symmetric_tree(levels, leaf_values, leaf_covers):
+    """An oblivious tree from its (feature, threshold) per level and 2^depth
+    leaves in code order, written node by node as a recursive walk visits them."""
+    nodes = []
 
     def emit(prefix, level):
+        node = len(nodes)
         if level == len(levels):
-            return builder.add_leaf(-gs[prefix] / (hs[prefix] + reg), ws[prefix])
+            nodes.append([-1, np.nan, -1, -1, leaf_values[prefix], leaf_covers[prefix]])
+            return node
         span = 1 << (len(levels) - level)
-        node = builder.add_internal(*levels[level], np.sum(ws[prefix * span : (prefix + 1) * span]))
-        builder.set_children(node, emit(2 * prefix, level + 1), emit(2 * prefix + 1, level + 1))
+        nodes.append([*levels[level], -1, -1, 0.0, np.sum(leaf_covers[prefix * span : (prefix + 1) * span])])
+        nodes[node][2] = emit(2 * prefix, level + 1)
+        nodes[node][3] = emit(2 * prefix + 1, level + 1)
         return node
 
     emit(0, 0)
-    return dataclasses.replace(builder.build(), oblivious=True)
+    return tree_from_nodes(nodes, oblivious=True)
 
 
 def dataset(seed=0, n=300, p=4):
@@ -583,14 +605,14 @@ class TestTreeChecks:
         trees = [
             grow_tree(binned, np.arange(len(y)), g, h, np.ones(len(y)), BoostConfig(max_depth=6, min_samples_leaf=2))[0],
             grow_oblivious_tree(binned, g, h, np.ones(len(y)), BoostConfig(max_depth=5))[0],
-            oblivious_tree_from_levels([], [0.5], [3.0]),
+            symmetric_tree([], [0.5], [3.0]),
         ]
         for tree in trees:
             assert np.array_equal(_node_depths(tree), self.recursive_depths(tree))
 
     @pytest.mark.parametrize("field,node", [("feature", 5), ("threshold", 12), ("feature", 8), ("threshold", 9)])
     def test_oblivious_tree_rejects_distinct_splits_at_one_level(self, field, node):
-        good = oblivious_tree_from_levels([(0, 0.5), (1, 1.5), (2, 2.5)], np.arange(8.0), np.ones(8))
+        good = symmetric_tree([(0, 0.5), (1, 1.5), (2, 2.5)], np.arange(8.0), np.ones(8))
         parts = {k: getattr(good, k).copy() for k in ("feature", "threshold", "left", "right", "value", "cover")}
         assert parts["feature"][node] >= 0
         parts[field][node] += 1
@@ -599,11 +621,94 @@ class TestTreeChecks:
             Tree(**parts, oblivious=True)
 
     def test_cover_mismatch_raises(self):
-        tree = oblivious_tree_from_levels([(0, 0.5)], np.zeros(2), np.ones(2))
+        tree = symmetric_tree([(0, 0.5)], np.zeros(2), np.ones(2))
         parts = {k: getattr(tree, k).copy() for k in ("feature", "threshold", "left", "right", "value", "cover")}
         parts["cover"][0] = 3.0
         with pytest.raises(ValueError, match="cover"):
             Tree(**parts)
+
+
+class TestDepthFirst:
+    """`depth_first` renumbers any node order as a recursive walk visits it."""
+
+    FIELDS = ("feature", "threshold", "left", "right", "value", "cover")
+
+    @staticmethod
+    def recursive_renumbering(feature, left, right):
+        """Each node's index in the order a recursive walk (node, left, right) visits it."""
+        visited = []
+
+        def walk(i):
+            visited.append(i)
+            if feature[i] >= 0:
+                walk(left[i])
+                walk(right[i])
+
+        walk(0)
+        new = np.full(len(feature), -1)
+        new[visited] = np.arange(len(visited))
+        return new
+
+    @staticmethod
+    def grown_tree(rng, n_splits, pick):
+        """A binary tree grown by splitting the leaf pick(feature) chooses, its nodes then shuffled behind root 0."""
+        feature, left, right = [-1], [-1], [-1]
+        for _ in range(n_splits):
+            k = pick(feature)
+            feature[k], left[k], right[k] = rng.integers(0, 5), len(feature), len(feature) + 1
+            feature += [-1, -1]
+            left += [-1, -1]
+            right += [-1, -1]
+        feature, left, right = np.array(feature), np.array(left), np.array(right)
+        cover = np.where(feature < 0, rng.integers(0, 4, len(feature)), 0).astype(float)
+        for k in reversed(range(len(feature))):  # children come after their parent
+            if feature[k] >= 0:
+                cover[k] = cover[left[k]] + cover[right[k]]
+        return TestDepthFirst.shuffled(rng, {
+            "feature": feature,
+            "threshold": np.where(feature >= 0, rng.normal(size=len(feature)).round(2), np.nan),
+            "left": left,
+            "right": right,
+            "value": np.where(feature < 0, rng.normal(size=len(feature)), 0.0),
+            "cover": cover,
+        })
+
+    @staticmethod
+    def shuffled(rng, parts):
+        perm = np.concatenate([[0], 1 + rng.permutation(len(parts["feature"]) - 1)])  # perm[new id] = old id
+        old_to_new = np.argsort(perm)
+        out = {k: v[perm] for k, v in parts.items()}
+        for k in ("left", "right"):
+            out[k] = np.where(out[k] >= 0, old_to_new[out[k]], -1)
+        return out
+
+    def check(self, parts, oblivious=False):
+        tree, at = depth_first(*(parts[k] for k in self.FIELDS), oblivious=oblivious)
+        want = self.recursive_renumbering(parts["feature"], parts["left"], parts["right"])
+        assert np.array_equal(at, want)
+        assert tree.oblivious is oblivious
+        for k in ("feature", "threshold", "value", "cover"):  # every node lands at its index, fields intact
+            np.testing.assert_array_equal(getattr(tree, k)[at], parts[k])
+        for k in ("left", "right"):  # and keeps its children
+            np.testing.assert_array_equal(getattr(tree, k)[at], np.where(parts[k] >= 0, at[parts[k]], -1))
+        assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int64
+        return tree
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_trees_in_shuffled_order(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check(self.grown_tree(rng, int(rng.integers(1, 40)), lambda f: rng.choice(np.flatnonzero(np.array(f) < 0))))
+
+    def test_single_leaf(self):
+        parts = {k: np.array([v]) for k, v in zip(self.FIELDS, (-1, np.nan, -1, -1, 0.25, 3.0))}
+        tree = self.check(parts)
+        assert tree.to_dict()["value"] == [0.25] and tree.n_nodes == 1
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_one_sided_chain(self, side):
+        # every split after the first takes the newest left (side 0) or right (side 1) child
+        tree = self.check(self.grown_tree(np.random.default_rng(side), 30, lambda f: max(len(f) - 2 + side, 0)))
+        assert tree.max_depth() == 30
 
 
 class TestOnePartition:

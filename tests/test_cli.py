@@ -225,6 +225,10 @@ class TestExitCodes:
             ("random_forest", "n_trees", "0"),
             ("random_forest", "n_trees", "2.5"),
             ("gradient_boosting", "n_rounds", "2.5"),
+            ("gradient_boosting", "n_rounds", "0"),
+            ("gradient_boosting", "max_depth", "0"),
+            ("oblivious_boosting", "max_depth", "-2"),
+            ("oblivious_boosting", "max_bins", "0"),
             ("oblivious_boosting", "max_bins", "8.5"),
             ("oblivious_boosting", "ordered_blocks", "2.5"),
             ("oblivious_boosting", "ordered_blocks", "0"),

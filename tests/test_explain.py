@@ -21,17 +21,19 @@ from creditshap.models import ModelSpec, fit_model
 from creditshap.models.boosting import BoostConfig, fit_gradient_boosting, fit_oblivious_boosting
 from creditshap.models.ensemble import TreeEnsemble, sigmoid
 from creditshap.models.forest import ForestConfig, fit_random_forest
-from creditshap.models.trees import TreeBuilder
+from creditshap.models.trees import Tree
 from creditshap.synthetic import planted_signal_dataset
 
 
 def stump(feature, threshold, left_value, right_value, left_cover, right_cover):
-    b = TreeBuilder()
-    root = b.add_internal(feature, threshold, left_cover + right_cover)
-    l = b.add_leaf(left_value, left_cover)
-    r = b.add_leaf(right_value, right_cover)
-    b.set_children(root, l, r)
-    return b.build()
+    return Tree(
+        feature=np.array([feature, -1, -1], dtype=np.int64),
+        threshold=np.array([threshold, np.nan, np.nan]),
+        left=np.array([1, -1, -1], dtype=np.int64),
+        right=np.array([2, -1, -1], dtype=np.int64),
+        value=np.array([0.0, left_value, right_value]),
+        cover=np.array([left_cover + right_cover, left_cover, right_cover], dtype=float),
+    )
 
 
 def ensemble_of(trees, n_features, lr=1.0, base=0.0, kind="gradient_boosting"):
