@@ -4,12 +4,17 @@ Per labeled account, four half-open day-offset windows before the
 application date ([0,30), [30,60), [60,90), [90,120)) each yield
 6 transaction stats x 3 directions + 8 balance stats = 26 KPIs, plus
 two whole-horizon activity KPIs, for 106 columns total.
+
+`account_features` makes one pass per window: each transaction's day
+offset is computed once, `window_slice` picks the window's amounts,
+`transaction_stats` turns each direction's amounts into its whole stat
+vector, and `balance_stats` does the same for the window's daily
+balances, one clamped slice of the account's balance series.
 """
 
 from __future__ import annotations
 
 import csv
-import datetime
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tables import DataError, LedgerBundle
-
-HORIZON_DAYS = 120
 
 TRX_STATS = ("min", "max", "mean", "sum", "count", "std")
 DIRECTIONS = ("incoming", "outgoing", "all")
@@ -44,6 +47,7 @@ CANONICAL_WINDOWS = (
     WindowSpec("60_90", 60, 90),
     WindowSpec("90_120", 90, 120),
 )
+HORIZON = WindowSpec("total120", 0, 120)
 
 
 def kpi_columns() -> list[str]:
@@ -58,74 +62,43 @@ def kpi_columns() -> list[str]:
     return cols
 
 
-def window_slice(dates, application_date, spec: WindowSpec):
-    """Indices of events with lo <= (application_date - date).days < hi."""
-    out = []
-    for i, d in enumerate(dates):
-        offset = (application_date - d).days
-        if spec.lo <= offset < spec.hi:
-            out.append(i)
-    return out
+def window_slice(offsets, spec: WindowSpec) -> list[int]:
+    """Indices of the day offsets (days before the application) with lo <= offset < hi."""
+    return [i for i, offset in enumerate(offsets) if spec.lo <= offset < spec.hi]
 
 
-def aggregate_transactions(amounts, stat: str, direction: str) -> float:
-    """Stat over signed amounts filtered by direction; NaN marks missing.
+def _mean_std(vals) -> tuple[float, float]:
+    """Mean and two-pass population std of a non-empty list."""
+    m = sum(vals) / len(vals)
+    return m, math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals))
 
-    count is 0 (not missing) on an empty filter; every other stat is missing.
+
+def transaction_stats(amounts) -> list[float]:
+    """The TRX_STATS of signed amounts, in that order; NaN marks missing.
+
+    count is 0 (not missing) on an empty list; every other stat is missing.
     """
-    if direction == "incoming":
-        vals = [a for a in amounts if a > 0]
-    elif direction == "outgoing":
-        vals = [a for a in amounts if a < 0]
-    else:
-        vals = list(amounts)
-    if stat == "count":
-        return float(len(vals))
-    if not vals:
-        return math.nan
-    if stat == "min":
-        return float(min(vals))
-    if stat == "max":
-        return float(max(vals))
-    if stat == "sum":
-        return float(sum(vals))
-    if stat == "mean":
-        return sum(vals) / len(vals)
-    if stat == "std":
-        m = sum(vals) / len(vals)
-        return math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals))
-    raise ValueError(f"unknown transaction stat {stat!r}")
+    if not amounts:
+        return [math.nan, math.nan, math.nan, math.nan, 0.0, math.nan]
+    mean, std = _mean_std(amounts)
+    return [float(min(amounts)), float(max(amounts)), mean, float(sum(amounts)), float(len(amounts)), std]
 
 
-def aggregate_balance(balances, stat: str) -> float:
-    """Balance stat over the window's daily series; NaN when no coverage."""
+def balance_stats(balances) -> list[float]:
+    """The BAL_STATS of a window's daily balances, in that order; all NaN when no coverage."""
     if len(balances) == 0:
-        return math.nan
+        return [math.nan] * len(BAL_STATS)
     b = [float(v) for v in balances]
-    if stat == "var":
-        return b[-1] - b[0]
-    if stat == "max_pos":
-        return max(0.0, max(b))
-    if stat == "max_neg":
-        return abs(min(0.0, min(b)))
-    if stat == "min":
-        return min(b)
-    if stat == "max":
-        return max(b)
-    if stat == "mean":
-        return sum(b) / len(b)
-    if stat == "std":
-        m = sum(b) / len(b)
-        return math.sqrt(sum((v - m) ** 2 for v in b) / len(b))
-    if stat == "slope":
-        n = len(b)
-        if n == 1:
-            return 0.0
-        t = np.arange(n, dtype=float)
+    lo, hi = min(b), max(b)
+    mean, std = _mean_std(b)
+    if len(b) == 1:
+        slope = 0.0
+    else:
+        t = np.arange(len(b), dtype=float)
         t -= t.mean()
         y = np.asarray(b)
-        return float(np.dot(t, y - y.mean()) / np.dot(t, t))
-    raise ValueError(f"unknown balance stat {stat!r}")
+        slope = float(np.dot(t, y - y.mean()) / np.dot(t, t))
+    return [b[-1] - b[0], max(0.0, hi), abs(min(0.0, lo)), lo, hi, mean, std, slope]
 
 
 @dataclass
@@ -184,29 +157,31 @@ class FeatureMatrix:
 
 
 def account_features(bundle: LedgerBundle, acc_id: str) -> list[float]:
-    outcome = bundle.outcomes[acc_id]
-    app_date = outcome.application_date
+    """The account's 106 KPIs in kpi_columns() order."""
+    app_date = bundle.outcomes[acc_id].application_date
     txns = bundle.transactions[acc_id]
     series = bundle.balances.get(acc_id)
     if series is None:
         raise DataError(f"account {acc_id}: balances not reconstructed")
+    offsets = [(app_date - t.date).days for t in txns]
+    app_day = (app_date - series.start_date).days  # the application's index in the series
     row: list[float] = []
-    txn_dates = [t.date for t in txns]
     for spec in CANONICAL_WINDOWS:
-        idx = window_slice(txn_dates, app_date, spec)
-        amounts = [txns[i].amount for i in idx]
-        for stat in TRX_STATS:
-            for direction in DIRECTIONS:
-                row.append(aggregate_transactions(amounts, stat, direction))
-        # window days, chronological: offsets hi-1 .. lo before the application
-        days = [app_date - datetime.timedelta(days=o) for o in range(spec.hi - 1, spec.lo - 1, -1)]
-        in_series = [d for d in days if series.start_date <= d <= series.end_date]
-        balances = [series.balance_on(d) for d in in_series]
-        for stat in BAL_STATS:
-            row.append(aggregate_balance(balances, stat))
-    horizon = [t for t in txns if 0 <= (app_date - t.date).days < HORIZON_DAYS]
+        amounts = [txns[i].amount for i in window_slice(offsets, spec)]
+        by_direction = (
+            transaction_stats([a for a in amounts if a > 0]),
+            transaction_stats([a for a in amounts if a < 0]),
+            transaction_stats(amounts),
+        )
+        for stat_values in zip(*by_direction):  # stat-major, as in kpi_columns()
+            row.extend(stat_values)
+        # the window's days run from hi - 1 to lo days before the application; the slice
+        # clamps them to the series (it starts at index 0, and a slice stops at its end)
+        first, stop = max(app_day - spec.hi + 1, 0), max(app_day - spec.lo + 1, 0)
+        row.extend(balance_stats(series.balances[first:stop]))
+    horizon = window_slice(offsets, HORIZON)
     row.append(float(len(horizon)))
-    row.append(float(len({t.date for t in horizon})))
+    row.append(float(len({offsets[i] for i in horizon})))
     return row
 
 

@@ -28,12 +28,13 @@ gradients with permutation-prefix models over a fixed number of blocks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..metrics import train_test_split
-from .ensemble import TreeEnsemble, check_integers, sigmoid
+from .ensemble import TreeEnsemble, check_fields, sigmoid
 from .trees import Tree, depth_first, training_side
 
 PROB_CLIP = 1e-9  # cross-entropy diverges at 0/1
@@ -58,7 +59,10 @@ class BoostConfig:
     ordered_blocks: int = 8
 
     def __post_init__(self):
-        check_integers(self, "n_rounds", "max_depth", "max_bins", "min_samples_leaf", "ordered_blocks")
+        integers = ("n_rounds", "max_depth", "max_bins", "min_samples_leaf", "patience", "ordered_blocks")
+        check_fields(self, numbers.Integral, *integers)
+        check_fields(self, numbers.Real, "learning_rate", "reg_lambda", "validation_fraction")
+        check_fields(self, bool, "ordered")
         for name in ("n_rounds", "max_depth", "max_bins", "ordered_blocks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")

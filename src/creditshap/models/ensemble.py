@@ -106,12 +106,16 @@ class TreeEnsemble:
             return cls.from_dict(json.load(fh))
 
 
-def check_integers(config, *names) -> None:
-    """Raise a ValueError naming the first of the config's fields that is not an integer."""
+FIELD_KINDS = {numbers.Integral: "an integer", numbers.Real: "a number", bool: "true or false"}
+
+
+def check_fields(config, kind, *names) -> None:
+    """Raise a ValueError naming the first of the config's fields that is not a
+    `kind` (a key of FIELD_KINDS); a bool is neither an integer nor a number here."""
     for name in names:
         value = getattr(config, name)
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+            raise ValueError(f"{name} must be {FIELD_KINDS[kind]}, not {value!r}")
 
 
 def classify(p, threshold: float = 0.5) -> np.ndarray:

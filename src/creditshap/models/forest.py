@@ -10,13 +10,14 @@ rows weigh more (`trees.training_side`).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .boosting import DEFAULT_MAX_BINS, BinnedMatrix, grow_tree
-from .ensemble import TreeEnsemble, check_integers
+from .ensemble import TreeEnsemble, check_fields
 
 
 @dataclass
@@ -28,11 +29,12 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, "n_trees", "max_depth", "min_samples_leaf")
+        check_fields(self, numbers.Integral, "n_trees", "max_depth", "min_samples_leaf")
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be at least 1, not {self.n_trees}")
-        if self.max_features != "sqrt" and not (isinstance(self.max_features, int) and self.max_features >= 1):
-            raise ValueError(f"max_features must be 'sqrt' or an integer >= 1, not {self.max_features!r}")
+        m = self.max_features
+        if m != "sqrt" and (isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1):
+            raise ValueError(f"max_features must be 'sqrt' or an integer >= 1, not {m!r}")
 
 
 def fit_random_forest(X, y, feature_names, config: ForestConfig | None = None, sample_weight=None) -> TreeEnsemble:

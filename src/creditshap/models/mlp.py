@@ -7,6 +7,7 @@ rows are scaled the same way.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from ..features import ScalerParams
 from ..metrics import roc_auc
 from .boosting import clip_proba
-from .ensemble import check_integers, sigmoid
+from .ensemble import check_fields, sigmoid
 
 
 @dataclass
@@ -29,7 +30,8 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, "batch_size", "epochs")
+        check_fields(self, numbers.Integral, "batch_size", "epochs", "patience")
+        check_fields(self, numbers.Real, "learning_rate", "momentum", "validation_fraction")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, not {self.batch_size}")
 

@@ -66,10 +66,12 @@ class PipelineConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{key} must be a number in [0, 1], not {value!r}")
-        for key, least in (("top_k", 1), ("cv_folds", 2), ("k_neighbors", 1)):
+        for key, least in (("seed", 0), ("top_k", 1), ("cv_folds", 2), ("k_neighbors", 1)):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}, not {value!r}")
+        if not isinstance(self.zero_as_missing, bool):
+            raise ConfigError(f"zero_as_missing must be true or false, not {self.zero_as_missing!r}")
 
     def hash(self) -> str:
         settings = {k: v for k, v in asdict(self).items() if k not in ("data_dir", "out_dir")}

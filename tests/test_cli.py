@@ -210,6 +210,13 @@ class TestExitCodes:
         ("top_k", "0"),
         ("k_neighbors", "0"),
         ("k_neighbors", "1.5"),
+        ("seed", '"abc"'),
+        ("seed", "1.5"),
+        ("seed", "-1"),
+        ("seed", "true"),
+        ("zero_as_missing", '"abc"'),
+        ("zero_as_missing", "1"),
+        ("zero_as_missing", "null"),
     ])
     def test_bad_selection_or_cv_setting_is_config_error(self, key, value, ledger_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -218,6 +225,12 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not out.exists()  # no stage ran
+
+    def test_negative_seed_flag_is_config_error(self, ledger_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("report", "--data", str(ledger_dir), "--out", str(out), "--seed", "-1") == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_forest_without_trees_is_compute_error(self, ledger_dir, tmp_path, capsys):
         # the forest without trees, and counts that are not integers or are too small
@@ -234,6 +247,20 @@ class TestExitCodes:
             ("oblivious_boosting", "ordered_blocks", "0"),
             ("mlp", "batch_size", "0"),
             ("mlp", "epochs", "1.5"),
+            # values of the wrong type: a non-number for a real field, a non-bool flag, a bool count
+            ("gradient_boosting", "learning_rate", '"x"'),
+            ("oblivious_boosting", "reg_lambda", "null"),
+            ("oblivious_boosting", "validation_fraction", '"0.1"'),
+            ("oblivious_boosting", "ordered", '"no"'),
+            ("oblivious_boosting", "ordered", "1"),
+            ("oblivious_boosting", "n_rounds", "true"),
+            ("gradient_boosting", "patience", "2.5"),
+            ("random_forest", "max_features", "true"),
+            ("random_forest", "max_depth", "false"),
+            ("mlp", "learning_rate", '"x"'),
+            ("mlp", "momentum", "null"),
+            ("mlp", "validation_fraction", '"x"'),
+            ("mlp", "epochs", "true"),
         ]):
             out = tmp_path / f"out{i}"
             rc = run(
