@@ -8,22 +8,24 @@ per-node feature draw; a level searches only the features its nodes drew)
 fit g = -w·y, h = w with no regularisation.
 It takes the features a group at a time, in order of threshold count, and
 scores every threshold of a group with one `bincount` pair, one `cumsum`
-and one pass of the gain formula over (nodes × features × bins) arrays.
+and one pass of the gain formula over (nodes × features × bins) arrays;
+a node's totals are that `cumsum` read at the feature's last real bin.
 LEVEL_BLOCK_ELEMENTS bounds both a group's histograms and its (rows ×
 features) keys, so the search builds no array as large as the matrix.
-Every sum is taken in the order a per-feature histogram would take it, so
-the gains, and with them the splits, do not depend on the grouping.  A
-plain tree gives each node its own best split, an oblivious tree sums the
-gains over its nodes and takes one split for the level, scoring only the
-nodes that hold rows (an empty node's gains are exactly 0.0, and the sums
-are taken as if its zeros were there); equal gains go to the lowest
-feature index.  Plain trees honour `min_samples_leaf` (every leaf keeps at
-least that many training rows); oblivious trees ignore it, as CatBoost's
-SymmetricTree growth does.  NaN rows take the larger-cover side, as at
-prediction (`trees.training_side`), so the growers return each training
-row's leaf.  Pseudo-residuals are p - y in margin space; leaf values take
-one damped Newton step.  Optional ordered mode approximates per-individual
-gradients with permutation-prefix models over a fixed number of blocks.
+Every sum is taken in the order one feature's own histogram (rows, then
+bins, in order) would take it, so the gains, and with them the splits, do
+not depend on the grouping.  A plain tree gives each node its own best
+split, an oblivious tree sums the gains over its nodes and takes one split
+for the level, scoring only the nodes that hold rows (an empty node's
+gains are exactly 0.0, and the sums are taken as if its zeros were there);
+equal gains go to the lowest feature index.  Plain trees honour
+`min_samples_leaf` (every leaf keeps at least that many training rows);
+oblivious trees ignore it, as CatBoost's SymmetricTree growth does.  NaN
+rows take the larger-cover side, as at prediction (`trees.training_side`),
+so the growers return each training row's leaf.  Pseudo-residuals are
+p - y in margin space; leaf values take one damped Newton step.  Optional
+ordered mode approximates per-individual gradients with permutation-prefix
+models over a fixed number of blocks.
 """
 
 from __future__ import annotations
@@ -66,12 +68,11 @@ class BoostConfig:
         for name in ("n_rounds", "max_depth", "max_bins", "ordered_blocks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.reg_lambda <= 0:
-            raise ValueError("reg_lambda must be positive")
+        for name in ("learning_rate", "reg_lambda"):
+            if not getattr(self, name) > 0:  # NaN fails this too
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
         if not 0.0 <= self.validation_fraction <= 0.5:
-            raise ValueError("validation fraction must lie in [0, 0.5]")
+            raise ValueError(f"validation_fraction must lie in [0, 0.5], not {self.validation_fraction}")
 
 
 def clip_proba(p):
@@ -99,40 +100,53 @@ def logit(p: float) -> float:
     return float(np.log(p / (1.0 - p)))
 
 
+def sort_columns(X):
+    """X's columns sorted, NaN last, and each column's count of finite values."""
+    return np.sort(X, axis=0), len(X) - np.count_nonzero(np.isnan(X), axis=0)
+
+
+def quantile_edges(S, finite, cols, n_bins) -> dict[int, np.ndarray]:
+    """np.unique(np.quantile(v, inner levels)) of each column j in cols, v
+    being its finite[j] > 0 finite values, from `sort_columns`: one
+    `np.quantile` per finite count.  The one quantile rule, for the tree
+    bins and `logistic.quantile_bin`."""
+    levels = np.linspace(0, 1, n_bins + 1)[1:-1]
+    edges = {}
+    for m in np.unique(finite[cols]).tolist():
+        group = cols[finite[cols] == m]
+        for j, q in zip(group.tolist(), np.quantile(S[:m, group], levels, axis=0).T):
+            edges[j] = np.unique(q)
+    return edges
+
+
 class BinnedMatrix:
     """Per-feature quantile thresholds and integer codes for histogram splits.
 
-    code = number of thresholds <= x, so the split "x < T[j]" keeps codes
-    <= j on the left.  NaNs get the code n_thresholds + 1, a bin of their
-    own that no split statistic reads.  `search_order` lists the splittable
-    features by threshold count (stable), the order `_level_gains` groups
-    them in.
+    Thresholds come from one sort of the columns: the midpoints between a
+    feature's distinct finite values, or `quantile_edges` when it has more
+    than max_bins + 1.  code = number of thresholds <= x, so the split
+    "x < T[j]" keeps codes <= j on the left.  NaNs get the code n_thresholds
+    + 1, a bin of their own that no split statistic reads.  `search_order`
+    lists the splittable features by threshold count (stable), the order
+    `_level_gains` groups them in.
     """
 
     def __init__(self, X: np.ndarray, max_bins: int = DEFAULT_MAX_BINS):
         X = np.asarray(X, dtype=float)
         self.n, self.p = X.shape
-        self.thresholds: list[np.ndarray] = []
-        codes = np.empty((self.n, self.p), dtype=np.int32, order="F")  # a feature's codes are contiguous
-        for j in range(self.p):
-            col = X[:, j]
-            finite = col[~np.isnan(col)]
-            uniq = np.unique(finite)
-            if uniq.size > 1:
-                if uniq.size - 1 <= max_bins:
-                    t = (uniq[1:] + uniq[:-1]) / 2.0
-                else:
-                    qs = np.quantile(finite, np.linspace(0, 1, max_bins + 1)[1:-1])
-                    t = np.unique(qs)
-            else:
-                t = np.empty(0)
-            self.thresholds.append(t)
-            c = np.searchsorted(t, col, side="right")
-            c[np.isnan(col)] = len(t) + 1
-            codes[:, j] = c
-        self.codes = codes
+        S, finite = sort_columns(X)
+        # a column's distinct finite values start where its sorted values change
+        change = (S[1:] != S[:-1]) & (np.arange(self.n - 1)[:, None] < finite - 1)
+        many = np.flatnonzero(change.sum(axis=0) > max_bins)  # more than max_bins + 1 distinct values
+        quantiled = quantile_edges(S, finite, many, max_bins)
+        midpoints = (S[1:] + S[:-1]) / 2.0  # between a run's last value and the next run's first
+        self.thresholds: list[np.ndarray] = [quantiled.get(j, midpoints[change[:, j], j]) for j in range(self.p)]
         self.n_thresholds = np.asarray([len(t) for t in self.thresholds], dtype=np.int64)
         self.nan_code = self.n_thresholds + 1
+        self.codes = np.empty((self.n, self.p), dtype=np.int32, order="F")  # a feature's codes are contiguous
+        for j, t in enumerate(self.thresholds):
+            self.codes[:, j] = np.searchsorted(t, X[:, j], side="right")
+        np.copyto(self.codes, self.nan_code, where=np.isnan(X))
         splittable = np.flatnonzero(self.n_thresholds)
         self.search_order = splittable[np.argsort(self.n_thresholds[splittable], kind="stable")]
 
@@ -155,14 +169,11 @@ def _groups(binned, order, n_nodes, n_rows):
         start = stop
 
 
-def _bin_sums(hist, counts):
-    """Each slot's sum over its own real bins (counts[s] + 1 of them), one
-    pairwise `.sum` per run of equal counts: the floats of `hist[:, s, :nb].sum(axis=1)`."""
-    total = np.empty(hist.shape[:2] + (1,), dtype=hist.dtype)
-    bounds = np.flatnonzero(np.diff(counts)) + 1
-    for s0, s1 in zip([0, *bounds], [*bounds, len(counts)]):
-        total[:, s0:s1, 0] = hist[:, s0:s1, : counts[s0] + 1].sum(axis=2)
-    return total
+def _prefix_sums(hist, counts):
+    """Each slot's running sums at its thresholds, and its total: the same
+    `cumsum` read at its last real bin (slot s has counts[s] + 1)."""
+    run = np.cumsum(hist[:, :, :-1], axis=2)
+    return run[:, :, :-1], run[:, np.arange(len(counts)), counts][:, :, None]
 
 
 def _den(H, reg):
@@ -207,16 +218,12 @@ def _level_gains(binned, rows, node, n_nodes, g, h, reg, min_leaf, oblivious, fe
         size = n_nodes * k * W
         gh = np.bincount(key, weights=np.tile(g, k), minlength=size).reshape(n_nodes, k, W)
         hh = np.bincount(key, weights=np.tile(h, k), minlength=size).reshape(n_nodes, k, W)
-        G, H = _bin_sums(gh, counts), _bin_sums(hh, counts)
-        gl = np.cumsum(gh[:, :, :-2], axis=2)
-        hl = np.cumsum(hh[:, :, :-2], axis=2)
+        (gl, G), (hl, H) = _prefix_sums(gh, counts), _prefix_sums(hh, counts)
         with np.errstate(divide="ignore", invalid="ignore"):  # past a feature's thresholds the NaN bin joins in
             gains = gl**2 / _den(hl, reg) + (G - gl) ** 2 / _den(H - hl, reg) - G**2 / _den(H, reg)
         valid = np.arange(W - 2) < np.asarray(counts)[:, None]
         if min_leaf > 0:
-            ch = np.bincount(key, minlength=size).reshape(n_nodes, k, W)
-            nl = np.cumsum(ch[:, :, :-2], axis=2)
-            N = _bin_sums(ch, counts)
+            nl, N = _prefix_sums(np.bincount(key, minlength=size).reshape(n_nodes, k, W), counts)
             valid = valid & (nl >= min_leaf) & (N - nl >= min_leaf)
         gains = np.where(valid, gains, -np.inf)
         if oblivious:

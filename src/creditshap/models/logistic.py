@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boosting import quantile_edges, sort_columns
 from .ensemble import sigmoid
 
 RIDGE = 1e-6  # damping on non-intercept terms keeps the Hessian invertible
@@ -113,17 +114,11 @@ class BinningMap:
 
 
 def quantile_bin(X, n_bins: int = 10, feature_names=None) -> BinningMap:
-    """Fit per-column equal-frequency bin edges on training data."""
+    """Fit per-column equal-frequency bin edges on training data (`boosting.quantile_edges`)."""
     X = np.asarray(X, dtype=float)
-    edges = []
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        finite = col[~np.isnan(col)]
-        if finite.size == 0:
-            edges.append(np.empty(0))
-            continue
-        qs = np.quantile(finite, np.linspace(0, 1, n_bins + 1)[1:-1])
-        edges.append(np.unique(qs))
+    S, finite = sort_columns(X)
+    found = quantile_edges(S, finite, np.flatnonzero(finite), n_bins)
+    edges = [found.get(j, np.empty(0)) for j in range(X.shape[1])]
     names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(X.shape[1])]
     return BinningMap(edges, names)
 

@@ -34,6 +34,17 @@ class MlpConfig:
         check_fields(self, numbers.Real, "learning_rate", "momentum", "validation_fraction")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, not {self.batch_size}")
+        layers = self.hidden_layers  # none at all is logistic regression
+        if not isinstance(layers, (list, tuple)) or not all(
+            isinstance(u, numbers.Integral) and not isinstance(u, bool) and u >= 1 for u in layers
+        ):
+            raise ValueError(f"hidden_layers must be a list of integers >= 1, not {layers!r}")
+        if not self.learning_rate > 0:  # NaN fails this and the range checks below
+            raise ValueError(f"learning_rate must be positive, not {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), not {self.momentum}")
+        if not 0.0 <= self.validation_fraction <= 0.5:
+            raise ValueError(f"validation_fraction must lie in [0, 0.5], not {self.validation_fraction}")
 
 
 def _relu(z):

@@ -20,7 +20,62 @@ from creditshap.models.boosting import (
 )
 from creditshap.models.ensemble import TreeEnsemble, classify, sigmoid
 from creditshap.models.forest import ForestConfig, fit_random_forest
+from creditshap.models.logistic import quantile_bin
 from creditshap.models.trees import Tree, _node_depths, depth_first, stack
+
+
+def per_column_bins(X, max_bins):
+    """Reference for BinnedMatrix: each column's thresholds (midpoints of its
+    distinct finite values, or the distinct inner quantiles when it has more
+    than max_bins + 1 of them) and codes, one column at a time."""
+    thresholds, codes = [], np.empty(X.shape, dtype=np.int32)
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        finite = col[~np.isnan(col)]
+        uniq = np.unique(finite)
+        if uniq.size > 1:
+            if uniq.size - 1 <= max_bins:
+                t = (uniq[1:] + uniq[:-1]) / 2.0
+            else:
+                t = np.unique(np.quantile(finite, np.linspace(0, 1, max_bins + 1)[1:-1]))
+        else:
+            t = np.empty(0)
+        thresholds.append(t)
+        c = np.searchsorted(t, col, side="right")
+        c[np.isnan(col)] = len(t) + 1
+        codes[:, j] = c
+    return thresholds, codes
+
+
+def per_column_quantile_edges(X, n_bins):
+    """Reference for logistic.quantile_bin's edges, one column at a time."""
+    edges = []
+    for j in range(X.shape[1]):
+        finite = X[~np.isnan(X[:, j]), j]
+        qs = np.quantile(finite, np.linspace(0, 1, n_bins + 1)[1:-1]) if finite.size else np.empty(0)
+        edges.append(np.unique(qs))
+    return edges
+
+
+def binning_matrix(seed, n=300):
+    """Columns for the binning oracles: with no NaN, a NaN share of 0.3 and
+    all NaN; continuous, with more than 64, between 8 and 64 and under 8
+    distinct values, exactly max_bins + 1 or + 2 of them for max_bins 8 and
+    64, constant, and one finite value; finite counts that differ from
+    column to column and a group of columns that share one."""
+    rng = np.random.default_rng(seed)
+    full = np.column_stack([
+        rng.normal(size=n), rng.exponential(size=n) * 1e3,
+        rng.integers(0, 200, n), rng.integers(0, 40, n), rng.integers(0, 5, n), np.full(n, 2.5),
+        *(rng.permutation(np.arange(n) % k) for k in (9, 10, 65, 66)),
+    ])
+    holed = full.copy()
+    holed[rng.random(full.shape) < 0.3] = np.nan
+    shared = full[:, :4].copy()
+    shared[rng.random(n) < 0.3] = np.nan
+    single = np.full((n, 2), np.nan)
+    single[7, 0] = 1.0
+    return np.column_stack([full, holed, shared, single])
 
 
 def naive_leaf(tree, x):
@@ -59,16 +114,7 @@ def per_node_tree(binned, rows, g, h, w, config):
         for j, t in enumerate(binned.thresholds):
             if len(t) == 0:
                 continue
-            c = binned.codes[r, j]
-            valid = c <= len(t)
-            gh, hh, ch = (
-                np.bincount(c[valid], weights=v, minlength=len(t) + 1)
-                for v in (g[r][valid], h[r][valid], None)
-            )
-            G, H, N = gh.sum(), hh.sum(), ch.sum()
-            gl, hl, nl = np.cumsum(gh)[:-1], np.cumsum(hh)[:-1], np.cumsum(ch)[:-1]
-            gains = gl**2 / (hl + reg) + (G - gl) ** 2 / (H - hl + reg) - G**2 / (H + reg)
-            gains[(nl < min_leaf) | (N - nl < min_leaf)] = -np.inf
+            gains = node_gains(binned.codes[r, j], len(t), g[r], h[r], reg, min_leaf)
             t_idx = int(np.argmax(gains))
             if gains[t_idx] > max(1e-12, best[2] if best else 0.0):
                 best = (j, t_idx, gains[t_idx])
@@ -96,15 +142,50 @@ def per_node_tree(binned, rows, g, h, w, config):
     return tree_from_nodes(nodes)
 
 
-def node_gains(c, n_thresholds, g, h, reg, min_leaf=0):
-    """One node's Newton gain at each threshold, from its own histogram; NaN codes are left out."""
+def running_total(v):
+    """A histogram's total as the grower takes it: the last of its running sums."""
+    return np.cumsum(v)[-1]
+
+
+def node_gains(c, n_thresholds, g, h, reg, min_leaf=0, total=running_total):
+    """One node's Newton gain at each threshold, from its own histogram; NaN
+    codes are left out.  total sums a histogram (np.sum: the pairwise order)."""
     valid = c <= n_thresholds
     gh, hh, ch = (np.bincount(c[valid], weights=v, minlength=n_thresholds + 1) for v in (g[valid], h[valid], None))
-    G, H, N = gh.sum(), hh.sum(), ch.sum()
+    G, H, N = total(gh), total(hh), total(ch)
     gl, hl, nl = np.cumsum(gh)[:-1], np.cumsum(hh)[:-1], np.cumsum(ch)[:-1]
     gains = gl**2 / (hl + reg) + (G - gl) ** 2 / (H - hl + reg) - G**2 / (H + reg)
     gains[(nl < min_leaf) | (N - nl < min_leaf)] = -np.inf
     return gains
+
+
+def oblivious_level(binned, leaf, n_nodes, g, h, reg, total=running_total):
+    """Each splittable feature's gains at one oblivious level, summed over
+    its nodes (one histogram each), and the first strictly best (feature,
+    threshold index), None when no gain exceeds 1e-12."""
+    gains, best = {}, None
+    for j, t in enumerate(binned.thresholds):
+        if len(t) == 0:
+            continue
+        c = binned.codes[:, j]
+        per_node = [node_gains(c[leaf == k], len(t), g[leaf == k], h[leaf == k], reg, total=total) for k in range(n_nodes)]
+        gains[j] = np.sum(per_node, axis=0)
+        t_idx = int(np.argmax(gains[j]))
+        if gains[j][t_idx] > max(1e-12, gains[best[0]][best[1]] if best else 0.0):
+            best = (j, t_idx)
+    return gains, best
+
+
+def oblivious_step(binned, leaf, n_nodes, j, t_idx, w):
+    """Leaf codes after splitting every node at (j, t_idx): node by node, NaN
+    joins the side whose known rows weigh more, ties left."""
+    c = binned.codes[:, j]
+    nan = c == binned.nan_code[j]
+    left = c <= t_idx
+    for k in range(n_nodes):
+        at = leaf == k
+        left[at & nan] = w[at & left & ~nan].sum() >= w[at & ~left & ~nan].sum()
+    return leaf * 2 + ~left
 
 
 def per_level_oblivious_tree(binned, g, h, w, config):
@@ -115,27 +196,12 @@ def per_level_oblivious_tree(binned, g, h, w, config):
     leaf = np.zeros(binned.n, dtype=np.int64)
     levels = []
     for depth in range(config.max_depth):
-        best = None
-        for j, t in enumerate(binned.thresholds):
-            if len(t) == 0:
-                continue
-            c = binned.codes[:, j]
-            per_node = [node_gains(c[leaf == k], len(t), g[leaf == k], h[leaf == k], reg) for k in range(1 << depth)]
-            gains = np.sum(per_node, axis=0)
-            t_idx = int(np.argmax(gains))
-            if gains[t_idx] > max(1e-12, best[2] if best else 0.0):
-                best = (j, t_idx, gains[t_idx])
+        _, best = oblivious_level(binned, leaf, 1 << depth, g, h, reg)
         if best is None:
             break
-        j, t_idx, _ = best
-        c = binned.codes[:, j]
-        nan = c == binned.nan_code[j]
-        left = c <= t_idx
-        for k in range(1 << depth):  # node by node, NaN joins the side whose known rows weigh more, ties left
-            at = leaf == k
-            left[at & nan] = w[at & left & ~nan].sum() >= w[at & ~left & ~nan].sum()
+        j, t_idx = best
         levels.append((j, float(binned.thresholds[j][t_idx])))
-        leaf = leaf * 2 + ~left
+        leaf = oblivious_step(binned, leaf, 1 << depth, j, t_idx, w)
     gs, hs, ws = (np.bincount(leaf, weights=v, minlength=1 << len(levels)) for v in (g, h, w))
     return symmetric_tree(levels, -gs / (hs + reg), ws)
 
@@ -209,6 +275,27 @@ class TestBinnedMatrix:
         X = np.array([[1.0], [2.0], [np.nan]])
         binned = BinnedMatrix(X)
         assert binned.codes[2, 0] == len(binned.thresholds[0]) + 1
+
+    @pytest.mark.parametrize("max_bins", [8, 64])
+    def test_matches_the_per_column_loop(self, max_bins):
+        for seed in range(3):
+            X = binning_matrix(seed)
+            binned = BinnedMatrix(X, max_bins)
+            thresholds, codes = per_column_bins(X, max_bins)
+            assert len(binned.thresholds) == len(thresholds)
+            for ours, ref in zip(binned.thresholds, thresholds):
+                assert np.array_equal(ours, ref)
+            assert np.array_equal(binned.codes, codes)
+            assert binned.codes.flags.f_contiguous
+
+    @pytest.mark.parametrize("n_bins", [8, 10, 64])
+    def test_quantile_bin_matches_the_per_column_loop(self, n_bins):
+        for seed in range(3):
+            X = binning_matrix(seed)
+            edges = quantile_bin(X, n_bins).edges
+            assert len(edges) == X.shape[1]
+            for ours, ref in zip(edges, per_column_quantile_edges(X, n_bins)):
+                assert np.array_equal(ours, ref)
 
 
 class TestGradientBoosting:
@@ -392,6 +479,37 @@ class TestGradientBoosting:
             assert t[j] == np.argmax(total)
             assert gain[j].tobytes() == total[t[j]].tobytes()
 
+    def test_running_totals_move_splits_only_at_ties(self):
+        # the pairwise node totals (np.sum) the level search took before, kept
+        # as a second oracle: along growths that follow the running totals (as
+        # grow_oblivious_tree does), wherever the two orders pick different
+        # splits, the picks tie in pairwise arithmetic.  A base column's
+        # coarsened copies split some rows exactly as it does, over fewer
+        # bins, so ties that rounding breaks are common
+        moved = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            base = rng.integers(0, 30, (400, 3)).astype(float)
+            p = 0.2 + 0.5 * (base[:, 0] < 6) + 0.3 * (base[:, 1] > 22) - 0.15 * (base[:, 2] < 9)
+            y = (rng.random(400) < p).astype(int)
+            base[rng.random(base.shape) < 0.1] = np.nan
+            binned = BinnedMatrix(np.column_stack([base, np.minimum(base, 12), np.maximum(base, 18)]), max_bins=64)
+            w = np.ones(400)
+            g, h = grad_hess(y, np.full(400, 0.3), w)
+            code = np.zeros(400, dtype=np.int64)
+            for depth in range(6):
+                _, pick = oblivious_level(binned, code, 1 << depth, g, h, 1.0)
+                pairwise, pairwise_pick = oblivious_level(binned, code, 1 << depth, g, h, 1.0, total=np.sum)
+                assert (pick is None) == (pairwise_pick is None)
+                if pick is None:
+                    break
+                if pick != pairwise_pick:
+                    moved += 1
+                    a, b = pairwise[pick[0]][pick[1]], pairwise[pairwise_pick[0]][pairwise_pick[1]]
+                    assert abs(a - b) <= 1e-12 * abs(b)
+                code = oblivious_step(binned, code, 1 << depth, *pick, w)
+        assert moved > 0
+
     @pytest.mark.parametrize("min_leaf", [1, 7, 40])
     def test_every_leaf_holds_min_samples_leaf(self, min_leaf):
         X, y = dataset(12, n=300)  # complete rows: training and prediction route alike
@@ -410,7 +528,7 @@ class TestGradientBoosting:
         expect = logit(float(np.average(y, weights=w)))
         assert model.base_score == pytest.approx(expect, abs=1e-12)
 
-    @pytest.mark.parametrize("reg_lambda", [0.0, -1.0])
+    @pytest.mark.parametrize("reg_lambda", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_reg_lambda(self, reg_lambda):
         # lambda = 0 makes an empty side's gain 0/0, and a NaN gain loses every comparison
         with pytest.raises(ValueError, match="reg_lambda"):

@@ -261,6 +261,20 @@ class TestExitCodes:
             ("mlp", "momentum", "null"),
             ("mlp", "validation_fraction", '"x"'),
             ("mlp", "epochs", "true"),
+            # NaN passes every `<=` test; ranges, and a layer list that is not one
+            ("gradient_boosting", "learning_rate", "NaN"),
+            ("oblivious_boosting", "reg_lambda", "NaN"),
+            ("oblivious_boosting", "validation_fraction", "NaN"),
+            ("mlp", "learning_rate", "NaN"),
+            ("mlp", "learning_rate", "0"),
+            ("mlp", "momentum", "-5"),
+            ("mlp", "momentum", "1"),
+            ("mlp", "validation_fraction", "0.9"),
+            ("mlp", "hidden_layers", '"x"'),
+            ("mlp", "hidden_layers", "[8, 0]"),
+            ("mlp", "hidden_layers", "[8, 2.5]"),
+            ("mlp", "hidden_layers", "8"),
+            ("mlp", "hidden_layers", "[true]"),
         ]):
             out = tmp_path / f"out{i}"
             rc = run(
