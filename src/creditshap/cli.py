@@ -140,7 +140,12 @@ def cmd_grid(config: PipelineConfig, args) -> int:
 
 def cmd_explain(config: PipelineConfig, args) -> int:
     matrix = _working_matrix(config)
-    ensemble = TreeEnsemble.load(_artifact(config, "model.json", "train"))
+    path = _artifact(config, "model.json", "train")
+    ensemble = TreeEnsemble.load(path)
+    if ensemble.feature_names != matrix.columns:
+        raise DataError(
+            f"{path} was fitted on other columns ({ensemble.n_features}) than the {len(matrix.columns)} this config selects; rerun train"
+        )
     _, medians = median_impute(matrix.values)
     fitted = FittedModel(ModelSpec(config.model), ensemble, medians)
     row_id = args.row or matrix.row_ids[0]

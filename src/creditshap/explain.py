@@ -5,13 +5,20 @@ feature inside the coalition follows x; outside it, both children are
 taken weighted by training cover.  Two routes compute the same values:
 a 2^m subset enumeration (oracle, small m only) and `shap_matrix`, which
 cuts the stack of all trees that `TreeEnsemble.margin` routes rows through
-(`trees.stack`) into a table of root-to-leaf paths (GPUTreeShap, Mitchell
+(`trees.stack`) into tables of root-to-leaf paths (GPUTreeShap, Mitchell
 et al. 2020) and scores each path as a product game over its distinct
 features with numpy, rows and paths in bounded chunks.  Every
 other entry point (`tree_shap`, `waterfall_data`) goes through
 `shap_matrix`.  Attributions live in margin space (log-odds for the
 boosters, probability for the forest), where the additive decomposition
 is exact.
+
+The stack, the path tables and the baseline are built once per ensemble
+and kept in its memo (`TreeEnsemble.prepared`), which every later call
+reads.  The tables keep 26 bytes per path edge (four int32 index arrays,
+the float64 zero-fractions and two flags) and 8 per path: about 5.3 MB for
+the default 500-round depth-6 oblivious model (32 000 paths of 6 edges),
+beside the stack's 48 bytes per node (3.0 MB).
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models.ensemble import TreeEnsemble
-from .models.trees import Tree, stack
+from .models.ensemble import CHUNK_ELEMENTS, TreeEnsemble
+from .models.trees import Tree
 
 BRUTE_FORCE_MAX_FEATURES = 20
 
@@ -168,13 +175,6 @@ def brute_force_shapley(evaluator: CoalitionEvaluator, x) -> ShapValues:
     return ShapValues(baseline, phi, float(e.margin(x)[0]), x, list(e.feature_names))
 
 
-# Largest number of float64 elements any one temporary of shap_matrix may
-# hold.  Path tables are built for batches of leaves and meet the rows in
-# chunks that respect it, so only the stacked node arrays grow with the
-# ensemble.
-SHAP_CHUNK_ELEMENTS = 1 << 14
-
-
 class _PathTable:
     """The root-to-leaf paths of some leaves of a stacked forest as rows of E =
     depth edges, leaf first; shorter paths end in padding edges.  A path's
@@ -191,20 +191,21 @@ class _PathTable:
             child = np.where(parent[child] >= 0, parent[child], child)
         node, child = (np.column_stack(a) for a in zip(*edges))
         self.pad = node < 0
-        self.node = node = np.where(self.pad, 0, node)
+        self.node = node = np.where(self.pad, 0, node).astype(np.int32)  # the kept index arrays are int32
         self.goes_left = f.left[node] == child
-        self.split = np.where(self.pad, -1, f.feature[node])  # padding reads column -1, masked by pad
+        self.split = np.where(self.pad, -1, f.feature[node]).astype(np.int32)  # padding reads column -1, masked by pad
         cover = f.cover[node]  # a zero-cover node passes on ratio 0, padding 1
         ratio = np.divide(f.cover[child], cover, out=np.where(self.pad, 1.0, 0.0), where=~self.pad & (cover > 0))
         P, E = node.shape
-        self.slot = np.broadcast_to(np.arange(E), (P, E))
+        slot = np.broadcast_to(np.arange(E, dtype=np.int32), (P, E))
         for e in range(E - 1, -1, -1):  # ends at each feature's first edge
-            self.slot = np.where(self.split == self.split[:, e : e + 1], e, self.slot)
+            slot = np.where(self.split == self.split[:, e : e + 1], np.int32(e), slot)
+        self.slot = slot
         self.zero = np.ones((P, E))  # per slot: the product of its edges' cover ratios
         for e in range(E):
-            self.zero[np.arange(P), self.slot[:, e]] *= ratio[:, e]
-        opens = (self.slot == np.arange(E)) & ~self.pad
-        self.feature = np.where(opens, self.split, ensemble.n_features)  # the slot's feature, or a spare column
+            self.zero[np.arange(P), slot[:, e]] *= ratio[:, e]
+        opens = (slot == np.arange(E)) & ~self.pad
+        self.feature = np.where(opens, self.split, np.int32(ensemble.n_features))  # the slot's feature, or a spare column
         self.value = ensemble.learning_rate * f.value[leaves]
         # Gauss-Legendre nodes and weights on [0, 1], exact to degree E-1 (Golub-Welsch)
         k = np.arange(1, (E + 1) // 2)
@@ -238,43 +239,50 @@ class _PathTable:
         return self.value[:, None] * gain * (self.w @ before)
 
 
+def _path_tables(ensemble: TreeEnsemble) -> list[_PathTable]:
+    """The path tables of the ensemble's stacked forest, kept in its Prepared
+    memo: built on the first call, one per batch of leaves whose temporaries
+    fit CHUNK_ELEMENTS, and read by every later one."""
+    prep = ensemble.prepared()
+    if prep.tables is None:
+        if any(t.cover.sum() == 0 for t in prep.trees):
+            raise ValueError("trees need training cover counts")
+        prep.tables = []
+        forest = prep.forest
+        if forest is not None:
+            internal = np.nonzero(forest.feature >= 0)[0]
+            parent = np.full(forest.n_nodes, -1)
+            parent[forest.left[internal]] = parent[forest.right[internal]] = internal
+            leaves = np.nonzero((forest.feature < 0) & (parent >= 0))[0]  # a root leaf attributes nothing
+            E, up = 0, parent[leaves]
+            while up.size:  # one step up every path at once
+                E, up = E + 1, parent[up]
+                up = up[up >= 0]
+            batch = max(1, CHUNK_ELEMENTS // max(1, E * ((E + 1) // 2)))  # a path's temporaries hold E x ceil(E / 2) quadrature nodes
+            prep.tables = [_PathTable(ensemble, forest, parent, leaves[b : b + batch]) for b in range(0, len(leaves), batch)]
+    return prep.tables
+
+
 def shap_matrix(ensemble: TreeEnsemble, X) -> np.ndarray:
     """(rows x features) path-dependent TreeSHAP of every row of X, in margin space."""
-    X = np.asarray(X, dtype=float)
+    X = ensemble._check_schema(X)
     p = ensemble.n_features
-    if any(t.cover.sum() == 0 for t in ensemble.trees):
-        raise ValueError("trees need training cover counts")
     phi = np.zeros((len(X), p + 1))  # column p collects the null slots
-    if len(X) and ensemble.trees:
-        forest = stack(ensemble.trees)[0]
-        internal = np.nonzero(forest.feature >= 0)[0]
-        parent = np.full(forest.n_nodes, -1)
-        parent[forest.left[internal]] = parent[forest.right[internal]] = internal
-        leaves = np.nonzero((forest.feature < 0) & (parent >= 0))[0]  # a root leaf attributes nothing
-        E, up = 0, parent[leaves]
-        while up.size:  # one step up every path at once
-            E, up = E + 1, parent[up]
-            up = up[up >= 0]
-        batch = max(1, SHAP_CHUNK_ELEMENTS // max(1, E * ((E + 1) // 2)))  # a path's temporaries hold E x ceil(E / 2) quadrature nodes
-        for b in range(0, len(leaves), batch):
-            table = _PathTable(ensemble, forest, parent, leaves[b : b + batch])
-            rows_per = max(1, SHAP_CHUNK_ELEMENTS // (table.slot.size * len(table.t)))
-            for r in range(0, len(X), rows_per):
-                rows = X[r : r + rows_per]
-                at = np.arange(len(rows))[:, None, None] * (p + 1)
-                flat = np.bincount((at + table.feature).ravel(), table.shap(rows).ravel(), len(rows) * (p + 1))
-                phi[r : r + len(rows)] += flat.reshape(len(rows), p + 1)
+    for table in _path_tables(ensemble):
+        rows_per = max(1, CHUNK_ELEMENTS // (table.slot.size * len(table.t)))
+        for r in range(0, len(X), rows_per):
+            rows = X[r : r + rows_per]
+            at = np.arange(len(rows))[:, None, None] * (p + 1)
+            flat = np.bincount((at + table.feature).ravel(), table.shap(rows).ravel(), len(rows) * (p + 1))
+            phi[r : r + len(rows)] += flat.reshape(len(rows), p + 1)
     return phi[:, :p]
 
 
 def tree_shap(ensemble: TreeEnsemble, x) -> ShapValues:
     """TreeSHAP of one row, with the baseline and the model's margin."""
     x = np.asarray(x, dtype=float)
-    baseline = ensemble.base_score
-    for tree in ensemble.trees:
-        baseline += ensemble.learning_rate * tree.expected_value()
     phi = shap_matrix(ensemble, x[None])[0]
-    return ShapValues(baseline, phi, float(ensemble.margin(x)[0]), x, list(ensemble.feature_names))
+    return ShapValues(ensemble.prepared().baseline, phi, float(ensemble.margin(x)[0]), x, list(ensemble.feature_names))
 
 
 @dataclass

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -14,11 +15,42 @@ ENSEMBLE_KINDS = ("random_forest", "gradient_boosting", "oblivious_boosting")
 
 FORMAT_VERSION = 1
 
+# Largest number of elements any one temporary of `TreeEnsemble.margin` or
+# `explain.shap_matrix` may hold: margin routes rows in chunks of
+# CHUNK_ELEMENTS // trees, and shap_matrix cuts its path tables and row
+# chunks to it.  Only what an ensemble's Prepared memo keeps grows with the
+# ensemble (see `explain`).
+CHUNK_ELEMENTS = 1 << 14
+
 
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+class Prepared:
+    """An ensemble's trees made ready to route and explain, built once and
+    read by every later call: the stack of all trees and its roots, the
+    TreeSHAP baseline, and the path tables, which `explain.shap_matrix`
+    builds (checking the trees' cover) on its first call.
+    `TreeEnsemble.prepared` keys it on the trees' identity and order and on
+    the fields these values read; a tree is not changed in place once it is
+    in an ensemble."""
+
+    def __init__(self, trees: list[Tree], key: tuple):
+        self.key, self.trees = key, list(trees)  # holding the trees keeps their ids out of reuse
+        _, self.learning_rate, _, self.base_score = key
+        self.forest, self.roots = stack(self.trees) if self.trees else (None, None)
+        self.tables = None  # explain.shap_matrix's path tables
+
+    @cached_property
+    def baseline(self) -> float:
+        """phi_0 of TreeSHAP: base_score plus lr * each tree's expected value, in tree order."""
+        total = self.base_score
+        for tree in self.trees:
+            total += self.learning_rate * tree.expected_value()
+        return total
 
 
 @dataclass
@@ -29,6 +61,7 @@ class TreeEnsemble:
     learning_rate: float
     trees: list[Tree] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    _prepared: Prepared | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
@@ -48,19 +81,33 @@ class TreeEnsemble:
             )
         return X
 
+    def prepared(self) -> Prepared:
+        """The memo of this ensemble's prepared trees, built on the first call
+        and again whenever the trees (by identity and order), learning_rate,
+        n_features or base_score differ from those it was built from."""
+        key = (tuple(map(id, self.trees)), self.learning_rate, self.n_features, self.base_score)
+        if self._prepared is None or self._prepared.key != key:
+            self._prepared = Prepared(self.trees, key)
+        return self._prepared
+
     def margin(self, X) -> np.ndarray:
         """Raw additive output, base + lr * sum of tree outputs, routed through all trees' stack at once.
 
         Log-odds for the boosters; mean leaf probability for the forest
-        (learning_rate = 1/n_trees there).
+        (learning_rate = 1/n_trees there).  Rows go in chunks of at most
+        CHUNK_ELEMENTS (row, tree) pairs.
         """
         X = self._check_schema(X)
         if not self.trees:
             return np.full(X.shape[0], self.base_score, dtype=float)
-        forest, roots = stack(self.trees)
-        terms = self.learning_rate * forest.value[forest.apply(X, roots)]
-        terms[:, 0] += self.base_score
-        return np.cumsum(terms, axis=1)[:, -1]  # a running sum adds the trees in order
+        prep = self.prepared()
+        out = np.empty(X.shape[0])
+        step = max(1, CHUNK_ELEMENTS // len(prep.roots))
+        for r in range(0, len(X), step):
+            terms = self.learning_rate * prep.forest.value[prep.forest.apply(X[r : r + step], prep.roots)]
+            terms[:, 0] += self.base_score
+            out[r : r + step] = np.cumsum(terms, axis=1)[:, -1]  # a running sum adds the trees in order
+        return out
 
     def link(self, margin) -> np.ndarray:
         """Bad-class probability of a margin: the sigmoid of the boosters'

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from creditshap.models import boosting
+from creditshap.models import boosting, ensemble
 from creditshap.models.boosting import (
     BinnedMatrix,
     BoostConfig,
@@ -891,28 +891,94 @@ class TestOnePartition:
         np.testing.assert_allclose(tree.value[at], bad / weight, rtol=1e-12, atol=0)
 
 
+def margin_by_tree(model, X):
+    """Unchunked oracle for TreeEnsemble.margin: every row through one tree at a time, added in tree order."""
+    expect = np.full(len(X), model.base_score)
+    for tree in model.trees:
+        expect += model.learning_rate * tree.predict(X)
+    return expect
+
+
+def margin_models():
+    X, y = dataset(5)
+    X_test = X[:40].copy()
+    X_test[::3, 2] = np.nan
+    names = [f"f{i}" for i in range(4)]
+    cfg = BoostConfig(n_rounds=12, validation_fraction=0.0)
+    deep = fit_random_forest(X, y, names, ForestConfig(n_trees=4, max_depth=4))
+    leaves = fit_random_forest(X, y, names, ForestConfig(n_trees=3, max_depth=0))
+    assert all(t.n_nodes == 1 for t in leaves.trees)
+    models = [
+        fit_gradient_boosting(X, y, names, cfg),
+        fit_oblivious_boosting(X, y, names, cfg),
+        deep,
+        TreeEnsemble("random_forest", names, 0.0, 1 / 7, deep.trees[:2] + leaves.trees + deep.trees[2:]),
+        TreeEnsemble("gradient_boosting", names, 0.3, 0.1),  # no trees
+    ]
+    return models, X_test
+
+
 class TestMargin:
     def test_margin_adds_tree_outputs_in_order(self):
-        X, y = dataset(5)
-        X_test = X[:40].copy()
-        X_test[::3, 2] = np.nan
-        names = [f"f{i}" for i in range(4)]
-        cfg = BoostConfig(n_rounds=12, validation_fraction=0.0)
-        deep = fit_random_forest(X, y, names, ForestConfig(n_trees=4, max_depth=4))
-        leaves = fit_random_forest(X, y, names, ForestConfig(n_trees=3, max_depth=0))
-        assert all(t.n_nodes == 1 for t in leaves.trees)
-        models = [
-            fit_gradient_boosting(X, y, names, cfg),
-            fit_oblivious_boosting(X, y, names, cfg),
-            deep,
-            TreeEnsemble("random_forest", names, 0.0, 1 / 7, deep.trees[:2] + leaves.trees + deep.trees[2:]),
-            TreeEnsemble("gradient_boosting", names, 0.3, 0.1),  # no trees
-        ]
+        models, X_test = margin_models()
         for model in models:
-            expect = np.full(len(X_test), model.base_score)
-            for tree in model.trees:
-                expect += model.learning_rate * tree.predict(X_test)
-            assert model.margin(X_test).tobytes() == expect.tobytes()
+            assert model.margin(X_test).tobytes() == margin_by_tree(model, X_test).tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 20, 100])
+    def test_row_chunks_add_the_same_bytes(self, budget, monkeypatch):
+        monkeypatch.setattr(ensemble, "CHUNK_ELEMENTS", budget)  # 1 to 25 rows per chunk
+        models, X_test = margin_models()
+        for model in models:
+            assert model.margin(X_test).tobytes() == margin_by_tree(model, X_test).tobytes()
+
+    def test_traced_peak_does_not_grow_with_rows(self):
+        X, y = dataset(6, n=200)
+        model = fit_oblivious_boosting(X, y, [f"f{i}" for i in range(4)], BoostConfig(n_rounds=260, max_depth=3, validation_fraction=0.0))
+        assert len(model.trees) >= 250
+        big = np.random.default_rng(6).normal(size=(20_000, 4))
+        big[::5, 1] = np.nan
+        model.margin(big[:10])  # builds the stack, which every later call reads
+        peaks = {}
+        for n in (2_000, 20_000):
+            tracemalloc.start()
+            got = model.margin(big[:n])
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert got.tobytes() == margin_by_tree(model, big[:n]).tobytes()
+        assert peaks[20_000] - peaks[2_000] < 1 << 20
+
+    def test_warm_call_and_changed_trees_match_a_fresh_ensemble(self):
+        models, X_test = margin_models()
+        model, other = models[0], models[1]
+        first = model.margin(X_test)
+        assert model.margin(X_test).tobytes() == first.tobytes()
+
+        def fresh(m):
+            return TreeEnsemble(m.kind, list(m.feature_names), m.base_score, m.learning_rate, list(m.trees))
+
+        changes = [
+            lambda m: m.trees.append(other.trees[0]),
+            lambda m: setattr(m, "trees", m.trees[:5]),
+            lambda m: setattr(m, "trees", list(other.trees)),
+            lambda m: m.trees.append(m.trees[0]),  # the same Tree object twice
+            lambda m: setattr(m, "learning_rate", 0.37),
+            lambda m: setattr(m, "base_score", -1.25),
+        ]
+        for change in changes:
+            model.margin(X_test)  # the memo is warm before each change
+            change(model)
+            assert model.margin(X_test).tobytes() == fresh(model).margin(X_test).tobytes()
+            assert model.margin(X_test).tobytes() == margin_by_tree(model, X_test).tobytes()
+
+    def test_memo_is_not_part_of_the_ensemble_value(self):
+        models, X_test = margin_models()
+        warm = models[1]
+        cold = TreeEnsemble(warm.kind, list(warm.feature_names), warm.base_score, warm.learning_rate, warm.trees, dict(warm.meta))
+        text = (repr(cold), json.dumps(cold.to_dict()))
+        warm.margin(X_test)
+        assert warm._prepared is not None and cold._prepared is None
+        assert warm == cold
+        assert (repr(warm), json.dumps(warm.to_dict())) == text
 
 
 class TestClassify:

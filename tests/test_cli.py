@@ -337,6 +337,20 @@ class TestExitCodes:
         assert "correlation_threshold" in err and "rerun select" in err
         assert not (tmp_path / "out" / "model.json").exists()
 
+    def test_explain_with_model_of_other_columns_is_data_error(self, ledger_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        common = ["--data", str(ledger_dir), "--out", str(out)]
+        assert run("featurize", *common) == EXIT_OK
+        assert run("select", *common) == EXIT_OK
+        assert run("train", *common, "--set", "model.params.n_rounds=5") == EXIT_OK
+        narrow = ["--set", "correlation_threshold=0.5"]
+        assert run("select", *common, *narrow) == EXIT_OK  # keeps fewer columns than model.json was fitted on
+        capsys.readouterr()
+        assert run("explain", *common, *narrow, "--row", "A0003") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "model.json" in err and "rerun train" in err
+        assert not (out / "waterfall_A0003.json").exists()
+
     def test_failed_stage_leaves_partial_until_it_succeeds(self, tmp_path):
         data = write_ledger_fixture(tmp_path / "ledger", n_accounts=30, seed=1, bad_rate=0.0)
         out = tmp_path / "out"

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from creditshap import explain
+from creditshap import explain, pipeline
 from creditshap.explain import (
-    SHAP_CHUNK_ELEMENTS,
     CoalitionEvaluator,
     GlobalImportance,
     brute_force_shapley,
@@ -16,10 +15,11 @@ from creditshap.explain import (
     tree_shap,
     waterfall_data,
 )
+from creditshap.features import FeatureMatrix
 from creditshap.metrics import TrainSplit
-from creditshap.models import ModelSpec, fit_model
+from creditshap.models import FittedModel, ModelSpec, ensemble, fit_model
 from creditshap.models.boosting import BoostConfig, fit_gradient_boosting, fit_oblivious_boosting
-from creditshap.models.ensemble import TreeEnsemble, sigmoid
+from creditshap.models.ensemble import CHUNK_ELEMENTS, TreeEnsemble, sigmoid
 from creditshap.models.forest import ForestConfig, fit_random_forest
 from creditshap.models.trees import Tree
 from creditshap.synthetic import planted_signal_dataset
@@ -151,15 +151,15 @@ class TestOracleAgreement:
         paths = sum(t.n_leaves for t in forest.trees)
         depth = max(t.max_depth() for t in forest.trees)
         # one row's (paths x quadrature nodes x depth) temporaries alone exceed the budget
-        assert paths * depth * ((depth + 1) // 2) > SHAP_CHUNK_ELEMENTS
+        assert paths * depth * ((depth + 1) // 2) > CHUNK_ELEMENTS
         shapes = self._record_tables(monkeypatch)
         self._matrix_matches_brute_force(forest, X[:6])
-        assert len(shapes) > 1 and all(P * E * k <= SHAP_CHUNK_ELEMENTS for P, E, k in shapes)
+        assert len(shapes) > 1 and all(P * E * k <= CHUNK_ELEMENTS for P, E, k in shapes)
         assert sum(P for P, _, _ in shapes) == paths
 
     def test_matrix_tables_split_a_tree(self, monkeypatch):
         model, X = self._model(13, oblivious=True)  # 8 paths of depth 3 per tree
-        monkeypatch.setattr(explain, "SHAP_CHUNK_ELEMENTS", 30)
+        monkeypatch.setattr(explain, "CHUNK_ELEMENTS", 30)
         shapes = self._record_tables(monkeypatch)
         self._matrix_matches_brute_force(model, X[:6])
         assert len(shapes) > len(model.trees) and all(P * E * k <= 30 for P, E, k in shapes)
@@ -254,6 +254,8 @@ class TestAxioms:
         assert np.allclose(
             2 * tree_shap(single, x).contributions, tree_shap(double, x).contributions, atol=1e-12
         )
+        single.trees.append(tree)  # the warm memo of one tree must not answer for two
+        assert shap_matrix(single, x).tobytes() == shap_matrix(double, x).tobytes()
 
     def test_empty_ensemble(self):
         ens = ensemble_of([], 3, base=0.4)
@@ -344,3 +346,122 @@ class TestReportPayloads:
                 brute_force_shapley(CoalitionEvaluator(model), X[0])
         else:  # deep trees usually cross 20 distinct features; tolerate luck
             brute_force_shapley(CoalitionEvaluator(model), X[0])
+
+
+class TestSchema:
+    def test_matrix_rejects_other_column_counts(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(120, 4))
+        model = fit_gradient_boosting(X, (X[:, 0] > 0).astype(int), list("abcd"), BoostConfig(n_rounds=5, validation_fraction=0.0))
+        for width in (8, 2):
+            with pytest.raises(ValueError, match=f"expected 4 feature columns, got {width}"):
+                shap_matrix(model, rng.normal(size=(3, width)))
+            with pytest.raises(ValueError, match=f"expected 4 feature columns, got {width}"):
+                model.margin(rng.normal(size=(3, width)))
+
+
+def tree_shap_bytes(model, x):
+    sv = tree_shap(model, x)
+    return np.r_[sv.baseline, sv.margin, sv.contributions].tobytes()
+
+
+class TestPreparedModel:
+    """The stack, path tables, zero-cover check and baseline are built once per
+    list of trees and read by every later call."""
+
+    def _model(self, seed=14):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(300, 4))
+        X[::6, 1] = np.nan
+        y = (rng.random(300) < sigmoid(X[:, 0] - X[:, 2])).astype(int)
+        cfg = BoostConfig(n_rounds=12, max_depth=3, validation_fraction=0.0)
+        return fit_oblivious_boosting(X, y, list("abcd"), cfg), X[:15]
+
+    @staticmethod
+    def _fresh(model):
+        return TreeEnsemble(model.kind, list(model.feature_names), model.base_score, model.learning_rate, list(model.trees))
+
+    # The bytes of each memo reader on rows X.
+    READERS = {
+        "shap_matrix": lambda m, X: shap_matrix(m, X).tobytes(),
+        "margin": lambda m, X: m.margin(X).tobytes(),
+        "tree_shap": lambda m, X: tree_shap_bytes(m, X[0]),
+    }
+
+    @staticmethod
+    def _account_model(model, X):
+        """model as the explain stage sees it, with one account per row of X."""
+        matrix = FeatureMatrix([f"A{i:04d}" for i in range(len(X))], list(model.feature_names), X, np.arange(len(X)) % 2)
+        return FittedModel(ModelSpec("oblivious_boosting"), model, np.zeros(model.n_features)), matrix
+
+    def _outputs(self, model, X):
+        return {name: read(model, X) for name, read in self.READERS.items()}
+
+    def _cold(self, model, X):
+        """Each reader's bytes from the first call on its own fresh copy of model."""
+        return {name: read(self._fresh(model), X) for name, read in self.READERS.items()}
+
+    def test_warm_calls_give_the_cold_bytes(self):
+        model, X = self._model()
+        cold = self._cold(model, X)
+        assert self._outputs(model, X) == cold
+        assert model._prepared is not None and model._prepared.tables
+        assert self._outputs(model, X) == cold
+
+    def test_changed_ensemble_matches_a_fresh_one(self):
+        model, X = self._model()
+        other, _ = self._model(15)
+        changes = {
+            "append": lambda m: m.trees.append(other.trees[0]),
+            "truncate": lambda m: setattr(m, "trees", m.trees[:4]),
+            "replace": lambda m: setattr(m, "trees", list(other.trees)),
+            "same tree twice": lambda m: m.trees.append(m.trees[0]),
+            "learning_rate": lambda m: setattr(m, "learning_rate", 0.37),
+            "base_score": lambda m: setattr(m, "base_score", 0.75),
+        }
+        for name, change in changes.items():
+            self._outputs(model, X)  # warm before each change
+            change(model)
+            assert self._outputs(model, X) == self._cold(model, X), name
+
+    def test_trees_without_cover_are_refused_on_every_call(self):
+        ens = ensemble_of([stump(0, 0.0, -1.0, 1.0, 0.0, 0.0)], 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="training cover"):
+                shap_matrix(ens, np.zeros((1, 1)))
+        assert ens.margin(np.zeros((1, 1)))[0] == 1.0  # prediction needs no cover
+
+    def test_account_files_are_the_same_cold_and_warm(self, tmp_path):
+        model, X = self._model()
+        fitted, matrix = self._account_model(model, X)
+        assert model._prepared is None
+        for out in ("cold", "warm"):
+            pipeline.explain_account(fitted, matrix, "A0003", tmp_path / out)
+        for name in ("waterfall_A0003.json", "waterfall_A0003.svg"):
+            assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+    def test_first_account_stacks_once_and_later_ones_build_nothing(self, tmp_path, monkeypatch):
+        model, X = self._model()
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = TreeEnsemble.load(path)
+        counts = {"stack": 0, "tables": 0}
+        stack = ensemble.stack
+
+        def counting_stack(trees):
+            counts["stack"] += 1
+            return stack(trees)
+
+        class CountingTable(explain._PathTable):
+            def __init__(self, *args):
+                counts["tables"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(ensemble, "stack", counting_stack)
+        monkeypatch.setattr(explain, "_PathTable", CountingTable)
+        fitted, matrix = self._account_model(loaded, X)
+        pipeline.explain_account(fitted, matrix, "A0003", tmp_path / "out")
+        assert counts == {"stack": 1, "tables": 1}
+        pipeline.explain_account(fitted, matrix, "A0004", tmp_path / "out")
+        fitted.predict_proba(X)
+        assert counts == {"stack": 1, "tables": 1}
