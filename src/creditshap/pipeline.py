@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -173,10 +175,43 @@ def shap_reduce_stage(matrix: FeatureMatrix, config: PipelineConfig):
     return reduced, report, imp
 
 
+def _json_text(o, pad: str = "\n") -> str:
+    """o as `json.dumps(o, indent=2, sort_keys=True)` writes it, nested at pad
+    (a newline and the enclosing indent); a key that is not a str raises
+    TypeError.  The tests run in json's order with the float test moved up,
+    which changes no result: only a bool passes two of them, and the
+    identity tests take it before the int test."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _write_json(path, payload):
+    """payload as `json.dump(payload, indent=2, sort_keys=True)` writes it, and a newline."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 class PipelineStageError(Exception):

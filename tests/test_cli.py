@@ -1,9 +1,11 @@
 import csv
 import dataclasses
 import json
+import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from creditshap import pipeline
@@ -133,6 +135,75 @@ class TestStagedMatchesReport:
         for name in sorted(staged.keys() & report.keys()):
             assert staged[name] == report[name], f"{name} differs between the staged run and report"
         assert staged.keys() <= report.keys()
+
+
+def json_reference(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    """`pipeline._write_json` writes the text of `json.dumps(indent=2, sort_keys=True)`."""
+
+    @pytest.fixture(scope="class")
+    def demo_dir(self, tmp_path_factory):
+        return write_ledger_fixture(tmp_path_factory.mktemp("demo"), n_accounts=60, seed=0)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            ["model.params.n_rounds=20"],
+            ["model=random_forest", "model.params.n_trees=20"],
+            ["model=gradient_boosting", "model.params.n_rounds=20"],
+            ["feature_set=top_k", "model.params.n_rounds=20"],
+        ],
+        ids=["oblivious", "random_forest", "gradient_boosting", "top_k"],
+    )
+    def test_report_and_explain_payloads(self, demo_dir, tmp_path, monkeypatch, settings):
+        written = []
+        write = pipeline._write_json
+
+        def recording(path, payload):
+            written.append((Path(path), payload))
+            write(path, payload)
+
+        monkeypatch.setattr(pipeline, "_write_json", recording)
+        flags = ["--data", str(demo_dir), "--out", str(tmp_path), "--seed", "0"]
+        for setting in settings:
+            flags += ["--set", setting]
+        assert run("report", *flags) == EXIT_OK
+        assert run("explain", *flags, "--row", "A0003") == EXIT_OK
+        names = {"sanity.json", "model.json", "eval.json", "importance.json", "summary.json", "waterfall_A0003.json"}
+        assert names <= {path.name for path, _ in written}
+        for path, payload in written:
+            assert pipeline._json_text(payload) + "\n" == json_reference(payload), path.name
+            assert path.read_text() == json_reference(payload), path.name
+
+    EDGE = {
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 1 / 3, -2.5e-7, np.float64(0.3), np.float64(-math.inf)],
+        "ints": [0, -7, 2**63, -(2**63) - 1, 10**40, True, False, None],
+        "tuple": (1, ("a", ()), {}),
+        "empty": [[], {}, [[]], [{}], {"a": {}}, {"b": [[], {}]}],
+        "": "",
+        'quo"te \\ key\n': 'say "hi" \\ back\\slash \x00\x01\x1f\x7f\t\r\n é ü 日本 \U0001f600',
+        "non-ascii é 日": {"\x01": 1, "日": 2, "Z": 3, "a": 4, "é": 5},
+    }
+
+    def test_edge_corpus(self):
+        for payload in (self.EDGE, *self.EDGE.values(), *self.EDGE["floats"], *self.EDGE["ints"]):
+            assert pipeline._json_text(payload) + "\n" == json_reference(payload)
+
+    @pytest.mark.parametrize("payload", [{1: "a"}, {None: 1}, {1.5: 1}, {True: 1}, {"a": {2: 3}}, [{"a": 1, 2: 3}]])
+    def test_non_str_key_is_a_type_error(self, payload):
+        with pytest.raises(TypeError):
+            pipeline._json_text(payload)
+
+    @pytest.mark.parametrize("value", [object(), np.int64(1), {1, 2}, b"x"])
+    def test_unserializable_value_is_a_type_error(self, value):
+        for payload in (value, [value], {"a": value}):
+            with pytest.raises(TypeError):
+                json.dumps(payload, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                pipeline._json_text(payload)
 
 
 class TestDeterminism:

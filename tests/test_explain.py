@@ -220,6 +220,71 @@ class TestOracleAgreement:
             assert sv.additivity_gap() < 1e-10
 
 
+def reference_path_shap(table, X):
+    """The path kernel as first written: one fancy-index multiply per edge
+    for the indicators, two `np.cumprod` calls for the slot products."""
+    slot, zero = table.slot, table.zero
+    follows = (table.forest.go_left(X[:, table.split], table.node) == table.goes_left) | table.pad
+    one = np.ones(follows.shape)
+    for e in range(slot.shape[1]):
+        one[:, np.arange(len(slot)), slot[:, e]] *= follows[:, :, e]
+    gain = one - zero
+    line = gain[:, :, None] * table.t[:, None]  # (rows, paths, nodes, E)
+    line += zero[:, None]
+    before, after = np.ones_like(line), np.ones_like(line)
+    np.cumprod(line[..., :-1], axis=-1, out=before[..., 1:])
+    np.cumprod(line[..., :0:-1], axis=-1, out=after[..., -2::-1])
+    before *= after
+    return table.value[:, None] * gain * (table.w @ before)
+
+
+class TestPathKernel:
+    """`_PathTable.shap` gives the reference kernel's bytes."""
+
+    @staticmethod
+    def _models():
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(300, 4))
+        X[::5, 1] = np.nan
+        y = (rng.random(300) < sigmoid(2 * X[:, 0] - X[:, 2] + np.sin(2 * X[:, 3]))).astype(int)
+        weight = np.where(X[:, 0] > 0.8, 0.0, 1.0)  # zero-cover nodes
+        names = list("abcd")
+        deep = BoostConfig(n_rounds=8, max_depth=5, min_samples_leaf=1, validation_fraction=0.0)  # 5 edges, 4 features
+        models = {
+            "oblivious": fit_oblivious_boosting(X, y, names, deep, sample_weight=weight),
+            "plain": fit_gradient_boosting(X, y, names, deep, sample_weight=weight),
+            "forest": fit_random_forest(X, y, names, ForestConfig(n_trees=8, max_depth=7), sample_weight=weight + 0.5),
+        }
+        probes = X[:20].copy()
+        probes[::3, 0] = np.nan
+        probes[4] = np.nan
+        return models, probes
+
+    def test_tables_cover_the_edge_cases(self):
+        models, probes = self._models()
+        tables = [t for m in models.values() for t in explain._path_tables(m)]
+        assert any(t.pad.any() for t in tables)  # unequal-depth paths
+        assert any(((t.slot != np.arange(t.slot.shape[1])) & ~t.pad).any() for t in tables)  # a feature split twice on a path
+        assert any((t.zero == 0).any() for t in tables)  # a zero-cover node
+        assert np.isnan(probes).all(axis=1).any() and np.isnan(probes).any(axis=1).sum() > 1
+
+    @pytest.mark.parametrize("kind", ["oblivious", "plain", "forest"])
+    def test_single_rows_and_batches(self, kind):
+        models, probes = self._models()
+        for table in explain._path_tables(models[kind]):
+            for rows in [probes[i : i + 1] for i in range(5)] + [probes]:
+                assert table.shap(rows).tobytes() == reference_path_shap(table, rows).tobytes()
+
+    @pytest.mark.parametrize("kind", ["oblivious", "plain", "forest"])
+    def test_matrix_in_small_chunks(self, kind, monkeypatch):
+        models, probes = self._models()
+        monkeypatch.setattr(explain, "CHUNK_ELEMENTS", 40)
+        fast = shap_matrix(models[kind], probes)
+        assert len(explain._path_tables(models[kind])) > len(models[kind].trees)
+        monkeypatch.setattr(explain._PathTable, "shap", reference_path_shap)  # on the same small tables
+        assert fast.tobytes() == shap_matrix(models[kind], probes).tobytes()
+
+
 class TestAxioms:
     def test_null_player_is_exactly_zero(self):
         tree = stump(0, 0.0, -1.0, 1.0, 5.0, 5.0)
@@ -326,6 +391,14 @@ class TestReportPayloads:
             assert wf["probability"] == model.predict_proba(row)[0]
             assert wf["baseline_probability"] == float(model.link(wf["baseline"]))
             assert wf["additivity_space"].startswith(f"margin ({space})")
+
+    def test_waterfall_ties_keep_feature_order(self):
+        # f0 and f2 tie at |phi| = 1 with opposite signs; f1 and f3 are unused and get exactly 0.0
+        ens = ensemble_of([stump(2, 0.5, 1.0, -1.0, 10.0, 10.0), stump(0, 0.5, -1.0, 1.0, 10.0, 10.0)], 4)
+        for x, shap in ((np.zeros(4), [-1.0, 1.0, 0.0, 0.0]), (np.ones(4), [1.0, -1.0, 0.0, 0.0])):
+            wf = waterfall_data(ens, x)
+            assert [c["feature"] for c in wf["contributions"]] == ["f0", "f2", "f1", "f3"]
+            assert [c["shap"] for c in wf["contributions"]] == shap
 
     def test_summary_orders_by_importance(self):
         model, X = self._tiny_model()
