@@ -2,9 +2,10 @@
 
 Families: logistic, logistic_binned, random_forest, gradient_boosting,
 oblivious_boosting, mlp.  `fit_model` is the one training path: it fits
-column medians on the training rows, fills them in, resamples and fits
-the family.  The FittedModel keeps those medians and fills every row it
-scores with them; tree ensembles also expose margin() for SHAP.
+column medians on the training rows, fills them in, holds out the
+early-stopping rows, resamples the rest and fits the family.  The
+FittedModel keeps those medians and fills every row it scores with them;
+tree ensembles also expose margin() for SHAP.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..features import fit_scaler, median_impute
-from ..metrics import TrainSplit
+from ..metrics import TrainSplit, validation_split
 from ..resampling import ResamplingStrategy, apply_strategy
 from .boosting import DEFAULT_OBLIVIOUS_DEPTH, BoostConfig, fit_gradient_boosting, fit_oblivious_boosting
 from .ensemble import TreeEnsemble, classify, sigmoid
@@ -31,6 +32,9 @@ MODEL_FAMILIES = (
     "oblivious_boosting",
     "mlp",
 )
+FAMILY_CONFIGS = {  # the logistic families have none
+    "random_forest": ForestConfig, "gradient_boosting": BoostConfig, "oblivious_boosting": BoostConfig, "mlp": MlpConfig
+}
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,7 @@ class ModelSpec:
         """The names params may hold: the family's config fields but seed."""
         if self.family.startswith("logistic"):
             return ["n_bins"] if self.family == "logistic_binned" else []
-        config = {"random_forest": ForestConfig, "mlp": MlpConfig}.get(self.family, BoostConfig)
-        return sorted(f.name for f in fields(config) if f.name != "seed")
+        return sorted(f.name for f in fields(FAMILY_CONFIGS[self.family]) if f.name != "seed")
 
 
 @dataclass
@@ -72,29 +75,34 @@ class FittedModel:
 
 
 def fit_model(spec: ModelSpec, split: TrainSplit, strategy=ResamplingStrategy(), seed: int = 0) -> FittedModel:
-    """Fill split.X with its column medians, resample with strategy and fit
-    the family on the result."""
+    """Fill split.X with its column medians, hold out the family's
+    early-stopping rows (`validation_split`), resample the rest with strategy
+    and fit the family on it, so the held-out rows are real rows."""
     X, medians = median_impute(split.X)
-    X, y, w = apply_strategy(strategy, TrainSplit(X, split.y))
+    y = np.asarray(split.y, dtype=int)
     names = split.columns or [f"f{j}" for j in range(X.shape[1])]
     params = dict(spec.params)
+    if spec.family == "oblivious_boosting":
+        params.setdefault("max_depth", DEFAULT_OBLIVIOUS_DEPTH)
+    cfg = FAMILY_CONFIGS[spec.family](seed=seed, **params) if spec.family in FAMILY_CONFIGS else None
+    fit, held = validation_split(y, getattr(cfg, "validation_fraction", 0.0), seed)
+    X_fit, y_fit, w = apply_strategy(strategy, TrainSplit(X[fit], y[fit]))
+    validation = (X[held], y[held]) if held.size else None
     if spec.family == "logistic":
-        model = fit_logistic(X, y, names, w)
+        model = fit_logistic(X_fit, y_fit, names, w)
     elif spec.family == "logistic_binned":
-        model = fit_binned_logistic(X, y, params.get("n_bins", 10), names, w)
+        model = fit_binned_logistic(X_fit, y_fit, params.get("n_bins", 10), names, w)
     elif spec.family == "random_forest":
-        cfg = ForestConfig(seed=seed, **params)
-        model = fit_random_forest(X, y, names, cfg, w)
+        model = fit_random_forest(X_fit, y_fit, names, cfg, w)
     elif spec.family == "gradient_boosting":
-        cfg = BoostConfig(seed=seed, **params)
-        model = fit_gradient_boosting(X, y, names, cfg, w)
+        model = fit_gradient_boosting(X_fit, y_fit, names, cfg, w, validation)
     elif spec.family == "oblivious_boosting":
-        cfg = BoostConfig(seed=seed, max_depth=params.pop("max_depth", DEFAULT_OBLIVIOUS_DEPTH), **params)
-        model = fit_oblivious_boosting(X, y, names, cfg, w)
+        model = fit_oblivious_boosting(X_fit, y_fit, names, cfg, w, validation)
     elif spec.family == "mlp":
-        scaler = fit_scaler(X, names)
-        cfg = MlpConfig(seed=seed, **params)
-        model = fit_mlp(scaler.transform(X), y, names, scaler, cfg, w)
+        scaler = fit_scaler(X_fit, names)
+        if validation is not None:
+            validation = (scaler.transform(validation[0]), validation[1])
+        model = fit_mlp(scaler.transform(X_fit), y_fit, names, scaler, cfg, w, validation)
     else:  # pragma: no cover - guarded by ModelSpec
         raise ValueError(spec.family)
     return FittedModel(spec, model, medians)

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..metrics import train_test_split
 from .ensemble import TreeEnsemble, check_fields, sigmoid
 from .trees import Tree, depth_first, training_side
 
@@ -342,26 +341,18 @@ def grow_oblivious_tree(binned, g, h, w, config: BoostConfig) -> tuple[Tree, np.
     return tree, at[n_leaves - 1 + leaf]
 
 
-def _split_validation(n, y, config, rng_seed):
-    if config.validation_fraction <= 0 or n < 20:
-        return np.arange(n), np.empty(0, dtype=int)
-    counts = np.bincount(y, minlength=2)
-    if counts.min() < 2:
-        return np.arange(n), np.empty(0, dtype=int)
-    train_idx, val_idx = train_test_split(
-        np.zeros((n, 1)), y, train_fraction=1.0 - config.validation_fraction, seed=rng_seed
-    )
-    return train_idx, val_idx
-
-
-def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool) -> TreeEnsemble:
+def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool, validation) -> TreeEnsemble:
+    """Boost on (X, y, w), stopping early on validation = (X_val, y_val), if given.
+    The prior counts each validation row with weight 1: with unit weights its
+    sums are integers, so it is exact in any order."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     w = np.ones(len(y)) if w is None else np.asarray(w, dtype=float)
     kind = "oblivious_boosting" if oblivious else "gradient_boosting"
     if oblivious and config.max_depth > MAX_OBLIVIOUS_DEPTH:
         raise ValueError(f"oblivious depth {config.max_depth} > {MAX_OBLIVIOUS_DEPTH}")
-    prior = float(np.average(y, weights=w))
+    Xv, yv = (None, np.empty(0, dtype=int)) if validation is None else (np.asarray(v) for v in validation)
+    prior = float(np.average(np.concatenate([y, yv]), weights=np.concatenate([w, np.ones(len(yv))])))
     base = logit(prior)
     ensemble = TreeEnsemble(kind, list(feature_names), base, config.learning_rate)
     ensemble.meta = {
@@ -379,33 +370,29 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool) -
     }
     if np.unique(y).size < 2:
         return ensemble
-    train_idx, val_idx = _split_validation(len(y), y, config, config.seed)
-    Xt, yt, wt = X[train_idx], y[train_idx], w[train_idx]
-    binned = BinnedMatrix(Xt, config.max_bins)
-    margins = np.full(len(yt), base)
-    has_val = val_idx.size > 0
-    if has_val:
-        Xv, yv = X[val_idx], y[val_idx]
+    binned = BinnedMatrix(X, config.max_bins)
+    margins = np.full(len(y), base)
+    if validation is not None:
         val_margins = np.full(len(yv), base)
         best_loss = np.inf
         best_round = 0
         stall = 0
     if config.ordered:
         perm_rng = np.random.default_rng(config.seed)
-        perm = perm_rng.permutation(len(yt))
-        block_of = np.empty(len(yt), dtype=int)
+        perm = perm_rng.permutation(len(y))
+        block_of = np.empty(len(y), dtype=int)
         for b in range(config.ordered_blocks):
-            block = perm[b * len(yt) // config.ordered_blocks : (b + 1) * len(yt) // config.ordered_blocks]
+            block = perm[b * len(y) // config.ordered_blocks : (b + 1) * len(y) // config.ordered_blocks]
             block_of[block] = b
         prefix_margins = np.tile(margins, (config.ordered_blocks, 1))
-    rows = np.arange(len(yt))
+    rows = np.arange(len(y))
     for rnd in range(config.n_rounds):
         if config.ordered:
             own = prefix_margins[block_of, rows]
-            g, h = grad_hess(yt, sigmoid(own), wt)
+            g, h = grad_hess(y, sigmoid(own), w)
         else:
-            g, h = grad_hess(yt, sigmoid(margins), wt)
-        tree, leaf = grow_oblivious_tree(binned, g, h, wt, config) if oblivious else grow_tree(binned, rows, g, h, wt, config)
+            g, h = grad_hess(y, sigmoid(margins), w)
+        tree, leaf = grow_oblivious_tree(binned, g, h, w, config) if oblivious else grow_tree(binned, rows, g, h, w, config)
         if tree.n_nodes == 1:
             break
         update = tree.value[leaf]
@@ -421,7 +408,7 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool) -
                 prefix_margins[b] += config.learning_rate * scale
         margins += config.learning_rate * update
         ensemble.trees.append(tree)
-        if has_val:
+        if validation is not None:
             val_margins += config.learning_rate * tree.predict(Xv)
             loss = cross_entropy(yv, sigmoid(val_margins))
             if loss < best_loss - 1e-12:
@@ -432,7 +419,7 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool) -
                 stall += 1
                 if stall >= config.patience:
                     break
-    if has_val and ensemble.trees:
+    if validation is not None and ensemble.trees:
         ensemble.trees = ensemble.trees[:best_round]
     ensemble.meta["n_trees"] = len(ensemble.trees)
     return ensemble
@@ -447,12 +434,16 @@ def _prefix_leaf_scale(tree, leaf_of, g, h, prefix_mask, reg):
     return np.where(reached, -gs / (hs + reg), tree.value)[leaf_of]
 
 
-def fit_gradient_boosting(X, y, feature_names, config: BoostConfig | None = None, sample_weight=None) -> TreeEnsemble:
+def fit_gradient_boosting(
+    X, y, feature_names, config: BoostConfig | None = None, sample_weight=None, validation=None
+) -> TreeEnsemble:
     config = config or BoostConfig()
-    return _fit_boosted(X, y, sample_weight, feature_names, config, oblivious=False)
+    return _fit_boosted(X, y, sample_weight, feature_names, config, False, validation)
 
 
-def fit_oblivious_boosting(X, y, feature_names, config: BoostConfig | None = None, sample_weight=None) -> TreeEnsemble:
+def fit_oblivious_boosting(
+    X, y, feature_names, config: BoostConfig | None = None, sample_weight=None, validation=None
+) -> TreeEnsemble:
     if config is None:
         config = BoostConfig(max_depth=DEFAULT_OBLIVIOUS_DEPTH)
-    return _fit_boosted(X, y, sample_weight, feature_names, config, oblivious=True)
+    return _fit_boosted(X, y, sample_weight, feature_names, config, True, validation)

@@ -143,10 +143,6 @@ class TreeEnsemble:
             meta=dict(d.get("meta", {})),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
     @classmethod
     def load(cls, path) -> "TreeEnsemble":
         with open(path) as fh:

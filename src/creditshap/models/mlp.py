@@ -113,8 +113,12 @@ def mlp_loss(model: MlpModel, X, y, sample_weight=None) -> float:
     return float(np.sum(w * -(y * np.log(p) + (1 - y) * np.log(1 - p))) / len(y))
 
 
-def fit_mlp(X, y, feature_names, scaler: ScalerParams, config: MlpConfig | None = None, sample_weight=None) -> MlpModel:
-    """Train on standardized X; early-stops on validation AUC."""
+def fit_mlp(
+    X, y, feature_names, scaler: ScalerParams, config: MlpConfig | None = None, sample_weight=None, validation=None
+) -> MlpModel:
+    """Train on standardized X.  With validation = (X_val, y_val), scaled alike
+    and holding both classes, stop when their AUC has not risen for
+    `patience` epochs and return the best epoch's weights."""
     if scaler is None:
         raise ValueError("fit_mlp requires the ScalerParams used to standardize X")
     config = config or MlpConfig()
@@ -128,23 +132,13 @@ def fit_mlp(X, y, feature_names, scaler: ScalerParams, config: MlpConfig | None 
     rng = np.random.default_rng(config.seed)
     weights, biases = _init_params(X.shape[1], config.hidden_layers, rng)
     model = MlpModel(weights, biases, list(feature_names), scaler, config)
-    n = len(y)
-    n_val = int(round(config.validation_fraction * n))
-    use_val = n_val >= 10 and np.unique(y).size == 2
-    if use_val:
-        perm = rng.permutation(n)
-        val_idx, tr_idx = perm[:n_val], perm[n_val:]
-        if np.unique(y[val_idx]).size < 2 or np.unique(y[tr_idx]).size < 2:
-            use_val = False
-    if not use_val:
-        tr_idx = np.arange(n)
     vel_w = [np.zeros_like(W) for W in weights]
     vel_b = [np.zeros_like(b) for b in biases]
     best_auc = -np.inf
     best_params = None
     stall = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(tr_idx)
+        order = rng.permutation(len(y))
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             gw, gb = mlp_gradients(model, X[batch], y[batch], w[batch])
@@ -153,8 +147,8 @@ def fit_mlp(X, y, feature_names, scaler: ScalerParams, config: MlpConfig | None 
                 vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * gb[i]
                 model.weights[i] = model.weights[i] + vel_w[i]
                 model.biases[i] = model.biases[i] + vel_b[i]
-        if use_val:
-            auc = roc_auc(y[val_idx], model.predict_proba(X[val_idx], scaled=True)).auc
+        if validation is not None:
+            auc = roc_auc(validation[1], model.predict_proba(validation[0], scaled=True)).auc
             if auc > best_auc + 1e-9:
                 best_auc = auc
                 best_params = ([W.copy() for W in model.weights], [b.copy() for b in model.biases])
@@ -163,6 +157,6 @@ def fit_mlp(X, y, feature_names, scaler: ScalerParams, config: MlpConfig | None 
                 stall += 1
                 if stall >= config.patience:
                     break
-    if use_val and best_params is not None:
+    if best_params is not None:
         model.weights, model.biases = best_params
     return model

@@ -15,7 +15,7 @@ from creditshap.metrics import TrainSplit, gini, roc_auc
 from creditshap.models import ModelSpec, TreeEnsemble, fit_model
 from creditshap.models.boosting import BoostConfig, fit_gradient_boosting, fit_oblivious_boosting, grad_hess, sigmoid
 from creditshap.models.mlp import MlpConfig, MlpModel, _init_params, mlp_gradients, mlp_loss
-from creditshap.pipeline import GridSpec, PipelineConfig, evaluate_cell, ingest_stage, run_grid
+from creditshap.pipeline import GridSpec, PipelineConfig, _write_json, evaluate_cell, ingest_stage, run_grid
 from creditshap.resampling import (
     ResamplingStrategy,
     apply_strategy,
@@ -255,7 +255,7 @@ def test_determinism_round_trip(tmp_path):
     spec = ModelSpec("gradient_boosting", {"n_rounds": 25, "validation_fraction": 0.0})
     fitted = fit_model(spec, TrainSplit(X, y, names), seed=0)
     model_path = tmp_path / "model.json"
-    fitted.model.save(model_path)
+    _write_json(model_path, {**fitted.model.to_dict(), "stamp": config.stamp()})  # the file `train` writes
     back = TreeEnsemble.load(model_path)
     probe = np.random.default_rng(10).normal(size=(100, 8))
     assert np.array_equal(back.margin(probe), fitted.model.margin(probe))

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from creditshap import pipeline
+from creditshap.metrics import validation_split
 from creditshap.models import boosting, ensemble
 from creditshap.models.boosting import (
     BinnedMatrix,
@@ -347,17 +349,26 @@ class TestGradientBoosting:
 
     def test_early_stopping_trims_rounds(self):
         X, y = dataset(4, n=200)
-        cfg = BoostConfig(n_rounds=400, learning_rate=0.5, patience=5, validation_fraction=0.2, seed=1)
-        model = fit_gradient_boosting(X, y, [f"f{i}" for i in range(4)], cfg)
+        fit, held = validation_split(y, 0.2, seed=1)
+        cfg = BoostConfig(n_rounds=400, learning_rate=0.5, patience=5, seed=1)
+        names = [f"f{i}" for i in range(4)]
+        model = fit_gradient_boosting(X[fit], y[fit], names, cfg, validation=(X[held], y[held]))
         assert 0 < len(model.trees) < 400
         assert model.meta["n_trees"] == len(model.trees)
+        # the kept rounds are those of the lowest validation loss
+        margins = np.full(len(held), model.base_score)
+        losses = []
+        for tree in fit_gradient_boosting(X[fit], y[fit], names, cfg).trees[: len(model.trees) + cfg.patience]:
+            margins += model.learning_rate * tree.predict(X[held])
+            losses.append(cross_entropy(y[held], sigmoid(margins)))
+        assert int(np.argmin(losses)) + 1 == len(model.trees)
 
     def test_serialization_round_trip_bit_identical(self, tmp_path):
         X, y = dataset(5)
         cfg = BoostConfig(n_rounds=8, validation_fraction=0.0)
         model = fit_gradient_boosting(X, y, [f"f{i}" for i in range(4)], cfg)
         path = tmp_path / "model.json"
-        model.save(path)
+        pipeline._write_json(path, {**model.to_dict(), "stamp": pipeline.PipelineConfig().stamp()})  # as `train` writes it
         back = TreeEnsemble.load(path)
         assert back.feature_names == model.feature_names
         assert np.array_equal(back.margin(X), model.margin(X))

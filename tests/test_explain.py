@@ -516,7 +516,7 @@ class TestPreparedModel:
     def test_first_account_stacks_once_and_later_ones_build_nothing(self, tmp_path, monkeypatch):
         model, X = self._model()
         path = tmp_path / "model.json"
-        model.save(path)
+        pipeline._write_json(path, {**model.to_dict(), "stamp": pipeline.PipelineConfig().stamp()})  # as `train` writes it
         loaded = TreeEnsemble.load(path)
         counts = {"stack": 0, "tables": 0}
         stack = ensemble.stack

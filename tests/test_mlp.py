@@ -3,6 +3,7 @@ import pytest
 
 from creditshap.features import standardize
 from creditshap.metrics import roc_auc
+from creditshap.models import mlp
 from creditshap.models.logistic import fit_logistic
 from creditshap.models.mlp import MlpConfig, MlpModel, _init_params, fit_mlp, mlp_gradients, mlp_loss
 
@@ -125,3 +126,21 @@ class TestFit:
         cfg = MlpConfig(hidden_layers=(8,), epochs=30, seed=0)
         model = fit_mlp(Z, y, ["a", "b"], scaler, cfg)
         assert np.allclose(model.predict_proba(X), model.predict_proba(Z, scaled=True))
+
+    def test_early_stopping_returns_the_best_validation_epoch(self, monkeypatch):
+        Z, y, scaler = standardized_dataset(11, n=200)
+        Z_val, y_val, _ = standardized_dataset(12, n=100)
+        seen = []  # each epoch's validation scores and AUC
+
+        def recording_auc(y_true, scores):
+            curve = roc_auc(y_true, scores)
+            seen.append((np.array(scores), curve.auc))
+            return curve
+
+        monkeypatch.setattr(mlp, "roc_auc", recording_auc)
+        cfg = MlpConfig(hidden_layers=(32,), epochs=200, patience=3, learning_rate=0.05, seed=0)
+        model = fit_mlp(Z, y, scaler.columns, scaler, cfg, validation=(Z_val, y_val))
+        aucs = [auc for _, auc in seen]
+        best = int(np.argmax(aucs))  # the first epoch to reach the highest AUC
+        assert len(aucs) == best + 1 + cfg.patience < cfg.epochs  # stopped `patience` epochs later
+        assert np.array_equal(model.predict_proba(Z_val, scaled=True), seen[best][0])

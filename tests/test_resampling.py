@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from creditshap import pipeline, resampling
+from creditshap import models, pipeline, resampling
 from creditshap.features import median_impute
-from creditshap.metrics import TrainSplit, stratified_kfold
+from creditshap.metrics import TrainSplit, stratified_kfold, validation_split
 from creditshap.models import ModelSpec, fit_model
+from creditshap.models.boosting import DEFAULT_OBLIVIOUS_DEPTH, BoostConfig, fit_oblivious_boosting, logit
 from creditshap.resampling import (
+    STRATEGY_KINDS,
     ResamplingStrategy,
     apply_strategy,
     borderline_smote,
@@ -444,3 +446,51 @@ class TestFitModelImputation:
         assert np.array_equal(fitted.predict_proba(X), fitted.predict_proba(fitted.impute(X)))
         # the rows exercise NaN routing: the trees alone send them elsewhere
         assert not np.array_equal(fitted.model.predict_proba(X), fitted.predict_proba(X))
+
+
+class TestValidationRowsAreReal:
+    """fit_model holds out the early-stopping rows before it resamples: they
+    are real rows of split.X, stratified and disjoint from the fit part, and
+    no resampled or synthetic row is among them."""
+
+    def _record(self, monkeypatch, name):
+        calls = []
+        monkeypatch.setattr(models, name, lambda *args: calls.append(args) or "model")
+        return calls
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_validation_rows_are_held_out_before_resampling(self, kind, monkeypatch):
+        X, y = imbalanced_blobs(180, 30, seed=5)
+        calls = self._record(monkeypatch, "fit_oblivious_boosting")
+        fit_model(ModelSpec("oblivious_boosting"), TrainSplit(X, y), ResamplingStrategy(kind), seed=2)
+        ((X_fit, y_fit, _, _, w, (X_val, y_val)),) = calls
+        fit, held = validation_split(y, 0.1, seed=2)
+        assert np.array_equal(X_val, X[held]) and np.array_equal(y_val, y[held])
+        assert [int(np.sum(y_val == c)) for c in (0, 1)] == [18, 3]  # a tenth of each class
+        assert not rows_as_set(X_val) & rows_as_set(X_fit)  # no fit row, copied or synthesized, is held out
+        # the fit part is the resampled remainder, its class weights included
+        want = apply_strategy(ResamplingStrategy(kind), TrainSplit(X[fit], y[fit]))
+        for got, expected in zip((X_fit, y_fit, w), want):
+            assert np.array_equal(got, expected)
+
+    def test_mlp_validation_rows_go_through_the_fit_part_scaler(self, monkeypatch):
+        X, y = imbalanced_blobs(180, 30, seed=6)
+        calls = self._record(monkeypatch, "fit_mlp")
+        fit_model(ModelSpec("mlp"), TrainSplit(X, y), ResamplingStrategy("smote"), seed=1)
+        ((Z_fit, _, _, scaler, _, _, (Z_val, y_val)),) = calls
+        fit, held = validation_split(y, 0.1, seed=1)
+        X_fit = apply_strategy(ResamplingStrategy("smote"), TrainSplit(X[fit], y[fit]))[0]
+        assert np.array_equal(scaler.mean, X_fit.mean(axis=0))
+        assert np.array_equal(Z_fit, scaler.transform(X_fit))
+        assert np.array_equal(Z_val, scaler.transform(X[held])) and np.array_equal(y_val, y[held])
+
+    def test_no_resampling_fits_as_a_direct_call(self):
+        X, y, names = planted_signal_dataset(400, 8, seed=7)
+        y = np.where(np.random.default_rng(8).random(len(y)) < 0.1, 1 - y, y)  # noise makes early stopping fire
+        fitted = fit_model(ModelSpec("oblivious_boosting", {"n_rounds": 200}), TrainSplit(X, y, names), seed=3)
+        fit, held = validation_split(y, 0.1, seed=3)
+        cfg = BoostConfig(n_rounds=200, max_depth=DEFAULT_OBLIVIOUS_DEPTH, seed=3)
+        direct = fit_oblivious_boosting(X[fit], y[fit], names, cfg, validation=(X[held], y[held]))
+        assert 0 < len(direct.trees) < 200
+        assert fitted.model.to_dict() == direct.to_dict()
+        assert fitted.model.base_score == logit(y.mean())  # the prior counts the validation rows too
