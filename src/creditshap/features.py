@@ -5,19 +5,25 @@ application date ([0,30), [30,60), [60,90), [90,120)) each yield
 6 transaction stats x 3 directions + 8 balance stats = 26 KPIs, plus
 two whole-horizon activity KPIs, for 106 columns total.
 
-`account_features` makes one pass per window: each transaction's day
-offset is computed once, `window_slice` picks the window's amounts,
-`transaction_stats` turns each direction's amounts into its whole stat
-vector, and `balance_stats` does the same for the window's daily
-balances, one clamped slice of the account's balance series.
+`build_feature_matrix` is one columnar pass over the ledger. One loop over
+the labeled accounts flattens their transactions into day offsets, int64
+cents and row indices, and their last 120 daily balances into one
+(accounts x 120) matrix. Each window then yields its KPIs for every account
+at once: transaction stats from grouped int64 reductions, balance stats
+from row-wise reductions over a slice of the matrix's columns. Float sums
+run in list and day order, so every KPI keeps the bits of a per-account
+left fold.
 """
 
 from __future__ import annotations
 
 import csv
+import datetime
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,45 +66,6 @@ def kpi_columns() -> list[str]:
             cols.append(f"acc_bal_{stat}_{spec.label}")
     cols.extend(GLOBAL_KPIS)
     return cols
-
-
-def window_slice(offsets, spec: WindowSpec) -> list[int]:
-    """Indices of the day offsets (days before the application) with lo <= offset < hi."""
-    return [i for i, offset in enumerate(offsets) if spec.lo <= offset < spec.hi]
-
-
-def _mean_std(vals) -> tuple[float, float]:
-    """Mean and two-pass population std of a non-empty list."""
-    m = sum(vals) / len(vals)
-    return m, math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals))
-
-
-def transaction_stats(amounts) -> list[float]:
-    """The TRX_STATS of signed amounts, in that order; NaN marks missing.
-
-    count is 0 (not missing) on an empty list; every other stat is missing.
-    """
-    if not amounts:
-        return [math.nan, math.nan, math.nan, math.nan, 0.0, math.nan]
-    mean, std = _mean_std(amounts)
-    return [float(min(amounts)), float(max(amounts)), mean, float(sum(amounts)), float(len(amounts)), std]
-
-
-def balance_stats(balances) -> list[float]:
-    """The BAL_STATS of a window's daily balances, in that order; all NaN when no coverage."""
-    if len(balances) == 0:
-        return [math.nan] * len(BAL_STATS)
-    b = [float(v) for v in balances]
-    lo, hi = min(b), max(b)
-    mean, std = _mean_std(b)
-    if len(b) == 1:
-        slope = 0.0
-    else:
-        t = np.arange(len(b), dtype=float)
-        t -= t.mean()
-        y = np.asarray(b)
-        slope = float(np.dot(t, y - y.mean()) / np.dot(t, t))
-    return [b[-1] - b[0], max(0.0, hi), abs(min(0.0, lo)), lo, hi, mean, std, slope]
 
 
 @dataclass
@@ -156,33 +123,54 @@ class FeatureMatrix:
         return cls(row_ids, columns, np.asarray(rows, dtype=float), np.asarray(ys, dtype=int))
 
 
-def account_features(bundle: LedgerBundle, acc_id: str) -> list[float]:
-    """The account's 106 KPIs in kpi_columns() order."""
-    app_date = bundle.outcomes[acc_id].application_date
-    txns = bundle.transactions[acc_id]
-    series = bundle.balances.get(acc_id)
-    if series is None:
-        raise DataError(f"account {acc_id}: balances not reconstructed")
-    offsets = [(app_date - t.date).days for t in txns]
-    app_day = (app_date - series.start_date).days  # the application's index in the series
-    row: list[float] = []
-    for spec in CANONICAL_WINDOWS:
-        amounts = [txns[i].amount for i in window_slice(offsets, spec)]
-        by_direction = (
-            transaction_stats([a for a in amounts if a > 0]),
-            transaction_stats([a for a in amounts if a < 0]),
-            transaction_stats(amounts),
-        )
-        for stat_values in zip(*by_direction):  # stat-major, as in kpi_columns()
-            row.extend(stat_values)
-        # the window's days run from hi - 1 to lo days before the application; the slice
-        # clamps them to the series (it starts at index 0, and a slice stops at its end)
-        first, stop = max(app_day - spec.hi + 1, 0), max(app_day - spec.lo + 1, 0)
-        row.extend(balance_stats(series.balances[first:stop]))
-    horizon = window_slice(offsets, HORIZON)
-    row.append(float(len(horizon)))
-    row.append(float(len({offsets[i] for i in horizon})))
-    return row
+def _transaction_stats(acc, amounts, n: int) -> np.ndarray:
+    """The TRX_STATS of each of n accounts, one row per stat; NaN marks missing.
+
+    `amounts` are int64 cents grouped into runs by `acc`, each account's in
+    list order. count is 0 (not missing) for an account with no amount; every
+    other stat is missing. min, max and sum are exact int64 reductions, and
+    the std adds its squares in list order, as a left fold does.
+    """
+    count = np.bincount(acc, minlength=n)
+    has = count > 0
+    starts = (np.cumsum(count) - count)[has]  # where each non-empty run begins
+    total = np.add.reduceat(amounts, starts)
+    mean = total / count[has]
+    d = amounts - np.repeat(mean, count[has])
+    # float_power squares with C pow, as `(v - m) ** 2` does; `d * d` and np.power round otherwise
+    squares = np.bincount(acc, weights=np.float_power(d, 2.0), minlength=n)[has]
+    out = np.full((len(TRX_STATS), n), math.nan)
+    out[4] = count
+    out[:, has] = [
+        np.minimum.reduceat(amounts, starts),
+        np.maximum.reduceat(amounts, starts),
+        mean,
+        total,
+        count[has],
+        np.sqrt(squares / count[has]),
+    ]
+    return out
+
+
+def _balance_stats(balances: np.ndarray) -> np.ndarray:
+    """The BAL_STATS of each row of daily balances (accounts x days), one row per stat.
+
+    Means and squares are added along each row in day order, and the slope
+    takes one dot product per row, so each account gets the bits of its own
+    left folds and `np.dot`.
+    """
+    days = balances.shape[1]
+    lo, hi = balances.min(axis=1), balances.max(axis=1)
+    mean = np.cumsum(balances, axis=1)[:, -1] / days
+    d = balances - mean[:, None]
+    std = np.sqrt(np.cumsum(np.float_power(d, 2.0), axis=1)[:, -1] / days)
+    t = np.arange(days, dtype=float)
+    t -= t.mean()
+    centered = balances - balances.mean(axis=1, keepdims=True)
+    # a stack of vector-vector products, each the np.dot of one row (Y @ t rounds otherwise)
+    slope = np.matmul(t, centered[:, :, None])[:, 0] / np.dot(t, t) if days > 1 else np.zeros(len(balances))
+    var = balances[:, -1] - balances[:, 0]
+    return np.array([var, np.maximum(0.0, hi), np.abs(np.minimum(0.0, lo)), lo, hi, mean, std, slope])
 
 
 def build_feature_matrix(bundle: LedgerBundle) -> FeatureMatrix:
@@ -190,10 +178,50 @@ def build_feature_matrix(bundle: LedgerBundle) -> FeatureMatrix:
     acc_ids = bundle.labeled_account_ids
     if not acc_ids:
         raise DataError("no labeled accounts to featurize")
-    columns = kpi_columns()
-    values = np.asarray([account_features(bundle, a) for a in acc_ids], dtype=float)
-    y = np.asarray([bundle.outcomes[a].performance for a in acc_ids], dtype=int)
-    return FeatureMatrix(acc_ids, columns, values, y)
+    n, columns = len(acc_ids), kpi_columns()
+    txns, app_days, tails, cover, labels = [], [], [], [], []
+    for acc_id in acc_ids:  # the one pass over the records
+        series = bundle.balances.get(acc_id)
+        if series is None:
+            raise DataError(f"account {acc_id}: balances not reconstructed")
+        outcome = bundle.outcomes[acc_id]
+        app_day = (outcome.application_date - series.start_date).days  # the application's index in the series
+        txns.append(bundle.transactions[acc_id])
+        app_days.append(outcome.application_date.toordinal())
+        labels.append(outcome.performance)
+        # the horizon's days, hi - 1 to 0 days before the application, clamped to the series
+        tail = series.balances[max(app_day - HORIZON.hi + 1, 0) : max(app_day + 1, 0)]
+        cover.append(len(tail))
+        tails.append([0] * (HORIZON.hi - len(tail)) + tail)  # padded where the series starts later
+    flat = list(chain.from_iterable(txns))
+    acc = np.repeat(np.arange(n), [len(t) for t in txns])  # each transaction's row
+    dates = np.fromiter(map(datetime.date.toordinal, map(attrgetter("date"), flat)), np.int64, len(flat))
+    offsets = np.asarray(app_days, dtype=np.int64)[acc] - dates  # days before the application
+    amounts = np.fromiter(map(attrgetter("amount"), flat), np.int64, len(flat))
+    horizon = np.array(tails, dtype=float)  # column j: the balance hi - 1 - j days before the application
+    values = np.full((n, len(columns)), math.nan)
+    col = 0
+    for spec in CANONICAL_WINDOWS:
+        inside = (spec.lo <= offsets) & (offsets < spec.hi)
+        by_direction = [
+            _transaction_stats(acc[keep], amounts[keep], n)
+            for keep in (inside & (amounts > 0), inside & (amounts < 0), inside)
+        ]
+        trx = np.stack(by_direction, axis=1).reshape(-1, n)  # stat-major, as in kpi_columns()
+        values[:, col : col + len(trx)] = trx.T
+        col += len(trx)
+        # the window's days end at column HORIZON.hi - lo; they number 0 where the series starts later
+        stop = HORIZON.hi - spec.lo
+        days = np.clip(np.minimum(cover, spec.hi) - spec.lo, 0, None)  # the series covers the last `cover` columns
+        for length in np.unique(days[days > 0]):  # one group per coverage; one group in a full ledger
+            rows = np.flatnonzero(days == length)
+            values[rows, col : col + len(BAL_STATS)] = _balance_stats(horizon[rows, stop - length : stop]).T
+        col += len(BAL_STATS)
+    in_horizon = (HORIZON.lo <= offsets) & (offsets < HORIZON.hi)
+    values[:, col] = np.bincount(acc[in_horizon], minlength=n)
+    active_days = np.unique(acc[in_horizon] * HORIZON.hi + offsets[in_horizon])  # distinct (row, day) pairs
+    values[:, col + 1] = np.bincount(active_days // HORIZON.hi, minlength=n)
+    return FeatureMatrix(acc_ids, columns, values, np.asarray(labels, dtype=int))
 
 
 def drop_inactive_accounts(matrix: FeatureMatrix) -> FeatureMatrix:

@@ -129,9 +129,10 @@ def train_test_split(X, y, train_fraction: float = 0.75, seed: int = 0):
 def validation_split(y, fraction: float, seed: int = 0):
     """(fit, validation) row indices for early stopping: a stratified split
     holding out `fraction` of the rows, or no row when fraction is 0, there
-    are fewer than 20 rows or a class has fewer than 2."""
+    are fewer than 20 rows or a class has fewer than 3 (so that the fit part
+    keeps at least 2 of each class, as SMOTE needs)."""
     y = np.asarray(y, dtype=int)
-    if fraction <= 0 or len(y) < 20 or np.bincount(y, minlength=2).min() < 2:
+    if fraction <= 0 or len(y) < 20 or np.bincount(y, minlength=2).min() < 3:
         return np.arange(len(y)), np.empty(0, dtype=int)
     return train_test_split(y, y, train_fraction=1.0 - fraction, seed=seed)
 

@@ -18,6 +18,11 @@ class DataError(Exception):
     """Malformed input data (bad row, duplicate key, broken reference)."""
 
 
+# Amounts, balances and their totals stay below this many cents, so every
+# sum the featurizer takes is exact both in int64 and as a float.
+MAX_CENTS = 2**53
+
+
 def parse_cents(text: str) -> int:
     """Parse a decimal currency string (<=2 fraction digits) into integer cents."""
     text = text.strip()
@@ -34,6 +39,8 @@ def parse_cents(text: str) -> int:
     if not whole.isdigit():
         raise DataError(f"bad currency amount {text!r}")
     cents = int(whole) * 100 + int(frac)
+    if cents >= MAX_CENTS:
+        raise DataError(f"currency amount {text!r} out of range (|cents| must be below 2**53)")
     return -cents if neg else cents
 
 
@@ -78,11 +85,6 @@ class DailyBalanceSeries:
     start_date: datetime.date
     end_date: datetime.date
     balances: list[int]  # cents, one per calendar day
-
-    def balance_on(self, day: datetime.date) -> int:
-        if day < self.start_date or day > self.end_date:
-            raise DataError(f"day {day} outside series for {self.account_id}")
-        return self.balances[(day - self.start_date).days]
 
 
 SCHEMAS = {
@@ -174,7 +176,9 @@ def join_bundle(clients, accounts, transactions, outcomes) -> LedgerBundle:
     """Join the four tables on account_id, enforcing referential integrity.
 
     Accounts with no loan outcome are kept but remain unlabeled; they only
-    drop out at feature-matrix construction.
+    drop out at feature-matrix construction. An account whose |snapshot
+    balance| plus total |amount| reaches MAX_CENTS is rejected, which bounds
+    every daily balance below it too.
     """
     acc_map = {a.account_id: a for a in accounts}
     txn_map: dict[str, list[TransactionRecord]] = {a: [] for a in acc_map}
@@ -184,8 +188,10 @@ def join_bundle(clients, accounts, transactions, outcomes) -> LedgerBundle:
         if t.date > acc_map[t.account_id].snapshot_date:
             raise DataError(f"transaction {t.transaction_id} dated after balance snapshot")
         txn_map[t.account_id].append(t)
-    for txns in txn_map.values():
+    for acc_id, txns in txn_map.items():
         txns.sort(key=lambda t: (t.date, t.transaction_id))
+        if abs(acc_map[acc_id].snapshot_balance) + sum([abs(t.amount) for t in txns]) >= MAX_CENTS:
+            raise DataError(f"account {acc_id}: snapshot balance plus total amount out of range (2**53 cents)")
     out_map: dict[str, LoanOutcome] = {}
     for o in outcomes:
         if o.account_id not in acc_map:

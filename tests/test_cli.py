@@ -256,6 +256,18 @@ class TestExitCodes:
         rc = run("ingest", "--data", str(tmp_path / "nothing"), "--out", str(tmp_path / "o"))
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("amount", ["1" * 20, "9" * 401], ids=["20_digits", "401_digits"])
+    def test_out_of_range_amount_is_data_error(self, amount, ledger_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(ledger_dir, data)
+        path = data / "transactions.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:3] + [amount])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("report", "--data", str(data), "--out", str(tmp_path / "o")) == EXIT_DATA
+        assert "transactions.csv:4: currency amount" in capsys.readouterr().err
+
     def test_select_without_features_is_data_error(self, tmp_path):
         rc = run("select", "--data", str(tmp_path), "--out", str(tmp_path / "o"))
         assert rc == EXIT_DATA

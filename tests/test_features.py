@@ -1,11 +1,14 @@
 import datetime
+import functools
 import math
+import operator
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_tables import balance_on
 
 from creditshap.features import (
     BAL_STATS,
@@ -14,22 +17,20 @@ from creditshap.features import (
     TRX_STATS,
     FeatureMatrix,
     WindowSpec,
-    account_features,
-    balance_stats,
     build_feature_matrix,
     drop_inactive_accounts,
     fit_scaler,
     kpi_columns,
     median_impute,
     standardize,
-    transaction_stats,
-    window_slice,
 )
 from creditshap.pipeline import ingest_stage
 from creditshap.synthetic import write_ledger_fixture
 from creditshap.tables import (
+    MAX_CENTS,
     AccountRecord,
     ClientRecord,
+    DailyBalanceSeries,
     DataError,
     LoanOutcome,
     TransactionRecord,
@@ -46,24 +47,38 @@ def days_before(n):
     return APP - datetime.timedelta(days=n)
 
 
-def make_bundle(per_account_txns, balances=None):
-    """per_account_txns: {acc: [(days_before_app, cents), ...]}"""
+def make_bundle(per_account_txns, balances=None, starts=None):
+    """per_account_txns: {acc: [(days_before_app, cents), ...]}; starts: {acc: days
+    before the application on which that account's balance series starts}."""
     accounts, outcomes, txns = [], [], []
     tid = 0
     for acc, events in per_account_txns.items():
         accounts.append(AccountRecord(acc, (balances or {}).get(acc, 0), SNAPSHOT))
         outcomes.append(LoanOutcome(acc, APP, 0))
         for n, cents in events:
-            txns.append(TransactionRecord(f"T{tid}", acc, days_before(n), cents))
+            txns.append(TransactionRecord(f"T{tid:04d}", acc, days_before(n), cents))
             tid += 1
     bundle = join_bundle([ClientRecord("C", a.account_id) for a in accounts], accounts, txns, outcomes)
     reconstruct_bundle_balances(bundle)
+    for acc, start in (starts or {}).items():
+        bundle.balances[acc] = reconstruct_balances(bundle.accounts[acc], bundle.transactions[acc], days_before(start))
     return bundle
 
 
-# The oracle: the featurizer written one column at a time, with a
-# (stat, direction) dispatch per column, the window's days as a date list
-# and one balance_on call per day.
+# The oracle: the featurizer written one account and one column at a time,
+# with a (stat, direction) dispatch per column, the window's days as a date
+# list and one balance_on call per day. Its float sums are explicit left
+# folds: sum() of floats compensates its rounding from Python 3.12 on.
+
+
+def fold(vals) -> float:
+    """Left-to-right float sum, as sum() of floats adds before Python 3.12."""
+    return functools.reduce(operator.add, vals, 0.0)
+
+
+def population_std(vals, mean: float) -> float:
+    """The two-pass population std around the list's mean."""
+    return math.sqrt(fold([(v - mean) ** 2 for v in vals]) / len(vals))
 
 
 def aggregate_transactions(amounts, stat: str, direction: str) -> float:
@@ -84,10 +99,9 @@ def aggregate_transactions(amounts, stat: str, direction: str) -> float:
     if stat == "sum":
         return float(sum(vals))
     if stat == "mean":
-        return sum(vals) / len(vals)
+        return sum(vals) / len(vals)  # the amounts are ints: an exact sum
     if stat == "std":
-        m = sum(vals) / len(vals)
-        return math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals))
+        return population_std(vals, sum(vals) / len(vals))
     raise ValueError(f"unknown transaction stat {stat!r}")
 
 
@@ -106,10 +120,9 @@ def aggregate_balance(balances, stat: str) -> float:
     if stat == "max":
         return max(b)
     if stat == "mean":
-        return sum(b) / len(b)
+        return fold(b) / len(b)
     if stat == "std":
-        m = sum(b) / len(b)
-        return math.sqrt(sum((v - m) ** 2 for v in b) / len(b))
+        return population_std(b, fold(b) / len(b))
     if stat == "slope":
         n = len(b)
         if n == 1:
@@ -133,7 +146,7 @@ def oracle_row(bundle, acc_id) -> list[float]:
                 row.append(aggregate_transactions(amounts, stat, direction))
         days = [app_date - datetime.timedelta(days=o) for o in range(spec.hi - 1, spec.lo - 1, -1)]
         in_series = [d for d in days if series.start_date <= d <= series.end_date]
-        balances = [series.balance_on(d) for d in in_series]
+        balances = [balance_on(series, d) for d in in_series]
         for stat in BAL_STATS:
             row.append(aggregate_balance(balances, stat))
     horizon = [t for t in txns if 0 <= (app_date - t.date).days < 120]
@@ -142,12 +155,38 @@ def oracle_row(bundle, acc_id) -> list[float]:
     return row
 
 
-def assert_matches_oracle(bundle, acc_id):
-    """Every column bit for bit; float.hex tells -0.0 from 0.0 and makes NaN equal NaN."""
-    got, want = account_features(bundle, acc_id), oracle_row(bundle, acc_id)
-    assert len(got) == len(want) == len(kpi_columns())
-    for name, g, w in zip(kpi_columns(), got, want):
-        assert float(g).hex() == float(w).hex(), (acc_id, name, g, w)
+def assert_matches_oracle(bundle):
+    """Every column of every row bit for bit; float.hex tells -0.0 from 0.0 and makes NaN equal NaN."""
+    matrix = build_feature_matrix(bundle)
+    assert matrix.row_ids == bundle.labeled_account_ids
+    assert matrix.columns == kpi_columns() and len(kpi_columns()) == 106
+    for acc_id, got in zip(matrix.row_ids, matrix.values.tolist()):
+        want = oracle_row(bundle, acc_id)
+        assert len(got) == len(want)
+        for name, g, w in zip(kpi_columns(), got, want):
+            assert g.hex() == float(w).hex(), (acc_id, name, g, w)
+
+
+# Hypothesis ledgers: window-boundary offsets are drawn often, and large
+# amounts sit just under MAX_CENTS / 16, so that 12 of them plus a snapshot
+# balance stay below MAX_CENTS.
+BOUNDARY_OFFSETS = [-10, -1, 0, 1, 29, 30, 59, 60, 89, 90, 119, 120, 121, 140, 141]
+offset = st.one_of(st.sampled_from(BOUNDARY_OFFSETS), st.integers(min_value=-10, max_value=141))
+magnitude = st.one_of(
+    st.integers(min_value=1, max_value=10**7),
+    st.integers(min_value=MAX_CENTS // 16 - 10**6, max_value=MAX_CENTS // 16),
+)
+cents = st.tuples(magnitude, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+events = st.lists(st.tuples(offset, cents), max_size=12)
+same_day = st.tuples(offset, st.lists(cents, min_size=2, max_size=6)).map(lambda p: [(p[0], c) for c in p[1]])
+one_sided = st.lists(st.tuples(offset, magnitude), max_size=8).flatmap(
+    lambda ev: st.sampled_from([ev, [(o, -c) for o, c in ev]])
+)
+account = st.tuples(
+    st.one_of(events, same_day, one_sided),
+    st.integers(min_value=-(MAX_CENTS // 16), max_value=MAX_CENTS // 16),  # snapshot balance
+    st.one_of(st.none(), st.sampled_from([119, 118, 90, 89, 30, 29, 1, 0, -1]), st.integers(-10, 141)),  # series start
+)
 
 
 class TestFeaturizerOracle:
@@ -155,8 +194,7 @@ class TestFeaturizerOracle:
         write_ledger_fixture(tmp_path, 150, seed=0)
         bundle = ingest_stage(tmp_path)
         assert len(bundle.labeled_account_ids) == 150
-        for acc_id in bundle.labeled_account_ids:
-            assert_matches_oracle(bundle, acc_id)
+        assert_matches_oracle(bundle)
 
     @pytest.mark.parametrize("events", [
         [],  # every window empty
@@ -171,46 +209,69 @@ class TestFeaturizerOracle:
     @pytest.mark.parametrize("snapshot_balance", [0, -5000, 123456])
     def test_hand_built_accounts(self, events, snapshot_balance):
         bundle = make_bundle({"A1": events}, {"A1": snapshot_balance})
-        assert_matches_oracle(bundle, "A1")
+        assert_matches_oracle(bundle)
 
     @pytest.mark.parametrize("start", [100, 45, 30, 29, 1, 0, -5])
     def test_series_starting_inside_the_horizon(self, start):
         # start days before the application; -5 starts the series after it
         events = [(2, 400), (25, -150), (31, 900), (50, -75), (95, 60)]
-        bundle = make_bundle({"A1": events}, {"A1": 2500})
-        account = bundle.accounts["A1"]
-        series = reconstruct_balances(account, bundle.transactions["A1"], days_before(start))
-        bundle.balances["A1"] = series
-        assert_matches_oracle(bundle, "A1")
+        bundle = make_bundle({"A1": events, "A2": events}, {"A1": 2500, "A2": 2500}, {"A1": start})
+        assert_matches_oracle(bundle)  # A2 covers the whole horizon beside A1
+
+    @given(st.lists(account, min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_multi_account_ledgers(self, accounts):
+        names = [f"A{i}" for i in range(len(accounts))]
+        bundle = make_bundle(
+            {a: ev for a, (ev, _, _) in zip(names, accounts)},
+            {a: snap for a, (_, snap, _) in zip(names, accounts)},
+            {a: start for a, (_, _, start) in zip(names, accounts) if start is not None},
+        )
+        assert_matches_oracle(bundle)
+
+    def test_squares_round_as_pow_does(self):
+        # (v - m) ** 2 calls C pow; on these values (v - m) * (v - m) moves the std by a bit
+        vals = [1094428206580, -692765664167, 356422872724]
+        m = sum(vals) / len(vals)
+        assert population_std(vals, m) != math.sqrt(fold([(v - m) * (v - m) for v in vals]) / len(vals))
+        assert_matches_oracle(make_bundle({"A1": [(5, v) for v in vals]}))  # the transaction std
+        assert bal_stat(vals, "std").hex() == aggregate_balance(vals, "std").hex()
 
     def test_missing_series_is_data_error(self):
-        bundle = make_bundle({"A1": [(5, 1000)]})
-        del bundle.balances["A1"]
-        with pytest.raises(DataError, match="balances not reconstructed"):
-            account_features(bundle, "A1")
+        bundle = make_bundle({"A1": [(5, 1000)], "A2": [(6, 500)]})
+        del bundle.balances["A2"]
+        with pytest.raises(DataError, match="account A2: balances not reconstructed"):
+            build_feature_matrix(bundle)
 
 
-class TestWindowSlice:
-    # window_slice takes day offsets before the application, so days_before(n) is offset n
+def matrix_of(events):
+    """The feature matrix of one account with these (days before application, cents) events."""
+    return build_feature_matrix(make_bundle({"A1": events}))
+
+
+class TestWindows:
+    # a transaction n days before the application has day offset n
+    def window_counts(self, offset):
+        m = matrix_of([(offset, 100)])
+        return {spec.label: m.column(f"trx_count_all_{spec.label}")[0] for spec in CANONICAL_WINDOWS}
+
     def test_inside_last30(self):
-        spec = CANONICAL_WINDOWS[0]
-        assert window_slice([15], spec) == [0]
+        assert self.window_counts(15) == {"last30": 1, "30_60": 0, "60_90": 0, "90_120": 0}
 
     def test_boundary_goes_to_next_window(self):
-        d = [30]
-        assert window_slice(d, CANONICAL_WINDOWS[0]) == []
-        assert window_slice(d, CANONICAL_WINDOWS[1]) == [0]
+        assert self.window_counts(29)["last30"] == 1
+        assert self.window_counts(30) == {"last30": 0, "30_60": 1, "60_90": 0, "90_120": 0}
 
-    def test_outside_horizon(self):
-        d = [121]
-        for spec in CANONICAL_WINDOWS:
-            assert window_slice(d, spec) == []
+    @pytest.mark.parametrize("offset", [-1, 120, 121])
+    def test_outside_horizon(self, offset):
+        assert set(self.window_counts(offset).values()) == {0}
+        assert matrix_of([(offset, 100)]).column("trx_count_all_total120")[0] == 0
 
     @given(st.integers(min_value=0, max_value=119))
+    @settings(deadline=None)
     def test_partition(self, offset):
-        d = [offset]
-        hits = [spec.label for spec in CANONICAL_WINDOWS if window_slice(d, spec)]
-        assert len(hits) == 1
+        counts = self.window_counts(offset)
+        assert sorted(counts.values()) == [0, 0, 0, 1]
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -218,13 +279,23 @@ class TestWindowSlice:
 
 
 def trx_stat(amounts, stat: str, direction: str) -> float:
-    """One entry of transaction_stats over one direction's amounts."""
-    keep = {"incoming": lambda a: a > 0, "outgoing": lambda a: a < 0, "all": lambda a: True}[direction]
-    return transaction_stats([a for a in amounts if keep(a)])[TRX_STATS.index(stat)]
+    """One transaction KPI of an account whose amounts all fall in the last 30 days."""
+    return matrix_of([(5, a) for a in amounts]).column(f"trx_{stat}_{direction}_last30")[0]
+
+
+def balance_matrix(balances):
+    """The feature matrix of one account whose balance series ends on the
+    application day with these daily balances (so it starts inside the horizon
+    when there are fewer than 120)."""
+    bundle = make_bundle({"A1": []})
+    start = days_before(len(balances) - 1)
+    bundle.balances["A1"] = DailyBalanceSeries("A1", start, APP, list(balances))
+    return build_feature_matrix(bundle)
 
 
 def bal_stat(balances, stat: str) -> float:
-    return balance_stats(balances)[BAL_STATS.index(stat)]
+    """One balance KPI of the last 30 days, which hold exactly these balances."""
+    return balance_matrix(balances).column(f"acc_bal_{stat}_last30")[0]
 
 
 class TestAggregateTransactions:
@@ -239,6 +310,7 @@ class TestAggregateTransactions:
         assert math.isnan(trx_stat([], "mean", "all"))
 
     @given(st.lists(st.integers(min_value=-10000, max_value=10000).filter(bool), min_size=1, max_size=30))
+    @settings(deadline=None)
     def test_sum_and_count_identities(self, amounts):
         def get(stat, direction):
             v = trx_stat(amounts, stat, direction)
@@ -263,14 +335,20 @@ class TestAggregateBalance:
 
     def test_slope_matches_least_squares_oracle(self):
         rng = np.random.default_rng(0)
-        b = rng.normal(size=20)
+        b = rng.integers(-1000, 1000, size=20)  # a series holds integer cents
         # closed-form least squares via polyfit
-        expect = np.polyfit(np.arange(20), b, 1)[0]
-        assert bal_stat(list(b), "slope") == pytest.approx(expect, abs=1e-9)
+        expect = np.polyfit(np.arange(20), b.astype(float), 1)[0]
+        assert bal_stat(b.tolist(), "slope") == pytest.approx(expect, abs=1e-9)
+
+    def test_one_day_has_flat_slope_and_no_spread(self):
+        assert bal_stat([700], "slope") == 0.0
+        assert bal_stat([700], "std") == 0.0
 
     def test_no_coverage_is_all_missing(self):
-        assert all(math.isnan(v) for v in balance_stats([]))
-        assert len(balance_stats([])) == len(BAL_STATS)
+        bundle = make_bundle({"A1": [(2, 400)]}, {"A1": 2500}, {"A1": -5})  # the series starts after the application
+        m = build_feature_matrix(bundle)
+        for spec in CANONICAL_WINDOWS:
+            assert all(math.isnan(m.column(f"acc_bal_{stat}_{spec.label}")[0]) for stat in BAL_STATS)
 
 
 class TestBuildMatrix:

@@ -484,6 +484,17 @@ class TestValidationRowsAreReal:
         assert np.array_equal(Z_fit, scaler.transform(X_fit))
         assert np.array_equal(Z_val, scaler.transform(X[held])) and np.array_equal(y_val, y[held])
 
+    def test_smote_fits_with_two_minority_rows(self):
+        X, y = imbalanced_blobs(38, 2, seed=4)
+        fit, held = validation_split(y, 0.1, seed=0)
+        assert len(fit) == 40 and len(held) == 0  # holding one out would leave SMOTE a single minority row
+        fitted = fit_model(
+            ModelSpec("oblivious_boosting", {"n_rounds": 5}), TrainSplit(X, y), ResamplingStrategy("smote"), seed=0
+        )
+        assert len(fitted.model.trees) == 5
+        _, y3 = imbalanced_blobs(37, 3, seed=4)
+        assert [int(np.sum(y3[validation_split(y3, 0.1, seed=0)[1]] == c)) for c in (0, 1)] == [4, 1]
+
     def test_no_resampling_fits_as_a_direct_call(self):
         X, y, names = planted_signal_dataset(400, 8, seed=7)
         y = np.where(np.random.default_rng(8).random(len(y)) < 0.1, 1 - y, y)  # noise makes early stopping fire

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creditshap.tables import (
+    MAX_CENTS,
+    SCHEMAS,
     AccountRecord,
     DataError,
     TransactionRecord,
@@ -26,6 +28,13 @@ def txn(tid, acc, d, cents):
     return TransactionRecord(tid, acc, day(d), cents)
 
 
+def balance_on(series, d):
+    """The series' balance on day d, read by calendar date (the oracles' view of a series)."""
+    if d < series.start_date or d > series.end_date:
+        raise DataError(f"day {d} outside series for {series.account_id}")
+    return series.balances[(d - series.start_date).days]
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -41,6 +50,14 @@ class TestParseCents:
     def test_rejects_three_decimals(self):
         with pytest.raises(DataError):
             parse_cents("1.234")
+
+    def test_range_ends_below_max_cents(self):
+        assert MAX_CENTS == 2**53
+        assert parse_cents("90071992547409.91") == MAX_CENTS - 1
+        assert parse_cents("-90071992547409.91") == 1 - MAX_CENTS
+        for text in ("90071992547409.92", "-90071992547409.92", "1" * 20, "9" * 401 + ".5"):
+            with pytest.raises(DataError, match="out of range"):
+                parse_cents(text)
 
 
 class TestLoadTable:
@@ -77,6 +94,16 @@ class TestLoadTable:
         with pytest.raises(DataError, match=":2"):
             load_table(p, "transactions")
 
+    @pytest.mark.parametrize("kind, row", [
+        ("transactions", "T2,A1,2024-01-03,-" + "9" * 20),
+        ("accounts", "A2,90071992547409.92,2024-01-03"),
+    ])
+    def test_out_of_range_amount_names_file_and_line(self, tmp_path, kind, row):
+        first = {"transactions": "T1,A1,2024-01-02,10.00", "accounts": "A1,5,2024-01-03"}[kind]
+        p = write(tmp_path, "t.csv", ",".join(SCHEMAS[kind]) + f"\n{first}\n{row}\n")
+        with pytest.raises(DataError, match=r"t\.csv:3: currency amount .* out of range"):
+            load_table(p, kind)
+
 
 class TestJoinBundle:
     def _accounts(self):
@@ -97,6 +124,20 @@ class TestJoinBundle:
     def test_unknown_account_rejected(self):
         with pytest.raises(DataError, match="unknown account"):
             join_bundle([], self._accounts(), [txn("T1", "AX", 1, 100)], [])
+
+    @pytest.mark.parametrize("snapshot", [-(MAX_CENTS // 2), MAX_CENTS // 2])
+    def test_balance_plus_total_amount_must_stay_below_max_cents(self, snapshot):
+        quarter = MAX_CENTS // 4
+        ok = [AccountRecord("A1", 0, day(30)), AccountRecord("A2", snapshot, day(30))]
+        txns = [txn("T1", "A2", 1, quarter), txn("T2", "A2", 2, 1 - quarter)]
+        bundle = join_bundle([], ok, txns, [])  # |snapshot| + total |amount| = MAX_CENTS - 1
+        assert len(bundle.transactions["A2"]) == 2
+        with pytest.raises(DataError, match="account A2: .*out of range"):
+            join_bundle([], ok, txns + [txn("T3", "A2", 3, 1)], [])  # one more cent reaches it
+        # the amounts alone, with a zero snapshot, count too
+        big = [txn("T1", "A1", 1, MAX_CENTS - 1), txn("T2", "A1", 2, -1)]
+        with pytest.raises(DataError, match="account A1"):
+            join_bundle([], ok, big, [])
 
     def test_shared_account_joins_once(self):
         from creditshap.tables import ClientRecord
@@ -125,9 +166,9 @@ class TestReconstructBalances:
     def test_single_txn(self):
         acc = AccountRecord("A1", 10000, day(10))
         series = reconstruct_balances(acc, [txn("T1", "A1", 5, 3000)], day(0))
-        assert series.balance_on(day(4)) == 7000
-        assert series.balance_on(day(5)) == 10000
-        assert series.balance_on(day(10)) == 10000
+        assert balance_on(series, day(4)) == 7000
+        assert balance_on(series, day(5)) == 10000
+        assert balance_on(series, day(10)) == 10000
 
     def test_no_txns_constant(self):
         acc = AccountRecord("A1", 4200, day(10))
@@ -143,11 +184,11 @@ class TestReconstructBalances:
         running = start_balance
         for d in range(0, 11):
             running = start_balance + sum(t.amount for t in txns if 0 < (t.date - day(0)).days <= d)
-            assert series.balance_on(day(d)) == running
-        assert series.balance_on(day(2)) == 0
-        assert series.balance_on(day(3)) == 36400
-        assert series.balance_on(day(6)) == 36400
-        assert series.balance_on(day(7)) == 0
+            assert balance_on(series, day(d)) == running
+        assert balance_on(series, day(2)) == 0
+        assert balance_on(series, day(3)) == 36400
+        assert balance_on(series, day(6)) == 36400
+        assert balance_on(series, day(7)) == 0
 
     def test_txn_after_snapshot_rejected(self):
         acc = AccountRecord("A1", 0, day(10))
@@ -167,9 +208,9 @@ class TestReconstructBalances:
         txns = [txn(f"T{i}", "A1", d, a) for i, (d, a) in enumerate(events)]
         series = reconstruct_balances(acc, txns, day(0))
         for d in range(0, 30):
-            delta = series.balance_on(day(d + 1)) - series.balance_on(day(d))
+            delta = balance_on(series, day(d + 1)) - balance_on(series, day(d))
             assert delta == sum(t.amount for t in txns if t.date == day(d + 1))
-        assert series.balance_on(day(30)) == snapshot_cents
+        assert balance_on(series, day(30)) == snapshot_cents
 
 
 class TestValidateBundle:
