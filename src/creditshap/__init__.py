@@ -17,4 +17,4 @@ from .metrics import ConfusionMatrix, CvResult, RocCurve, TrainSplit, confusion_
 from .models import ModelSpec, TreeEnsemble, classify, fit_model
 from .pipeline import GridSpec, PipelineConfig, run_grid, run_pipeline
 from .resampling import ClassWeights, ResamplingStrategy, apply_strategy, class_weights
-from .tables import LedgerBundle, join_bundle, load_table, reconstruct_balances, validate_bundle
+from .tables import LedgerBundle, join_bundle, load_table, validate_bundle

@@ -56,6 +56,17 @@ def _artifact(config: PipelineConfig, name: str, stage: str) -> Path:
     return path
 
 
+def _json_artifact(config: PipelineConfig, name: str, stage: str) -> dict:
+    path = _artifact(config, name, stage)
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: bad JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: not a JSON object")
+    return data
+
+
 def _load_matrix(config: PipelineConfig) -> FeatureMatrix:
     return FeatureMatrix.from_csv(_artifact(config, "features.csv", "featurize"))
 
@@ -64,12 +75,12 @@ def _working_matrix(config: PipelineConfig) -> FeatureMatrix:
     """features_pruned.csv, narrowed to top_k.json's columns for top_k; select
     must have run with this config's selection settings."""
     matrix = FeatureMatrix.from_csv(_artifact(config, "features_pruned.csv", "select"))
-    recorded = json.loads(_artifact(config, "selection.json", "select").read_text()).get("settings", {})
+    recorded = _json_artifact(config, "selection.json", "select").get("settings", {})
     for key, value in config.selection_settings().items():
         if recorded.get(key) != value:
             raise DataError(f"selection.json has {key}={recorded.get(key)!r}, not {value!r}; rerun select")
     if config.feature_set == "top_k":
-        kept = json.loads(_artifact(config, "top_k.json", "select").read_text())["kept"]
+        kept = _json_artifact(config, "top_k.json", "select").get("kept", [])
         if len(kept) != config.top_k:
             raise DataError(f"top_k.json keeps {len(kept)} columns, not top_k={config.top_k}; rerun select")
         matrix = matrix.subset_columns(kept)

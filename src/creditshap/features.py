@@ -5,25 +5,22 @@ application date ([0,30), [30,60), [60,90), [90,120)) each yield
 6 transaction stats x 3 directions + 8 balance stats = 26 KPIs, plus
 two whole-horizon activity KPIs, for 106 columns total.
 
-`build_feature_matrix` is one columnar pass over the ledger. One loop over
-the labeled accounts flattens their transactions into day offsets, int64
-cents and row indices, and their last 120 daily balances into one
-(accounts x 120) matrix. Each window then yields its KPIs for every account
-at once: transaction stats from grouped int64 reductions, balance stats
-from row-wise reductions over a slice of the matrix's columns. Float sums
-run in list and day order, so every KPI keeps the bits of a per-account
-left fold.
+`build_feature_matrix` is one columnar pass over the ledger. The bundle's
+balance lookup (`tables.BalanceLookup`) gives the labeled accounts'
+transactions as day offsets, int64 cents and row indices, and their last
+120 daily balances as one (accounts x 120) matrix. Each window then yields
+its KPIs for every account at once: transaction stats from grouped int64
+reductions, balance stats from row-wise reductions over 30 of the matrix's
+columns. Float sums run in list and day order, so every KPI keeps the bits
+of a per-account left fold.
 """
 
 from __future__ import annotations
 
 import csv
-import datetime
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -101,26 +98,28 @@ class FeatureMatrix:
             writer = csv.writer(fh)
             writer.writerow(["row_id", *self.columns, "performance"])
             for i, rid in enumerate(self.row_ids):
-                row = [rid]
-                for v in self.values[i]:
-                    row.append("" if math.isnan(v) else repr(float(v)))
-                row.append(int(self.y[i]))
-                writer.writerow(row)
+                writer.writerow([rid, *["" if v != v else repr(v) for v in self.values[i].tolist()], int(self.y[i])])
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
+        """The matrix `to_csv` wrote; a malformed file is a DataError naming it and the line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if header[0] != "row_id" or header[-1] != "performance":
+            header = next(reader, None)
+            if not header or header[0] != "row_id" or header[-1] != "performance":
                 raise DataError(f"{path}: not a feature-matrix CSV")
             columns = header[1:-1]
             row_ids, rows, ys = [], [], []
-            for raw in reader:
+            for lineno, raw in enumerate(reader, start=2):
+                if len(raw) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(raw)}")
+                try:
+                    rows.append([float(c) if c else math.nan for c in raw[1:-1]])
+                    ys.append(int(raw[-1]))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
                 row_ids.append(raw[0])
-                rows.append([float(c) if c else math.nan for c in raw[1:-1]])
-                ys.append(int(raw[-1]))
-        return cls(row_ids, columns, np.asarray(rows, dtype=float), np.asarray(ys, dtype=int))
+        return cls(row_ids, columns, np.array(rows, dtype=float).reshape(len(rows), len(columns)), np.array(ys, dtype=int))
 
 
 def _transaction_stats(acc, amounts, n: int) -> np.ndarray:
@@ -168,7 +167,7 @@ def _balance_stats(balances: np.ndarray) -> np.ndarray:
     t -= t.mean()
     centered = balances - balances.mean(axis=1, keepdims=True)
     # a stack of vector-vector products, each the np.dot of one row (Y @ t rounds otherwise)
-    slope = np.matmul(t, centered[:, :, None])[:, 0] / np.dot(t, t) if days > 1 else np.zeros(len(balances))
+    slope = np.matmul(t, centered[:, :, None])[:, 0] / np.dot(t, t)
     var = balances[:, -1] - balances[:, 0]
     return np.array([var, np.maximum(0.0, hi), np.abs(np.minimum(0.0, lo)), lo, hi, mean, std, slope])
 
@@ -178,50 +177,34 @@ def build_feature_matrix(bundle: LedgerBundle) -> FeatureMatrix:
     acc_ids = bundle.labeled_account_ids
     if not acc_ids:
         raise DataError("no labeled accounts to featurize")
+    lookup = bundle.balances
+    if lookup is None:
+        raise DataError("balances not reconstructed")
     n, columns = len(acc_ids), kpi_columns()
-    txns, app_days, tails, cover, labels = [], [], [], [], []
-    for acc_id in acc_ids:  # the one pass over the records
-        series = bundle.balances.get(acc_id)
-        if series is None:
-            raise DataError(f"account {acc_id}: balances not reconstructed")
-        outcome = bundle.outcomes[acc_id]
-        app_day = (outcome.application_date - series.start_date).days  # the application's index in the series
-        txns.append(bundle.transactions[acc_id])
-        app_days.append(outcome.application_date.toordinal())
-        labels.append(outcome.performance)
-        # the horizon's days, hi - 1 to 0 days before the application, clamped to the series
-        tail = series.balances[max(app_day - HORIZON.hi + 1, 0) : max(app_day + 1, 0)]
-        cover.append(len(tail))
-        tails.append([0] * (HORIZON.hi - len(tail)) + tail)  # padded where the series starts later
-    flat = list(chain.from_iterable(txns))
-    acc = np.repeat(np.arange(n), [len(t) for t in txns])  # each transaction's row
-    dates = np.fromiter(map(datetime.date.toordinal, map(attrgetter("date"), flat)), np.int64, len(flat))
-    offsets = np.asarray(app_days, dtype=np.int64)[acc] - dates  # days before the application
-    amounts = np.fromiter(map(attrgetter("amount"), flat), np.int64, len(flat))
-    horizon = np.array(tails, dtype=float)  # column j: the balance hi - 1 - j days before the application
-    values = np.full((n, len(columns)), math.nan)
-    col = 0
+    outcomes = [bundle.outcomes[a] for a in acc_ids]
+    is_labeled = np.array([a in bundle.outcomes for a in bundle.accounts], dtype=bool)
+    rows = np.flatnonzero(is_labeled)  # the lookup's rows of the matrix's accounts
+    app_days = np.array([o.application_date.toordinal() for o in outcomes], dtype=np.int64)
+    labeled = is_labeled[lookup.acc]
+    acc = np.searchsorted(rows, lookup.acc[labeled])  # each labeled transaction's matrix row
+    offsets = app_days[acc] - lookup.days[labeled]  # days before the application
+    amounts = lookup.amounts[labeled]
+    # column j: the balance HORIZON.hi - 1 - j days before the application
+    horizon = lookup.balance(rows[:, None], app_days[:, None] - np.arange(HORIZON.hi - 1, -1, -1)).astype(float)
+    blocks = []  # the columns of kpi_columns(), one row each
     for spec in CANONICAL_WINDOWS:
         inside = (spec.lo <= offsets) & (offsets < spec.hi)
         by_direction = [
             _transaction_stats(acc[keep], amounts[keep], n)
             for keep in (inside & (amounts > 0), inside & (amounts < 0), inside)
         ]
-        trx = np.stack(by_direction, axis=1).reshape(-1, n)  # stat-major, as in kpi_columns()
-        values[:, col : col + len(trx)] = trx.T
-        col += len(trx)
-        # the window's days end at column HORIZON.hi - lo; they number 0 where the series starts later
-        stop = HORIZON.hi - spec.lo
-        days = np.clip(np.minimum(cover, spec.hi) - spec.lo, 0, None)  # the series covers the last `cover` columns
-        for length in np.unique(days[days > 0]):  # one group per coverage; one group in a full ledger
-            rows = np.flatnonzero(days == length)
-            values[rows, col : col + len(BAL_STATS)] = _balance_stats(horizon[rows, stop - length : stop]).T
-        col += len(BAL_STATS)
+        blocks.append(np.stack(by_direction, axis=1).reshape(-1, n))  # stat-major
+        blocks.append(_balance_stats(horizon[:, HORIZON.hi - spec.hi : HORIZON.hi - spec.lo]))
     in_horizon = (HORIZON.lo <= offsets) & (offsets < HORIZON.hi)
-    values[:, col] = np.bincount(acc[in_horizon], minlength=n)
     active_days = np.unique(acc[in_horizon] * HORIZON.hi + offsets[in_horizon])  # distinct (row, day) pairs
-    values[:, col + 1] = np.bincount(active_days // HORIZON.hi, minlength=n)
-    return FeatureMatrix(acc_ids, columns, values, np.asarray(labels, dtype=int))
+    blocks.append([np.bincount(acc[in_horizon], minlength=n), np.bincount(active_days // HORIZON.hi, minlength=n)])
+    values = np.vstack(blocks, dtype=float).T.copy()
+    return FeatureMatrix(acc_ids, columns, values, np.array([o.performance for o in outcomes], dtype=int))
 
 
 def drop_inactive_accounts(matrix: FeatureMatrix) -> FeatureMatrix:

@@ -9,6 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..tables import DataError
 from .trees import Tree, stack
 
 ENSEMBLE_KINDS = ("random_forest", "gradient_boosting", "oblivious_boosting")
@@ -145,8 +146,11 @@ class TreeEnsemble:
 
     @classmethod
     def load(cls, path) -> "TreeEnsemble":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:  # a file that holds no ensemble is a DataError naming it
+            with open(path) as fh:
+                return cls.from_dict(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # bad JSON is a ValueError too
+            raise DataError(f"{path}: not a model file ({type(exc).__name__}: {exc})") from exc
 
 
 FIELD_KINDS = {numbers.Integral: "an integer", numbers.Real: "a number", bool: "true or false"}

@@ -98,6 +98,8 @@ class PipelineConfig:
             raise ConfigError(f"missing config file {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON in {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path} must hold a JSON object of settings, not {type(raw).__name__}")
         raw.update(overrides or {})
         return cls.from_flat(raw)
 

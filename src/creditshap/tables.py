@@ -12,6 +12,10 @@ from __future__ import annotations
 import csv
 import datetime
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+
+import numpy as np
 
 
 class DataError(Exception):
@@ -79,14 +83,6 @@ class LoanOutcome:
     performance: int  # 1 = bad payer
 
 
-@dataclass
-class DailyBalanceSeries:
-    account_id: str
-    start_date: datetime.date
-    end_date: datetime.date
-    balances: list[int]  # cents, one per calendar day
-
-
 SCHEMAS = {
     "clients": ("client_id", "account_id"),
     "accounts": ("account_id", "balance", "balance_date"),
@@ -120,8 +116,8 @@ def load_table(path, kind: str):
                 rec = _parse_row(kind, raw)
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-            key = _primary_key(kind, rec)
-            if key is not None:
+            if kind != "clients":  # the client table is a many-to-many link table
+                key = raw[0].strip()  # each other table's first column is its key
                 if key in seen:
                     raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
                 seen.add(key)
@@ -149,23 +145,13 @@ def _parse_row(kind, raw):
     return LoanOutcome(raw[0].strip(), _parse_date(raw[1], "application_date"), int(perf))
 
 
-def _primary_key(kind, rec):
-    if kind == "accounts":
-        return rec.account_id
-    if kind == "transactions":
-        return rec.transaction_id
-    if kind == "loans":
-        return rec.account_id
-    return None  # client table is a many-to-many link table
-
-
 @dataclass
 class LedgerBundle:
     clients: list[ClientRecord]
     accounts: dict[str, AccountRecord]
     transactions: dict[str, list[TransactionRecord]]  # account_id -> txns, date order
     outcomes: dict[str, LoanOutcome]
-    balances: dict[str, DailyBalanceSeries] = field(default_factory=dict)
+    balances: BalanceLookup | None = field(default=None, compare=False, repr=False)
 
     @property
     def labeled_account_ids(self) -> list[str]:
@@ -206,48 +192,39 @@ def join_bundle(clients, accounts, transactions, outcomes) -> LedgerBundle:
     return LedgerBundle(list(clients), acc_map, txn_map, out_map)
 
 
-def reconstruct_balances(account, txns, start_date) -> DailyBalanceSeries:
-    """Back-propagate daily balances from the snapshot down to start_date.
-
-    balance(d) = snapshot - sum of txn amounts with d < txn.date <= snapshot_date,
-    so the balance on the snapshot day equals the snapshot exactly.
-    """
-    if start_date > account.snapshot_date:
-        raise DataError("start_date after snapshot_date")
-    for t in txns:
-        if t.account_id != account.account_id:
-            raise DataError(f"transaction {t.transaction_id} belongs to another account")
-        if t.date > account.snapshot_date:
-            raise DataError(f"transaction {t.transaction_id} dated after snapshot")
-    n_days = (account.snapshot_date - start_date).days + 1
-    balances = [0] * n_days
-    balances[-1] = account.snapshot_balance
-    day_sums = [0] * n_days
-    for t in txns:
-        offset = (t.date - start_date).days
-        if 1 <= offset <= n_days - 1:
-            day_sums[offset] += t.amount
-    for i in range(n_days - 2, -1, -1):
-        balances[i] = balances[i + 1] - day_sums[i + 1]
-    return DailyBalanceSeries(account.account_id, start_date, account.snapshot_date, balances)
+DAY_KEYS = 1 << 22  # above every date ordinal, so row * DAY_KEYS + day sorts by row, then day
 
 
-def reconstruct_bundle_balances(bundle: LedgerBundle, horizon_days: int = 140) -> None:
-    """Fill bundle.balances covering the feature horizon before each application.
+class BalanceLookup:
+    """Every account's balance on any day up to its snapshot, from one prefix sum.
 
-    Unlabeled accounts get a series from their earliest transaction (they may
-    serve as SHAP background data later).
-    """
-    for acc_id, account in bundle.accounts.items():
-        txns = bundle.transactions[acc_id]
-        if acc_id in bundle.outcomes:
-            start = bundle.outcomes[acc_id].application_date - datetime.timedelta(days=horizon_days)
-        elif txns:
-            start = min(t.date for t in txns)
-        else:
-            start = account.snapshot_date
-        start = min(start, account.snapshot_date)
-        bundle.balances[acc_id] = reconstruct_balances(account, txns, start)
+    Rows follow `bundle.accounts`; their date-ordered transactions are flattened
+    row after row into `acc` (the row), `days` (date ordinals) and `amounts`
+    (int64 cents). A balance is the snapshot minus a difference of two entries
+    of one running sum, exact in int64 even where the sum wraps, since
+    join_bundle keeps the difference below MAX_CENTS."""
+
+    def __init__(self, bundle: LedgerBundle):
+        txns = [bundle.transactions[a] for a in bundle.accounts]
+        flat = list(chain.from_iterable(txns))
+        counts = np.array([len(t) for t in txns], dtype=np.int64)
+        self.snapshot = np.array([a.snapshot_balance for a in bundle.accounts.values()], dtype=np.int64)
+        self.end = np.cumsum(counts)  # one past each row's last transaction
+        self.acc = np.repeat(np.arange(len(txns)), counts)
+        self.days = np.fromiter(map(datetime.date.toordinal, map(attrgetter("date"), flat)), np.int64, len(flat))
+        self.amounts = np.fromiter(map(attrgetter("amount"), flat), np.int64, len(flat))
+        self._keys = self.acc * DAY_KEYS + self.days
+        self._prefix = np.concatenate([[0], np.cumsum(self.amounts)])
+
+    def balance(self, rows: np.ndarray, days: np.ndarray) -> np.ndarray:
+        """The int64 balances of the row arrays `rows` on the date ordinals `days`, broadcast together."""
+        after = np.searchsorted(self._keys, rows * DAY_KEYS + days, side="right")  # the row's first transaction after the day
+        return self.snapshot[rows] - (self._prefix[self.end[rows]] - self._prefix[after])
+
+
+def reconstruct_bundle_balances(bundle: LedgerBundle) -> None:
+    """Set bundle.balances to the lookup of every account's daily balance."""
+    bundle.balances = BalanceLookup(bundle)
 
 
 @dataclass
@@ -263,11 +240,27 @@ class SanityReport:
     warnings: list[str]
 
 
+# The days of sanity.json's balance range, kept so that its bytes stay: a
+# labeled account's span starts SPAN_DAYS before its application, any other
+# account's at its first transaction, or at its snapshot if it has none.
+SPAN_DAYS = 140
+
+
 def validate_bundle(bundle: LedgerBundle) -> SanityReport:
-    """Summarize ranges and class proportions; warns, never mutates."""
-    warnings = []
-    all_balances = [b for s in bundle.balances.values() for b in s.balances]
-    all_amounts = [t.amount for txns in bundle.transactions.values() for t in txns]
+    """Summarize ranges and class proportions; warns, never mutates.
+
+    A balance changes only on a transaction's day, so a span's balances are the
+    snapshot and, for each transaction day t after its start, day t - 1's.
+    """
+    lookup = bundle.balances or BalanceLookup(bundle)
+    starts = np.array([
+        bundle.outcomes[a].application_date.toordinal() - SPAN_DAYS if a in bundle.outcomes
+        else (bundle.transactions[a][0].date if bundle.transactions[a] else account.snapshot_date).toordinal()
+        for a, account in bundle.accounts.items()
+    ], dtype=np.int64)
+    later = lookup.days > starts[lookup.acc]
+    balances = np.concatenate([lookup.snapshot, lookup.balance(lookup.acc[later], lookup.days[later] - 1)])
+    warnings, amounts = [], lookup.amounts
     labels = [o.performance for o in bundle.outcomes.values()]
     n_labeled = len(labels)
     if n_labeled:
@@ -284,10 +277,10 @@ def validate_bundle(bundle: LedgerBundle) -> SanityReport:
     return SanityReport(
         n_accounts=len(bundle.accounts),
         n_labeled=n_labeled,
-        min_balance=min(all_balances) if all_balances else None,
-        max_balance=max(all_balances) if all_balances else None,
-        min_txn=min(all_amounts) if all_amounts else None,
-        max_txn=max(all_amounts) if all_amounts else None,
+        min_balance=int(balances.min()) if balances.size else None,
+        max_balance=int(balances.max()) if balances.size else None,
+        min_txn=int(amounts.min()) if amounts.size else None,
+        max_txn=int(amounts.max()) if amounts.size else None,
         good_fraction=good,
         bad_fraction=bad,
         warnings=warnings,

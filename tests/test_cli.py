@@ -252,6 +252,56 @@ class TestExitCodes:
         rc = run("ingest", "--config", str(tmp_path / "nope.json"))
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", ["[1]", "3", '"seed"', "null"])
+    def test_config_file_not_an_object_is_config_error(self, text, ledger_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = run("report", "--config", str(cfg), "--data", str(ledger_dir), "--out", str(tmp_path / "out"))
+        assert rc == EXIT_CONFIG
+        assert f"{cfg} must hold a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.fixture(scope="class")
+    def staged_dir(self, ledger_dir, tmp_path_factory):
+        """features.csv through model.json of a short staged run."""
+        out = tmp_path_factory.mktemp("staged")
+        common = ["--data", str(ledger_dir), "--out", str(out), "--set", "model.params.n_rounds=5"]
+        for stage in ("featurize", "select", "train"):
+            assert run(stage, *common) == EXIT_OK
+        return out
+
+    @staticmethod
+    def _edit_cell(text, line, edit):
+        lines = text.splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name, command, corrupt, where", [
+        ("features.csv", "select", lambda text: "", "features.csv: not a feature-matrix CSV"),
+        ("features_pruned.csv", "evaluate", lambda text: TestExitCodes._edit_cell(text, 3, lambda c: [c[0], "abc", *c[2:]]),
+         "features_pruned.csv:3: could not convert"),
+        ("features_pruned.csv", "evaluate", lambda text: TestExitCodes._edit_cell(text, 4, lambda c: c[:-1]),
+         "features_pruned.csv:4: expected"),
+        ("features_pruned.csv", "train", lambda text: TestExitCodes._edit_cell(text, 2, lambda c: [*c[:-1], "bad"]),
+         "features_pruned.csv:2: invalid literal"),
+        ("model.json", "explain", lambda text: text.replace('"kind"', '"kinds"'), "model.json: not a model file (KeyError"),
+        ("model.json", "explain", lambda text: text[:-10], "model.json: not a model file (JSONDecodeError"),
+        ("model.json", "explain", lambda text: "[]", "model.json: not a model file"),
+        ("selection.json", "evaluate", lambda text: text[:-10], "selection.json: bad JSON"),
+        ("selection.json", "train", lambda text: "[]", "selection.json: not a JSON object"),
+    ], ids=["empty_features", "text_cell", "short_row", "bad_label", "model_without_kind", "model_bad_json",
+            "model_not_object", "selection_bad_json", "selection_not_object"])
+    def test_corrupt_stage_artifact_is_data_error_naming_it(self, name, command, corrupt, where, staged_dir,
+                                                            ledger_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(staged_dir, out)
+        path = out / name
+        path.write_text(corrupt(path.read_text()))
+        capsys.readouterr()
+        rc = run(command, "--data", str(ledger_dir), "--out", str(out), "--set", "model.params.n_rounds=5")
+        assert rc == EXIT_DATA
+        assert f"{out / where}" in capsys.readouterr().err
+
     def test_missing_data_dir_is_data_error(self, tmp_path):
         rc = run("ingest", "--data", str(tmp_path / "nothing"), "--out", str(tmp_path / "o"))
         assert rc == EXIT_DATA

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_tables import balance_on
 
 from creditshap.features import (
     BAL_STATS,
@@ -30,12 +29,10 @@ from creditshap.tables import (
     MAX_CENTS,
     AccountRecord,
     ClientRecord,
-    DailyBalanceSeries,
     DataError,
     LoanOutcome,
     TransactionRecord,
     join_bundle,
-    reconstruct_balances,
     reconstruct_bundle_balances,
 )
 
@@ -47,9 +44,8 @@ def days_before(n):
     return APP - datetime.timedelta(days=n)
 
 
-def make_bundle(per_account_txns, balances=None, starts=None):
-    """per_account_txns: {acc: [(days_before_app, cents), ...]}; starts: {acc: days
-    before the application on which that account's balance series starts}."""
+def make_bundle(per_account_txns, balances=None):
+    """per_account_txns: {acc: [(days_before_app, cents), ...]}; balances: {acc: snapshot cents}."""
     accounts, outcomes, txns = [], [], []
     tid = 0
     for acc, events in per_account_txns.items():
@@ -60,14 +56,13 @@ def make_bundle(per_account_txns, balances=None, starts=None):
             tid += 1
     bundle = join_bundle([ClientRecord("C", a.account_id) for a in accounts], accounts, txns, outcomes)
     reconstruct_bundle_balances(bundle)
-    for acc, start in (starts or {}).items():
-        bundle.balances[acc] = reconstruct_balances(bundle.accounts[acc], bundle.transactions[acc], days_before(start))
     return bundle
 
 
 # The oracle: the featurizer written one account and one column at a time,
 # with a (stat, direction) dispatch per column, the window's days as a date
-# list and one balance_on call per day. Its float sums are explicit left
+# list and each day's balance read straight from the records: the snapshot
+# minus the amounts dated after that day. Its float sums are explicit left
 # folds: sum() of floats compensates its rounding from Python 3.12 on.
 
 
@@ -106,8 +101,6 @@ def aggregate_transactions(amounts, stat: str, direction: str) -> float:
 
 
 def aggregate_balance(balances, stat: str) -> float:
-    if len(balances) == 0:
-        return math.nan
     b = [float(v) for v in balances]
     if stat == "var":
         return b[-1] - b[0]
@@ -124,10 +117,7 @@ def aggregate_balance(balances, stat: str) -> float:
     if stat == "std":
         return population_std(b, fold(b) / len(b))
     if stat == "slope":
-        n = len(b)
-        if n == 1:
-            return 0.0
-        t = np.arange(n, dtype=float)
+        t = np.arange(len(b), dtype=float)
         t -= t.mean()
         y = np.asarray(b)
         return float(np.dot(t, y - y.mean()) / np.dot(t, t))
@@ -137,7 +127,7 @@ def aggregate_balance(balances, stat: str) -> float:
 def oracle_row(bundle, acc_id) -> list[float]:
     app_date = bundle.outcomes[acc_id].application_date
     txns = bundle.transactions[acc_id]
-    series = bundle.balances[acc_id]
+    snapshot = bundle.accounts[acc_id].snapshot_balance
     row = []
     for spec in CANONICAL_WINDOWS:
         amounts = [t.amount for t in txns if spec.lo <= (app_date - t.date).days < spec.hi]
@@ -145,8 +135,7 @@ def oracle_row(bundle, acc_id) -> list[float]:
             for direction in DIRECTIONS:
                 row.append(aggregate_transactions(amounts, stat, direction))
         days = [app_date - datetime.timedelta(days=o) for o in range(spec.hi - 1, spec.lo - 1, -1)]
-        in_series = [d for d in days if series.start_date <= d <= series.end_date]
-        balances = [balance_on(series, d) for d in in_series]
+        balances = [snapshot - sum(t.amount for t in txns if t.date > d) for d in days]
         for stat in BAL_STATS:
             row.append(aggregate_balance(balances, stat))
     horizon = [t for t in txns if 0 <= (app_date - t.date).days < 120]
@@ -185,7 +174,6 @@ one_sided = st.lists(st.tuples(offset, magnitude), max_size=8).flatmap(
 account = st.tuples(
     st.one_of(events, same_day, one_sided),
     st.integers(min_value=-(MAX_CENTS // 16), max_value=MAX_CENTS // 16),  # snapshot balance
-    st.one_of(st.none(), st.sampled_from([119, 118, 90, 89, 30, 29, 1, 0, -1]), st.integers(-10, 141)),  # series start
 )
 
 
@@ -211,21 +199,13 @@ class TestFeaturizerOracle:
         bundle = make_bundle({"A1": events}, {"A1": snapshot_balance})
         assert_matches_oracle(bundle)
 
-    @pytest.mark.parametrize("start", [100, 45, 30, 29, 1, 0, -5])
-    def test_series_starting_inside_the_horizon(self, start):
-        # start days before the application; -5 starts the series after it
-        events = [(2, 400), (25, -150), (31, 900), (50, -75), (95, 60)]
-        bundle = make_bundle({"A1": events, "A2": events}, {"A1": 2500, "A2": 2500}, {"A1": start})
-        assert_matches_oracle(bundle)  # A2 covers the whole horizon beside A1
-
     @given(st.lists(account, min_size=1, max_size=5))
     @settings(max_examples=150, deadline=None)
     def test_multi_account_ledgers(self, accounts):
         names = [f"A{i}" for i in range(len(accounts))]
         bundle = make_bundle(
-            {a: ev for a, (ev, _, _) in zip(names, accounts)},
-            {a: snap for a, (_, snap, _) in zip(names, accounts)},
-            {a: start for a, (_, _, start) in zip(names, accounts) if start is not None},
+            {a: ev for a, (ev, _) in zip(names, accounts)},
+            {a: snap for a, (_, snap) in zip(names, accounts)},
         )
         assert_matches_oracle(bundle)
 
@@ -235,12 +215,14 @@ class TestFeaturizerOracle:
         m = sum(vals) / len(vals)
         assert population_std(vals, m) != math.sqrt(fold([(v - m) * (v - m) for v in vals]) / len(vals))
         assert_matches_oracle(make_bundle({"A1": [(5, v) for v in vals]}))  # the transaction std
-        assert bal_stat(vals, "std").hex() == aggregate_balance(vals, "std").hex()
+        window = [m] * 27 + vals  # 27 days at the mean add zero squares, so the rounding stays
+        assert population_std(window, m) != math.sqrt(fold([(v - m) * (v - m) for v in window]) / 30)
+        assert bal_stat(window, "std").hex() == aggregate_balance(window, "std").hex()
 
-    def test_missing_series_is_data_error(self):
+    def test_balances_not_reconstructed_is_data_error(self):
         bundle = make_bundle({"A1": [(5, 1000)], "A2": [(6, 500)]})
-        del bundle.balances["A2"]
-        with pytest.raises(DataError, match="account A2: balances not reconstructed"):
+        bundle.balances = None
+        with pytest.raises(DataError, match="balances not reconstructed"):
             build_feature_matrix(bundle)
 
 
@@ -283,19 +265,13 @@ def trx_stat(amounts, stat: str, direction: str) -> float:
     return matrix_of([(5, a) for a in amounts]).column(f"trx_{stat}_{direction}_last30")[0]
 
 
-def balance_matrix(balances):
-    """The feature matrix of one account whose balance series ends on the
-    application day with these daily balances (so it starts inside the horizon
-    when there are fewer than 120)."""
-    bundle = make_bundle({"A1": []})
-    start = days_before(len(balances) - 1)
-    bundle.balances["A1"] = DailyBalanceSeries("A1", start, APP, list(balances))
-    return build_feature_matrix(bundle)
-
-
 def bal_stat(balances, stat: str) -> float:
-    """One balance KPI of the last 30 days, which hold exactly these balances."""
-    return balance_matrix(balances).column(f"acc_bal_{stat}_last30")[0]
+    """One balance KPI of the last 30 days, which hold exactly these 30 balances:
+    the snapshot is the last, and each day's change is one transaction."""
+    assert len(balances) == 30
+    changes = [(29 - i, int(b - a)) for i, (a, b) in enumerate(zip(balances, balances[1:]), start=1) if b != a]
+    bundle = make_bundle({"A1": changes}, {"A1": int(balances[-1])})
+    return build_feature_matrix(bundle).column(f"acc_bal_{stat}_last30")[0]
 
 
 class TestAggregateTransactions:
@@ -322,33 +298,26 @@ class TestAggregateTransactions:
 
 class TestAggregateBalance:
     def test_var_and_maxes(self):
-        assert bal_stat([100, 120, 90], "var") == -10
-        assert bal_stat([100, 120, 90], "max_pos") == 120
-        assert bal_stat([100, 120, 90], "max_neg") == 0
+        balances = [100] * 28 + [120, 90]
+        assert bal_stat(balances, "var") == -10
+        assert bal_stat(balances, "max_pos") == 120
+        assert bal_stat(balances, "max_neg") == 0
 
     def test_negative_balances(self):
-        assert bal_stat([-50, -10], "max_neg") == 50
-        assert bal_stat([-50, -10], "max_pos") == 0
+        balances = [-50] * 29 + [-10]
+        assert bal_stat(balances, "max_neg") == 50
+        assert bal_stat(balances, "max_pos") == 0
 
     def test_linear_slope(self):
         assert bal_stat(list(range(30)), "slope") == pytest.approx(1.0, abs=1e-9)
 
     def test_slope_matches_least_squares_oracle(self):
         rng = np.random.default_rng(0)
-        b = rng.integers(-1000, 1000, size=20)  # a series holds integer cents
+        b = rng.integers(-1000, 1000, size=30)  # balances are integer cents
         # closed-form least squares via polyfit
-        expect = np.polyfit(np.arange(20), b.astype(float), 1)[0]
+        expect = np.polyfit(np.arange(30), b.astype(float), 1)[0]
         assert bal_stat(b.tolist(), "slope") == pytest.approx(expect, abs=1e-9)
 
-    def test_one_day_has_flat_slope_and_no_spread(self):
-        assert bal_stat([700], "slope") == 0.0
-        assert bal_stat([700], "std") == 0.0
-
-    def test_no_coverage_is_all_missing(self):
-        bundle = make_bundle({"A1": [(2, 400)]}, {"A1": 2500}, {"A1": -5})  # the series starts after the application
-        m = build_feature_matrix(bundle)
-        for spec in CANONICAL_WINDOWS:
-            assert all(math.isnan(m.column(f"acc_bal_{stat}_{spec.label}")[0]) for stat in BAL_STATS)
 
 
 class TestBuildMatrix:
