@@ -56,7 +56,9 @@ def _artifact(config: PipelineConfig, name: str, stage: str) -> Path:
     return path
 
 
-def _json_artifact(config: PipelineConfig, name: str, stage: str) -> dict:
+def _json_field(config: PipelineConfig, name: str, stage: str, key: str, kind: type):
+    """(path, entry `key`) of the JSON object `name`; an absent entry reads
+    as kind(), and one that is not a kind (dict or list) is a data error."""
     path = _artifact(config, name, stage)
     try:
         data = json.loads(path.read_text())
@@ -64,7 +66,10 @@ def _json_artifact(config: PipelineConfig, name: str, stage: str) -> dict:
         raise DataError(f"{path}: bad JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError(f"{path}: not a JSON object")
-    return data
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        raise DataError(f"{path}: {key} is not a JSON {'object' if kind is dict else 'array'}; rerun {stage}")
+    return path, value
 
 
 def _load_matrix(config: PipelineConfig) -> FeatureMatrix:
@@ -75,14 +80,17 @@ def _working_matrix(config: PipelineConfig) -> FeatureMatrix:
     """features_pruned.csv, narrowed to top_k.json's columns for top_k; select
     must have run with this config's selection settings."""
     matrix = FeatureMatrix.from_csv(_artifact(config, "features_pruned.csv", "select"))
-    recorded = _json_artifact(config, "selection.json", "select").get("settings", {})
+    _, recorded = _json_field(config, "selection.json", "select", "settings", dict)
     for key, value in config.selection_settings().items():
         if recorded.get(key) != value:
             raise DataError(f"selection.json has {key}={recorded.get(key)!r}, not {value!r}; rerun select")
     if config.feature_set == "top_k":
-        kept = _json_artifact(config, "top_k.json", "select").get("kept", [])
+        path, kept = _json_field(config, "top_k.json", "select", "kept", list)
         if len(kept) != config.top_k:
             raise DataError(f"top_k.json keeps {len(kept)} columns, not top_k={config.top_k}; rerun select")
+        unknown = [name for name in kept if not isinstance(name, str) or name not in matrix.columns]
+        if unknown:
+            raise DataError(f"{path} keeps {unknown[0]!r}, not a column of features_pruned.csv; rerun select")
         matrix = matrix.subset_columns(kept)
     return matrix
 

@@ -9,8 +9,11 @@ minority support vectors of a linear SVM (SVM-SMOTE).  Neighbor searches
 run on standardized copies of the features, a chunk of query rows at a
 time under KNN_BLOCK_ELEMENTS, and the runner searches each seed row's
 neighbors once however often it is drawn; emitted rows stay in original
-units.  The SVM keeps its weight as a scalar times a vector, so only its
-hinge-violating steps touch the vector.
+units.  The SVM is the squared-hinge primal (λ = 1/200, unregularised
+bias), solved to convergence by Newton steps with a generalized Hessian
+and a backtracking line search; svm_smote's seed rows are that optimum's
+minority support vectors, where 200 epochs of per-row subgradient steps
+used to choose them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ STRATEGY_KINDS = (
     "sqrt_balanced",
 )
 KNN_BLOCK_ELEMENTS = 1 << 20  # bound on one chunk's (query × points × features) differences
-SVM_SCALE_FLOOR = 1e-100  # the SVM's weight scale is folded into its vector below this
+SVM_LAMBDA = 1.0 / 200  # the SVM-SMOTE fit's weight penalty
+SVM_GRAD_TOL = 1e-10  # its Newton solver stops once ‖∇F‖ is this small
+SVM_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -218,39 +223,66 @@ def borderline_smote(split: TrainSplit, k: int = 5, seed: int = 0):
     return _smote_family(split, k, seed, danger)
 
 
-def _linear_svm_margins(X, y, minority, c: float = 1.0, epochs: int = 200, seed: int = 0):
-    """Hinge-loss linear SVM by subgradient descent; returns per-sample margins y*(wx+b).
+def _svm_objective(A, t, theta):
+    """F(w, b) = (λ/2)‖w‖² + (1/n) Σ max(0, 1 − tᵢ aᵢ·θ)² at θ = (w, b), with
+    A = [Z 1] and λ = SVM_LAMBDA; returns F, its gradient and the active rows
+    (margin below 1), the only rows whose squared hinge is not 0."""
+    slack = 1.0 - t * (A @ theta)
+    active = slack > 0.0
+    s = slack[active]
+    w = theta[:-1]
+    grad = (-2.0 / len(t)) * ((t[active] * s) @ A[active])
+    grad[:-1] += SVM_LAMBDA * w
+    return 0.5 * SVM_LAMBDA * w.dot(w) + s.dot(s) / len(t), grad, active
 
-    Each step of an epoch at rate lr = 1/epoch decays w by 1 - lr/epochs and,
-    when the row's margin is below 1, adds lr·c·t·z to w and lr·c·t to b.  w
-    is kept as scale·v (Pegasos' scaled weight), so the decay is one float
-    multiply and only the hinge steps touch the vector; when scale falls
-    below SVM_SCALE_FLOOR it is folded into v, before it can underflow.  The
-    margins match the per-step vector update to rounding, not bit for bit.
+
+def _newton_svm(A, t, theta):
+    """Minimise _svm_objective's F from θ: Newton steps with the generalized
+    Hessian λI + (2/n) A_Iᵀ A_I over the active rows I, each with a
+    backtracking (Armijo) line search, until ‖∇F‖ ≤ SVM_GRAD_TOL or
+    SVM_MAX_ITER steps.  The bias entry is damped to 1e-12, so an iterate
+    with no active row still gives a solvable system; never raises.  From
+    θ = 0 no step empties I in exact arithmetic: a full step leaves a row
+    active, and a shorter one keeps some row of the previous I active."""
+    n = len(t)
+    ridge = np.diag(np.append(np.full(A.shape[1] - 1, SVM_LAMBDA), 1e-12))  # the bias's is only damping
+    value, grad, active = _svm_objective(A, t, theta)
+    for _ in range(SVM_MAX_ITER):
+        if np.linalg.norm(grad) <= SVM_GRAD_TOL:
+            break
+        B = A[active]
+        try:
+            step = np.linalg.solve((2.0 / n) * (B.T @ B) + ridge, -grad)
+        except np.linalg.LinAlgError:
+            break
+        slope = grad.dot(step)
+        rate = 1.0
+        for _ in range(40):  # halve the step until F falls enough
+            trial = theta + rate * step
+            trial_value, trial_grad, trial_active = _svm_objective(A, t, trial)
+            if trial_value <= value + 1e-4 * rate * slope:
+                break
+            rate /= 2.0
+        else:
+            break  # no decrease left to find in floats
+        theta, value, grad, active = trial, trial_value, trial_grad, trial_active
+    return theta
+
+
+def _linear_svm_margins(X, y, minority):
+    """Squared-hinge linear SVM on the standardized rows; returns per-sample
+    margins t·(w·z + b), with t = +1 on the minority class.
+
+    The fit is _svm_objective's minimiser (λ = 1/200, the bias
+    unregularised), found by _newton_svm from w = 0, b = 0.  F has one
+    minimiser, so the support rows (margin ≤ 1) that seed svm_smote are the
+    same under any row order and need no rng draw; until this solver they
+    came from 200 epochs of per-row hinge-loss subgradient steps.
     """
     Z = _scaled_view(X)
     t = np.where(y == minority, 1.0, -1.0)
-    rng = np.random.default_rng(seed)
-    n, p = Z.shape
-    rows, labels = list(Z), t.tolist()
-    v = np.zeros(p)
-    scale = 1.0
-    b = 0.0
-    for epoch in range(1, epochs + 1):
-        lr = 1.0 / epoch
-        decay = 1.0 - lr / epochs
-        for i in rng.permutation(n).tolist():
-            z, ti = rows[i], labels[i]
-            hinge = ti * (scale * z.dot(v) + b) < 1.0
-            scale *= decay
-            if scale < SVM_SCALE_FLOOR:
-                v *= scale
-                scale = 1.0
-            if hinge:
-                step = lr * c * ti
-                v += (step / scale) * z
-                b += step
-    return t * (scale * (Z @ v) + b)
+    A = np.hstack([Z, np.ones((len(Z), 1))])
+    return t * (A @ _newton_svm(A, t, np.zeros(A.shape[1])))
 
 
 def svm_smote(split: TrainSplit, k: int = 5, seed: int = 0):
@@ -258,7 +290,7 @@ def svm_smote(split: TrainSplit, k: int = 5, seed: int = 0):
     every minority row seeds when none is a support vector."""
 
     def support_vectors(X, y, minority, min_idx):
-        margins = _linear_svm_margins(X, y, minority, seed=seed)
+        margins = _linear_svm_margins(X, y, minority)
         support = min_idx[margins[min_idx] <= 1.0]
         return support if support.size else min_idx
 

@@ -10,6 +10,7 @@ import pytest
 
 from creditshap import pipeline
 from creditshap.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from creditshap.features import FeatureMatrix
 from creditshap.models import BoostConfig, ForestConfig, MlpConfig, ModelSpec
 from creditshap.pipeline import PipelineConfig
 from creditshap.resampling import ResamplingStrategy
@@ -299,6 +300,33 @@ class TestExitCodes:
         path.write_text(corrupt(path.read_text()))
         capsys.readouterr()
         rc = run(command, "--data", str(ledger_dir), "--out", str(out), "--set", "model.params.n_rounds=5")
+        assert rc == EXIT_DATA
+        assert f"{out / where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "explain"])
+    def test_selection_settings_not_an_object_is_data_error(self, command, staged_dir, ledger_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(staged_dir, out)
+        path = out / "selection.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "settings": [1]}))
+        capsys.readouterr()
+        rc = run(command, "--data", str(ledger_dir), "--out", str(out), "--set", "model.params.n_rounds=5")
+        assert rc == EXIT_DATA
+        assert f"{path}: settings is not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kept, where", [
+        (lambda columns: ["nope", *columns[1:20]], "top_k.json keeps 'nope', not a column"),
+        (lambda columns: [*columns[:19], 7], "top_k.json keeps 7, not a column"),
+        (lambda columns: {"kept": columns[:20]}, "top_k.json: kept is not a JSON array"),
+    ], ids=["unknown_column", "not_a_name", "not_a_list"])
+    def test_unknown_top_k_column_is_data_error_naming_it(self, kept, where, staged_dir, ledger_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(staged_dir, out)
+        columns = FeatureMatrix.from_csv(out / "features_pruned.csv").columns
+        (out / "top_k.json").write_text(json.dumps({"kept": kept(columns)}))
+        capsys.readouterr()
+        rc = run("train", "--data", str(ledger_dir), "--out", str(out), "--set", "model.params.n_rounds=5",
+                 "--set", "feature_set=top_k")
         assert rc == EXIT_DATA
         assert f"{out / where}" in capsys.readouterr().err
 

@@ -222,7 +222,7 @@ class TestSvmSmote:
         ])
         X = np.vstack([maj, mino])
         y = np.array([0] * 40 + [1] * 10)
-        margins = _linear_svm_margins(X, y, minority=1, seed=0)
+        margins = _linear_svm_margins(X, y, minority=1)
         min_idx = np.nonzero(y == 1)[0]
         support = min_idx[margins[min_idx] <= 1.0]
         # frontier points must be support vectors; deep interior ones must not be
@@ -248,26 +248,6 @@ class TestSvmSmote:
         Xb, yb = svm_smote(split_of(X, y), k=3, seed=2)
         assert balanced_counts(yb)[0] == balanced_counts(yb)[1]
         synthetic_rows_collinear(Xb, X, X[y == 1], tol=1e-7)
-
-
-def loop_svm_margins(X, y, minority, c=1.0, epochs=200, seed=0):
-    """The SVM fit with w updated as a vector at every step: the oracle."""
-    Z = resampling._scaled_view(X)
-    t = np.where(y == minority, 1.0, -1.0)
-    rng = np.random.default_rng(seed)
-    n, p = Z.shape
-    w = np.zeros(p)
-    b = 0.0
-    for epoch in range(1, epochs + 1):
-        lr = 1.0 / epoch
-        for i in rng.permutation(n):
-            margin = t[i] * (Z[i] @ w + b)
-            if margin < 1.0:
-                w = (1 - lr / epochs) * w + lr * c * t[i] * Z[i]
-                b = b + lr * c * t[i]
-            else:
-                w = (1 - lr / epochs) * w
-    return t * (Z @ w + b)
 
 
 def search_per_sample_synthesize(X, seeds, neighbor_pool, k, n_needed, rng):
@@ -301,29 +281,73 @@ def fold_corpus(tmp_path_factory):
     folds += [(X[tr], matrix.y[tr]) for tr, _ in stratified_kfold(matrix.y, 5, seed=0)]
     for seed in range(10):
         folds.append(imbalanced_blobs(40 + 8 * seed, 8 + 2 * seed, p=3 + seed % 5, seed=seed))
-    # the second copy relabels the classes and fits the SVM from another seed
+    # the second copy relabels the classes and draws from another seed
     return [(X, y, 1, 0) for X, y in folds] + [(X, 1 - y, 0, 1) for X, y in folds]
 
 
-class TestScaledSvmWeight:
-    def test_margins_match_the_per_step_update(self, fold_corpus):
-        assert len(fold_corpus) >= 50
-        for X, y, minority, seed in fold_corpus:
-            margins = _linear_svm_margins(X, y, minority, seed=seed)
-            oracle = loop_svm_margins(X, y, minority, seed=seed)
-            assert np.array_equal(margins <= 1.0, oracle <= 1.0)
-            np.testing.assert_allclose(margins, oracle, rtol=1e-10)
+def svm_inputs(X, y, minority):
+    """The SVM's augmented rows [z 1] and ±1 targets, as _linear_svm_margins builds them."""
+    Z = resampling._scaled_view(np.asarray(X, dtype=float))
+    return np.hstack([Z, np.ones((len(Z), 1))]), np.where(y == minority, 1.0, -1.0)
 
-    @pytest.mark.parametrize("epochs", [1, 2])
-    def test_short_fits_fold_the_scale_before_it_underflows(self, epochs):
-        # each step of the first epoch halves (epochs=2) or zeroes (epochs=1)
-        # the weight: 0.5**1500 is below the smallest float
-        X, y, _ = planted_signal_dataset(1500, 20, seed=4)
-        margins = _linear_svm_margins(X, y, 1, epochs=epochs)
-        oracle = loop_svm_margins(X, y, 1, epochs=epochs)
+
+def support_set(X, y, minority):
+    margins = _linear_svm_margins(X, y, minority)
+    return np.nonzero((y == minority) & (margins <= 1.0))[0]
+
+
+class TestNewtonSvm:
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(0)
+        X, y = imbalanced_blobs(60, 15, p=4, seed=3)
+        A, t = svm_inputs(X, y, 1)
+        h = 1e-6
+
+        def F(theta):
+            return resampling._svm_objective(A, t, theta)[0]
+
+        for _ in range(5):
+            theta = rng.normal(scale=0.7, size=A.shape[1])
+            _, grad, active = resampling._svm_objective(A, t, theta)
+            assert 0 < active.sum() < len(t)  # both sides of the hinge are in play
+            numeric = [(F(theta + h * e) - F(theta - h * e)) / (2 * h) for e in np.eye(len(theta))]
+            np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_returned_point_meets_the_optimality_condition(self, fold_corpus):
+        for X, y, minority, _ in fold_corpus:
+            A, t = svm_inputs(X, y, minority)
+            theta = resampling._newton_svm(A, t, np.zeros(A.shape[1]))
+            _, grad, _ = resampling._svm_objective(A, t, theta)
+            assert np.linalg.norm(grad) <= resampling.SVM_GRAD_TOL
+            assert np.array_equal(_linear_svm_margins(X, y, minority), t * (A @ theta))
+
+    def test_row_permutation_keeps_the_support_set(self, fold_corpus):
+        for X, y, minority, seed in fold_corpus:
+            perm = np.random.default_rng(seed).permutation(len(y))
+            support = support_set(X, y, minority)
+            assert np.array_equal(np.sort(perm[support_set(X[perm], y[perm], minority)]), support)
+
+    def test_iterate_with_no_active_row(self, monkeypatch):
+        X, y = imbalanced_blobs(40, 8, p=3, seed=0)
+        X[y == 1] += 20.0  # far apart: separable with room to spare
+        A, t = svm_inputs(X, y, 1)
+        theta = np.linalg.lstsq(A, 10.0 * t, rcond=None)[0]
+        assert (t * (A @ theta) > 1.0).all()  # the start leaves no row active
+        objective = resampling._svm_objective
+        active_counts = []
+
+        def counted(A, t, theta):
+            value, grad, active = objective(A, t, theta)
+            active_counts.append(int(active.sum()))
+            return value, grad, active
+
+        monkeypatch.setattr(resampling, "_svm_objective", counted)
+        fitted = resampling._newton_svm(A, t, theta)
+        assert active_counts[0] == 0 and active_counts[-1] > 0
+        margins = t * (A @ fitted)
         assert np.isfinite(margins).all()
-        assert np.array_equal(margins <= 1.0, oracle <= 1.0)
-        np.testing.assert_allclose(margins, oracle, rtol=1e-10)
+        # the same optimum as from θ = 0
+        np.testing.assert_allclose(margins, _linear_svm_margins(X, y, 1), atol=1e-8)
 
 
 class TestNeighborsOncePerSeed:
