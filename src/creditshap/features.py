@@ -6,13 +6,13 @@ application date ([0,30), [30,60), [60,90), [90,120)) each yield
 two whole-horizon activity KPIs, for 106 columns total.
 
 `build_feature_matrix` is one columnar pass over the ledger. The bundle's
-balance lookup (`tables.BalanceLookup`) gives the labeled accounts'
-transactions as day offsets, int64 cents and row indices, and their last
-120 daily balances as one (accounts x 120) matrix. Each window then yields
-its KPIs for every account at once: transaction stats from grouped int64
-reductions, balance stats from row-wise reductions over 30 of the matrix's
-columns. Float sums run in list and day order, so every KPI keeps the bits
-of a per-account left fold.
+balance lookup (`tables.BalanceLookup`), its one transaction store, gives
+the labeled accounts' transactions as day offsets, int64 cents and row
+indices, and each window's daily balances as one (accounts x 30) matrix.
+Each window then yields its KPIs for every account at once: transaction
+stats from grouped int64 reductions, balance stats from row-wise
+reductions over that matrix. Float sums run in list and day order, so
+every KPI keeps the bits of a per-account left fold.
 """
 
 from __future__ import annotations
@@ -65,6 +65,13 @@ def kpi_columns() -> list[str]:
     return cols
 
 
+def _quote(field: str) -> str:
+    """field as csv.writer's minimal quoting writes it in a row of several fields."""
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
 @dataclass
 class FeatureMatrix:
     row_ids: list[str]
@@ -94,11 +101,13 @@ class FeatureMatrix:
         )
 
     def to_csv(self, path) -> None:
+        """The bytes csv.writer writes. A number never needs quoting, so each
+        row's cells are joined once; only the row id is quoted, minimally."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_id", *self.columns, "performance"])
-            for i, rid in enumerate(self.row_ids):
-                writer.writerow([rid, *["" if v != v else repr(v) for v in self.values[i].tolist()], int(self.y[i])])
+            csv.writer(fh).writerow(["row_id", *self.columns, "performance"])
+            for rid, values, y in zip(self.row_ids, self.values, self.y.tolist()):
+                cells = ",".join(map(repr, values.tolist())).replace("nan", "")  # a missing cell is empty
+                fh.write(f"{_quote(rid)},{cells},{int(y)}\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
@@ -181,16 +190,12 @@ def build_feature_matrix(bundle: LedgerBundle) -> FeatureMatrix:
     if lookup is None:
         raise DataError("balances not reconstructed")
     n, columns = len(acc_ids), kpi_columns()
-    outcomes = [bundle.outcomes[a] for a in acc_ids]
-    is_labeled = np.array([a in bundle.outcomes for a in bundle.accounts], dtype=bool)
-    rows = np.flatnonzero(is_labeled)  # the lookup's rows of the matrix's accounts
-    app_days = np.array([o.application_date.toordinal() for o in outcomes], dtype=np.int64)
-    labeled = is_labeled[lookup.acc]
+    rows = np.flatnonzero(bundle.labeled)  # the lookup's rows of the matrix's accounts
+    app_days = bundle.application_days[rows]
+    labeled = bundle.labeled[lookup.acc]
     acc = np.searchsorted(rows, lookup.acc[labeled])  # each labeled transaction's matrix row
     offsets = app_days[acc] - lookup.days[labeled]  # days before the application
     amounts = lookup.amounts[labeled]
-    # column j: the balance HORIZON.hi - 1 - j days before the application
-    horizon = lookup.balance(rows[:, None], app_days[:, None] - np.arange(HORIZON.hi - 1, -1, -1)).astype(float)
     blocks = []  # the columns of kpi_columns(), one row each
     for spec in CANONICAL_WINDOWS:
         inside = (spec.lo <= offsets) & (offsets < spec.hi)
@@ -199,12 +204,14 @@ def build_feature_matrix(bundle: LedgerBundle) -> FeatureMatrix:
             for keep in (inside & (amounts > 0), inside & (amounts < 0), inside)
         ]
         blocks.append(np.stack(by_direction, axis=1).reshape(-1, n))  # stat-major
-        blocks.append(_balance_stats(horizon[:, HORIZON.hi - spec.hi : HORIZON.hi - spec.lo]))
+        # column j: the balance spec.hi - 1 - j days before the application
+        days = app_days[:, None] - np.arange(spec.hi - 1, spec.lo - 1, -1)
+        blocks.append(_balance_stats(lookup.balance(rows[:, None], days).astype(float)))
     in_horizon = (HORIZON.lo <= offsets) & (offsets < HORIZON.hi)
     active_days = np.unique(acc[in_horizon] * HORIZON.hi + offsets[in_horizon])  # distinct (row, day) pairs
     blocks.append([np.bincount(acc[in_horizon], minlength=n), np.bincount(active_days // HORIZON.hi, minlength=n)])
-    values = np.vstack(blocks, dtype=float).T.copy()
-    return FeatureMatrix(acc_ids, columns, values, np.array([o.performance for o in outcomes], dtype=int))
+    values = np.hstack([np.asarray(b, dtype=float).T for b in blocks])  # C order, one copy
+    return FeatureMatrix(acc_ids, columns, values, bundle.performance[rows])
 
 
 def drop_inactive_accounts(matrix: FeatureMatrix) -> FeatureMatrix:

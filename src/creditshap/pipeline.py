@@ -28,7 +28,6 @@ from .tables import (
     SanityReport,
     join_bundle,
     load_table,
-    reconstruct_bundle_balances,
     validate_bundle,
 )
 
@@ -145,9 +144,7 @@ def ingest_stage(data_dir) -> LedgerBundle:
     accounts = load_table(data / "accounts.csv", "accounts")
     transactions = load_table(data / "transactions.csv", "transactions")
     loans = load_table(data / "loans.csv", "loans")
-    bundle = join_bundle(clients, accounts, transactions, loans)
-    reconstruct_bundle_balances(bundle)
-    return bundle
+    return join_bundle(clients, accounts, transactions, loans)
 
 
 def featurize_stage(bundle) -> FeatureMatrix:

@@ -346,6 +346,26 @@ class TestExitCodes:
         assert run("report", "--data", str(data), "--out", str(tmp_path / "o")) == EXIT_DATA
         assert "transactions.csv:4: currency amount" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, text, message", [
+        (3, "²", "transactions.csv:4: bad currency amount '²'"),
+        (3, "٣.5", "transactions.csv:4: bad currency amount '٣.5'"),
+        (2, "20240226", "transactions.csv:4: date: bad date '20240226'"),
+        (2, "2024-W09-1", "transactions.csv:4: date: bad date '2024-W09-1'"),
+        (0, "T000000", "transactions.csv:4: duplicate key 'T000000'"),
+    ], ids=["superscript", "arabic_indic", "compact_date", "week_date", "duplicate_id"])
+    def test_bad_transaction_cell_is_data_error_naming_the_line(self, column, text, message, ledger_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(ledger_dir, data)
+        path = data / "transactions.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[3].split(",")
+        cells[column] = text
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("featurize", "--data", str(data), "--out", str(tmp_path / "o")) == EXIT_DATA
+        assert message in capsys.readouterr().err
+
     def test_select_without_features_is_data_error(self, tmp_path):
         rc = run("select", "--data", str(tmp_path), "--out", str(tmp_path / "o"))
         assert rc == EXIT_DATA

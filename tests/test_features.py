@@ -23,18 +23,9 @@ from creditshap.features import (
     median_impute,
     standardize,
 )
-from creditshap.pipeline import ingest_stage
 from creditshap.synthetic import write_ledger_fixture
-from creditshap.tables import (
-    MAX_CENTS,
-    AccountRecord,
-    ClientRecord,
-    DataError,
-    LoanOutcome,
-    TransactionRecord,
-    join_bundle,
-    reconstruct_bundle_balances,
-)
+from creditshap.tables import MAX_CENTS, DataError
+from ledger_reference import AccountRecord, ClientRecord, LoanOutcome, TransactionRecord, bundles_of, load_both
 
 APP = datetime.date(2024, 6, 1)
 SNAPSHOT = APP + datetime.timedelta(days=10)
@@ -45,7 +36,8 @@ def days_before(n):
 
 
 def make_bundle(per_account_txns, balances=None):
-    """per_account_txns: {acc: [(days_before_app, cents), ...]}; balances: {acc: snapshot cents}."""
+    """per_account_txns: {acc: [(days_before_app, cents), ...]}; balances: {acc: snapshot cents}.
+    The ledger written as CSVs and read back as (columnar bundle, reference records)."""
     accounts, outcomes, txns = [], [], []
     tid = 0
     for acc, events in per_account_txns.items():
@@ -54,12 +46,11 @@ def make_bundle(per_account_txns, balances=None):
         for n, cents in events:
             txns.append(TransactionRecord(f"T{tid:04d}", acc, days_before(n), cents))
             tid += 1
-    bundle = join_bundle([ClientRecord("C", a.account_id) for a in accounts], accounts, txns, outcomes)
-    reconstruct_bundle_balances(bundle)
-    return bundle
+    return bundles_of([ClientRecord("C", a.account_id) for a in accounts], accounts, txns, outcomes)
 
 
-# The oracle: the featurizer written one account and one column at a time,
+# The oracle: the featurizer written one account and one column at a time
+# over the reference loader's records,
 # with a (stat, direction) dispatch per column, the window's days as a date
 # list and each day's balance read straight from the records: the snapshot
 # minus the amounts dated after that day. Its float sums are explicit left
@@ -144,13 +135,13 @@ def oracle_row(bundle, acc_id) -> list[float]:
     return row
 
 
-def assert_matches_oracle(bundle):
+def assert_matches_oracle(bundle, reference):
     """Every column of every row bit for bit; float.hex tells -0.0 from 0.0 and makes NaN equal NaN."""
     matrix = build_feature_matrix(bundle)
     assert matrix.row_ids == bundle.labeled_account_ids
     assert matrix.columns == kpi_columns() and len(kpi_columns()) == 106
     for acc_id, got in zip(matrix.row_ids, matrix.values.tolist()):
-        want = oracle_row(bundle, acc_id)
+        want = oracle_row(reference, acc_id)
         assert len(got) == len(want)
         for name, g, w in zip(kpi_columns(), got, want):
             assert g.hex() == float(w).hex(), (acc_id, name, g, w)
@@ -179,10 +170,9 @@ account = st.tuples(
 
 class TestFeaturizerOracle:
     def test_every_account_of_a_generated_ledger(self, tmp_path):
-        write_ledger_fixture(tmp_path, 150, seed=0)
-        bundle = ingest_stage(tmp_path)
+        bundle, reference = load_both(write_ledger_fixture(tmp_path, 150, seed=0))
         assert len(bundle.labeled_account_ids) == 150
-        assert_matches_oracle(bundle)
+        assert_matches_oracle(bundle, reference)
 
     @pytest.mark.parametrize("events", [
         [],  # every window empty
@@ -196,31 +186,29 @@ class TestFeaturizerOracle:
     ])
     @pytest.mark.parametrize("snapshot_balance", [0, -5000, 123456])
     def test_hand_built_accounts(self, events, snapshot_balance):
-        bundle = make_bundle({"A1": events}, {"A1": snapshot_balance})
-        assert_matches_oracle(bundle)
+        assert_matches_oracle(*make_bundle({"A1": events}, {"A1": snapshot_balance}))
 
     @given(st.lists(account, min_size=1, max_size=5))
     @settings(max_examples=150, deadline=None)
     def test_multi_account_ledgers(self, accounts):
         names = [f"A{i}" for i in range(len(accounts))]
-        bundle = make_bundle(
+        assert_matches_oracle(*make_bundle(
             {a: ev for a, (ev, _) in zip(names, accounts)},
             {a: snap for a, (_, snap) in zip(names, accounts)},
-        )
-        assert_matches_oracle(bundle)
+        ))
 
     def test_squares_round_as_pow_does(self):
         # (v - m) ** 2 calls C pow; on these values (v - m) * (v - m) moves the std by a bit
         vals = [1094428206580, -692765664167, 356422872724]
         m = sum(vals) / len(vals)
         assert population_std(vals, m) != math.sqrt(fold([(v - m) * (v - m) for v in vals]) / len(vals))
-        assert_matches_oracle(make_bundle({"A1": [(5, v) for v in vals]}))  # the transaction std
+        assert_matches_oracle(*make_bundle({"A1": [(5, v) for v in vals]}))  # the transaction std
         window = [m] * 27 + vals  # 27 days at the mean add zero squares, so the rounding stays
         assert population_std(window, m) != math.sqrt(fold([(v - m) * (v - m) for v in window]) / 30)
         assert bal_stat(window, "std").hex() == aggregate_balance(window, "std").hex()
 
     def test_balances_not_reconstructed_is_data_error(self):
-        bundle = make_bundle({"A1": [(5, 1000)], "A2": [(6, 500)]})
+        bundle, _ = make_bundle({"A1": [(5, 1000)], "A2": [(6, 500)]})
         bundle.balances = None
         with pytest.raises(DataError, match="balances not reconstructed"):
             build_feature_matrix(bundle)
@@ -228,7 +216,7 @@ class TestFeaturizerOracle:
 
 def matrix_of(events):
     """The feature matrix of one account with these (days before application, cents) events."""
-    return build_feature_matrix(make_bundle({"A1": events}))
+    return build_feature_matrix(make_bundle({"A1": events})[0])
 
 
 class TestWindows:
@@ -270,7 +258,7 @@ def bal_stat(balances, stat: str) -> float:
     the snapshot is the last, and each day's change is one transaction."""
     assert len(balances) == 30
     changes = [(29 - i, int(b - a)) for i, (a, b) in enumerate(zip(balances, balances[1:]), start=1) if b != a]
-    bundle = make_bundle({"A1": changes}, {"A1": int(balances[-1])})
+    bundle, _ = make_bundle({"A1": changes}, {"A1": int(balances[-1])})
     return build_feature_matrix(bundle).column(f"acc_bal_{stat}_last30")[0]
 
 
@@ -322,7 +310,7 @@ class TestAggregateBalance:
 
 class TestBuildMatrix:
     def test_exactly_106_columns(self):
-        bundle = make_bundle({"A1": [(5, 1000)], "A2": [(45, -2000), (100, 500)]})
+        bundle, _ = make_bundle({"A1": [(5, 1000)], "A2": [(45, -2000), (100, 500)]})
         matrix = build_feature_matrix(bundle)
         assert len(matrix.columns) == 106
         assert len(kpi_columns()) == 106
@@ -334,7 +322,7 @@ class TestBuildMatrix:
         assert "trx_min_incoming_last30" in cols
 
     def test_single_txn_account(self):
-        bundle = make_bundle({"A1": [(5, 1000)]})
+        bundle, _ = make_bundle({"A1": [(5, 1000)]})
         m = build_feature_matrix(bundle)
         assert m.column("trx_min_incoming_last30")[0] == 1000
         assert m.column("trx_count_all_90_120")[0] == 0
@@ -342,7 +330,7 @@ class TestBuildMatrix:
 
     def test_balance_var_equals_window_txn_sum(self):
         events = [(3, 700), (12, -300), (40, 1500), (70, -800), (95, 250)]
-        bundle = make_bundle({"A1": events})
+        bundle, _ = make_bundle({"A1": events})
         m = build_feature_matrix(bundle)
         for spec in CANONICAL_WINDOWS:
             var = m.column(f"acc_bal_var_{spec.label}")[0]
@@ -351,25 +339,25 @@ class TestBuildMatrix:
             assert var == inside
 
     def test_no_labeled_accounts(self):
-        bundle = join_bundle([], [AccountRecord("A1", 0, SNAPSHOT)], [], [])
+        bundle, _ = bundles_of([], [AccountRecord("A1", 0, SNAPSHOT)], [], [])
         with pytest.raises(DataError):
             build_feature_matrix(bundle)
 
 
 class TestDropInactive:
     def test_drops_zero_txn_rows(self):
-        bundle = make_bundle({"A1": [(5, 1000)], "A2": [(130, 500)]})
+        bundle, _ = make_bundle({"A1": [(5, 1000)], "A2": [(130, 500)]})
         m = build_feature_matrix(bundle)
         trimmed = drop_inactive_accounts(m)
         assert trimmed.row_ids == ["A1"]
 
     def test_identity_when_all_active(self):
-        bundle = make_bundle({"A1": [(5, 1000)], "A2": [(6, 2000)]})
+        bundle, _ = make_bundle({"A1": [(5, 1000)], "A2": [(6, 2000)]})
         m = build_feature_matrix(bundle)
         assert drop_inactive_accounts(m) is m
 
     def test_all_inactive_errors(self):
-        bundle = make_bundle({"A1": [(130, 500)]})
+        bundle, _ = make_bundle({"A1": [(130, 500)]})
         m = build_feature_matrix(bundle)
         with pytest.raises(DataError):
             drop_inactive_accounts(m)
