@@ -161,6 +161,8 @@ def cmd_explain(config: PipelineConfig, args) -> int:
     matrix = _working_matrix(config)
     path = _artifact(config, "model.json", "train")
     ensemble = TreeEnsemble.load(path)
+    if ensemble.kind != config.model:
+        raise DataError(f"{path} has kind {ensemble.kind}, not the configured model {config.model}; rerun train")
     if ensemble.feature_names != matrix.columns:
         raise DataError(
             f"{path} was fitted on other columns ({ensemble.n_features}) than the {len(matrix.columns)} this config selects; rerun train"

@@ -351,7 +351,7 @@ def waterfall_data(ensemble: TreeEnsemble, x) -> dict:
     """
     sv = tree_shap(ensemble, x)
     phi, values = sv.contributions.tolist(), sv.feature_values.tolist()
-    order = sorted(range(len(phi)), key=lambda j: (-abs(phi[j]), j))
+    order = np.argsort(-np.abs(sv.contributions), kind="stable").tolist()  # ties in feature order
     space = "probability" if ensemble.kind == "random_forest" else "log-odds"
     return {
         "schema": "waterfall/v1",

@@ -12,7 +12,9 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -198,13 +200,58 @@ def _json_text(o, pad: str = "\n") -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + pad + "]"
+        return "[" + inner + ("," + inner).join(_item_texts(o, inner)) + pad + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
         items = [encode_basestring_ascii(k) + ": " + _json_text(o[k], inner) for k in sorted(o)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+_NUMBER_KINDS = {float, int, type(None)}
+_NULL = {"None": "null"}
+
+
+def _item_texts(o, pad: str) -> list:
+    """The `_json_text` of each item of the non-empty sequence o, at pad,
+    a column at a time where the items allow it.  Items that are all exact
+    str, or all exact float, int or None, take one map: a float's repr is
+    json's text unless it is nan or ±inf, and among these reprs only those
+    and None's "None" hold an "n", so one count finds them.  Dicts sharing
+    one set of str keys, and lists or tuples of one length, are joined from
+    one column per key or position.  Anything else (bools, numpy scalars,
+    NaN, mixed containers, non-str keys) goes item by item."""
+    kinds = set(map(type, o))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, o))
+    if kinds <= _NUMBER_KINDS:
+        texts = list(map(repr, o))
+        nulls = o.count(None) if type(None) in kinds else 0
+        if "".join(texts).count("n") == nulls:
+            return list(map(_NULL.get, texts, texts)) if nulls else texts
+    elif kinds == {dict}:
+        keys = o[0].keys()
+        if keys and set(map(type, keys)) == {str} and all(map(keys.__eq__, map(dict.keys, o))):
+            names = sorted(keys)
+            heads = [encode_basestring_ascii(k) + ": " for k in names]
+            return _shaped_texts("{}", heads, [list(map(itemgetter(k), o)) for k in names], pad)
+    elif kinds <= {list, tuple}:
+        width = len(o[0])
+        if width and all(map(width.__eq__, map(len, o))):
+            return _shaped_texts("[]", [""] * width, list(zip(*o)), pad)
+    return [_json_text(v, pad) for v in o]
+
+
+def _shaped_texts(brackets: str, heads: list, columns: list, pad: str) -> list:
+    """Items of one shape, at pad, from their columns: each item joins its
+    brackets, and a head and the `_item_texts` of each column."""
+    inner = pad + "  "
+    seps = [brackets[0] + inner] + ["," + inner] * (len(heads) - 1)
+    parts = []
+    for sep, head, column in zip(seps, heads, columns):
+        parts += (repeat(sep + head), _item_texts(column, inner))
+    return list(map("".join, zip(*parts, repeat(pad + brackets[1]))))
 
 
 def _write_json(path, payload):

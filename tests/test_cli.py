@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creditshap import pipeline
 from creditshap.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
@@ -142,6 +144,47 @@ def json_reference(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# Payloads for the writer's oracle: lists of one scalar kind, of records
+# sharing one key set (some keys holding "%") and of lists of one length
+# are written a column at a time; NaN, ±inf, bools next to ints, numpy
+# floats, mixed kinds, unshared key sets and empty containers fall back to
+# writing value by value.
+json_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7]),
+)
+json_texts = st.one_of(
+    st.text(max_size=6), st.sampled_from(['"', "\\", "\n", "\x00\x1f\x7f", "é 日本", "\U0001f600", "None", "nan"])
+)
+json_keys = st.one_of(st.sampled_from(["a", "b", "%s", "50%", "%(x)d", "é", "", 'q"']), st.text(max_size=3))
+json_scalars = st.one_of(json_floats, st.integers(), st.booleans(), st.none(), json_texts, json_floats.map(np.float64))
+
+
+def json_containers(children):
+    records = st.lists(json_keys, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: children for k in keys}), max_size=5)
+    )
+    rows = st.integers(0, 3).flatmap(
+        lambda width: st.lists(st.lists(children, min_size=width, max_size=width).map(tuple), max_size=5)
+    )
+    return st.one_of(
+        st.lists(st.one_of(json_floats, st.none())),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+        st.lists(st.integers()),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.lists(st.one_of(json_floats, json_floats.map(np.float64))),
+        st.lists(json_texts),
+        records,
+        rows,
+        st.lists(children, max_size=5),
+        st.lists(st.dictionaries(json_keys, children, max_size=3), max_size=4),
+        st.dictionaries(json_keys, children, max_size=4),
+    )
+
+
+json_payloads = st.recursive(json_scalars, json_containers, max_leaves=40)
+
+
 class TestJsonWriter:
     """`pipeline._write_json` writes the text of `json.dumps(indent=2, sort_keys=True)`."""
 
@@ -193,7 +236,12 @@ class TestJsonWriter:
         for payload in (self.EDGE, *self.EDGE.values(), *self.EDGE["floats"], *self.EDGE["ints"]):
             assert pipeline._json_text(payload) + "\n" == json_reference(payload)
 
-    @pytest.mark.parametrize("payload", [{1: "a"}, {None: 1}, {1.5: 1}, {True: 1}, {"a": {2: 3}}, [{"a": 1, 2: 3}]])
+    @given(json_payloads)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert pipeline._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("payload", [{1: "a"}, {None: 1}, {1.5: 1}, {True: 1}, {"a": {2: 3}}, [{"a": 1, 2: 3}], [{1: "a"}, {1: "b"}]])
     def test_non_str_key_is_a_type_error(self, payload):
         with pytest.raises(TypeError):
             pipeline._json_text(payload)
@@ -530,6 +578,16 @@ class TestExitCodes:
         assert run("explain", *common, *narrow, "--row", "A0003") == EXIT_DATA
         err = capsys.readouterr().err
         assert "model.json" in err and "rerun train" in err
+        assert not (out / "waterfall_A0003.json").exists()
+
+    @pytest.mark.parametrize("model", ["random_forest", "logistic"])
+    def test_explain_with_model_of_other_family_is_data_error(self, model, staged_dir, ledger_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(staged_dir, out)  # model.json holds the default oblivious booster
+        capsys.readouterr()
+        assert run("explain", "--data", str(ledger_dir), "--out", str(out), "--row", "A0003", "--set", f"model={model}") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{out / 'model.json'} has kind oblivious_boosting, not the configured model {model}; rerun train" in err
         assert not (out / "waterfall_A0003.json").exists()
 
     def test_failed_stage_leaves_partial_until_it_succeeds(self, tmp_path):

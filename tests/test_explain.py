@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creditshap import explain, pipeline
 from creditshap.explain import (
@@ -399,6 +401,20 @@ class TestReportPayloads:
             wf = waterfall_data(ens, x)
             assert [c["feature"] for c in wf["contributions"]] == ["f0", "f2", "f1", "f3"]
             assert [c["shap"] for c in wf["contributions"]] == shap
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0]), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_waterfall_order_is_python_sorted_order(self, phi):
+        # exact ties of both signs and ±0.0 keep feature order, as a Python sort with an index key does
+        p = len(phi)
+        ens = ensemble_of([stump(0, 0.5, -1.0, 1.0, 10.0, 10.0)], p)
+        sv = explain.ShapValues(0.0, np.array(phi), sum(phi), np.zeros(p), ens.feature_names)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(explain, "tree_shap", lambda ensemble, x: sv)
+            contributions = waterfall_data(ens, np.zeros(p))["contributions"]
+        order = sorted(range(p), key=lambda j: (-abs(phi[j]), j))
+        assert [c["feature"] for c in contributions] == [f"f{j}" for j in order]
+        assert [repr(c["shap"]) for c in contributions] == [repr(phi[j]) for j in order]
 
     def test_summary_orders_by_importance(self):
         model, X = self._tiny_model()
