@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
-from .features import FeatureMatrix, median_impute
-from .models import FittedModel, ModelSpec, TreeEnsemble
-from .pipeline import ConfigError, GridSpec, PipelineConfig, PipelineStageError
+from .features import FeatureMatrix
+from .pipeline import ENSEMBLE_KINDS, ConfigError, GridSpec, PipelineConfig, PipelineStageError
 from .tables import DataError
 
 EXIT_OK = 0
@@ -38,56 +37,24 @@ def _load_config(args) -> PipelineConfig:
         except json.JSONDecodeError:
             pass  # keep raw string
         overrides[key] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "data", None) is not None:
-        overrides["data_dir"] = args.data
+    for key, value in (("seed", args.seed), ("out_dir", args.out), ("data_dir", args.data)):
+        if value is not None:
+            overrides[key] = value
     if args.config:
         return PipelineConfig.from_file(args.config, overrides)
     return PipelineConfig.from_flat(overrides)
 
 
-def _artifact(config: PipelineConfig, name: str, stage: str) -> Path:
-    path = Path(config.out_dir) / name
-    if not path.exists():
-        raise DataError(f"{path} not found; run the {stage} stage first")
-    return path
-
-
-def _json_field(config: PipelineConfig, name: str, stage: str, key: str, kind: type):
-    """(path, entry `key`) of the JSON object `name`; an absent entry reads
-    as kind(), and one that is not a kind (dict or list) is a data error."""
-    path = _artifact(config, name, stage)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: bad JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: not a JSON object")
-    value = data.get(key, kind())
-    if not isinstance(value, kind):
-        raise DataError(f"{path}: {key} is not a JSON {'object' if kind is dict else 'array'}; rerun {stage}")
-    return path, value
-
-
-def _load_matrix(config: PipelineConfig) -> FeatureMatrix:
-    return FeatureMatrix.from_csv(_artifact(config, "features.csv", "featurize"))
-
-
 def _working_matrix(config: PipelineConfig) -> FeatureMatrix:
     """features_pruned.csv, narrowed to top_k.json's columns for top_k; select
-    must have run with this config's selection settings."""
-    matrix = FeatureMatrix.from_csv(_artifact(config, "features_pruned.csv", "select"))
-    _, recorded = _json_field(config, "selection.json", "select", "settings", dict)
-    for key, value in config.selection_settings().items():
-        if recorded.get(key) != value:
-            raise DataError(f"selection.json has {key}={recorded.get(key)!r}, not {value!r}; rerun select")
+    must have run with this config's settings."""
+    pipeline.read_artifact(config, "selection.json")
+    matrix = FeatureMatrix.from_csv(Path(config.out_dir) / "features_pruned.csv")
     if config.feature_set == "top_k":
-        path, kept = _json_field(config, "top_k.json", "select", "kept", list)
-        if len(kept) != config.top_k:
-            raise DataError(f"top_k.json keeps {len(kept)} columns, not top_k={config.top_k}; rerun select")
+        path, data = pipeline.read_artifact(config, "top_k.json")
+        kept = data.get("kept")
+        if not isinstance(kept, list):
+            raise DataError(f"{path}: kept is not a JSON array; rerun select")
         unknown = [name for name in kept if not isinstance(name, str) or name not in matrix.columns]
         if unknown:
             raise DataError(f"{path} keeps {unknown[0]!r}, not a column of features_pruned.csv; rerun select")
@@ -112,7 +79,7 @@ def cmd_featurize(config: PipelineConfig, args) -> int:
 
 
 def cmd_select(config: PipelineConfig, args) -> int:
-    run = pipeline.Run(config, features=_load_matrix(config))
+    run = pipeline.Run(config, features=FeatureMatrix.from_csv(Path(config.out_dir) / "features.csv"))
     pipeline.run_stage("select", run)
     print(run.selection.table())
     return EXIT_OK
@@ -121,7 +88,7 @@ def cmd_select(config: PipelineConfig, args) -> int:
 def cmd_train(config: PipelineConfig, args) -> int:
     run = pipeline.Run(config, working=_working_matrix(config))
     pipeline.run_stage("train", run)
-    if isinstance(run.fitted.model, TreeEnsemble):
+    if config.model in ENSEMBLE_KINDS:
         print(f"saved {config.model} with {len(run.fitted.model.trees)} trees")
     else:
         print(f"fitted {config.model} (non-tree models are not serialized)")
@@ -141,12 +108,9 @@ def cmd_grid(config: PipelineConfig, args) -> int:
     for name in feature_sets:
         if name not in ("pruned", top):
             raise ConfigError(f"unknown feature set {name!r}; choose from pruned, top_k ({top})")
-    grid = GridSpec(
-        models=args.models.split(",") if args.models else ["logistic", "oblivious_boosting"],
-        resamplers=args.resamplers.split(",") if args.resamplers else ["none", "smote"],
-        feature_sets=feature_sets,
-    )
-    matrix, _ = pipeline.select_stage(_load_matrix(config), config)
+    lists = {key: getattr(args, key).split(",") for key in ("models", "resamplers") if getattr(args, key)}
+    grid = GridSpec(**lists, feature_sets=feature_sets)  # GridSpec's defaults for the lists not given
+    matrix, _ = pipeline.select_stage(FeatureMatrix.from_csv(Path(config.out_dir) / "features.csv"), config)
     matrices = {"pruned": matrix}
     if top in feature_sets:
         matrices[top], _, _ = pipeline.shap_reduce_stage(matrix, config)
@@ -158,17 +122,10 @@ def cmd_grid(config: PipelineConfig, args) -> int:
 
 
 def cmd_explain(config: PipelineConfig, args) -> int:
+    if config.model not in ENSEMBLE_KINDS:
+        raise ConfigError(f"explain needs a tree ensemble model ({', '.join(ENSEMBLE_KINDS)}), not {config.model}")
     matrix = _working_matrix(config)
-    path = _artifact(config, "model.json", "train")
-    ensemble = TreeEnsemble.load(path)
-    if ensemble.kind != config.model:
-        raise DataError(f"{path} has kind {ensemble.kind}, not the configured model {config.model}; rerun train")
-    if ensemble.feature_names != matrix.columns:
-        raise DataError(
-            f"{path} was fitted on other columns ({ensemble.n_features}) than the {len(matrix.columns)} this config selects; rerun train"
-        )
-    _, medians = median_impute(matrix.values)
-    fitted = FittedModel(ModelSpec(config.model), ensemble, medians)
+    fitted = pipeline.load_model(config, matrix)
     row_id = args.row or matrix.row_ids[0]
     data = pipeline.explain_account(fitted, matrix, row_id, config.out_dir)
     print(f"{row_id}: p(bad) = {data['probability']:.3f} -> {data['case']}")

@@ -6,6 +6,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -145,10 +146,9 @@ class TreeEnsemble:
         )
 
     @classmethod
-    def load(cls, path) -> "TreeEnsemble":
-        try:  # a file that holds no ensemble is a DataError naming it
-            with open(path) as fh:
-                return cls.from_dict(json.load(fh))
+    def load(cls, path, data=None) -> "TreeEnsemble":
+        try:  # a file that holds no ensemble (`data`, if its JSON is read already) is a DataError naming it
+            return cls.from_dict(json.loads(Path(path).read_text()) if data is None else data)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:  # bad JSON is a ValueError too
             raise DataError(f"{path}: not a model file ({type(exc).__name__}: {exc})") from exc
 

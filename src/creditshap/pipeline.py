@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import explain, plots, selection
-from .features import FeatureMatrix, build_feature_matrix, drop_inactive_accounts
+from .features import FeatureMatrix, build_feature_matrix, drop_inactive_accounts, median_impute
 from .metrics import CvResult, TrainSplit, cross_validate, roc_auc
 from .models import FittedModel, ModelSpec, TreeEnsemble, classify, fit_model
+from .models.ensemble import ENSEMBLE_KINDS
 from .resampling import ResamplingStrategy
 from .tables import (
     DataError,
@@ -36,6 +37,14 @@ from .tables import (
 
 class ConfigError(Exception):
     """Invalid pipeline configuration."""
+
+
+# The JSON artifacts that staged commands read back: the stage that writes
+# each and the config keys its content depends on, recorded under `settings`.
+SELECTION_KEYS = ("correlation_threshold", "missing_threshold", "zero_as_missing")
+FIT_KEYS = ("model", "model_params", "resampling", "k_neighbors", "seed", "feature_set", "top_k", *SELECTION_KEYS)
+ARTIFACTS = {"selection.json": ("select", SELECTION_KEYS), "top_k.json": ("select", (*SELECTION_KEYS, "top_k", "seed")),
+             "model.json": ("train", FIT_KEYS)}
 
 
 @dataclass
@@ -81,9 +90,9 @@ class PipelineConfig:
         blob = json.dumps(settings, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def selection_settings(self) -> dict:
-        """The keys that decide which columns select keeps."""
-        return {k: getattr(self, k) for k in ("correlation_threshold", "missing_threshold", "zero_as_missing")}
+    def settings(self, artifact: str) -> dict:
+        """This config's values of the keys that `artifact` depends on."""
+        return {k: getattr(self, k) for k in ARTIFACTS[artifact][1]}
 
     def stamp(self) -> dict:
         """The config hash and seed that every stage artifact embeds."""
@@ -158,7 +167,7 @@ def select_stage(matrix: FeatureMatrix, config: PipelineConfig):
     m1, r1 = selection.drop_constant(matrix)
     m2, r2 = selection.prune_missing(m1, config.missing_threshold, config.zero_as_missing)
     m3, r3 = selection.correlation_prune(m2, config.correlation_threshold)
-    merged = selection.SelectionReport(list(matrix.columns), settings=config.selection_settings())
+    merged = selection.SelectionReport(list(matrix.columns), settings=config.settings("selection.json"))
     for rep in (r1, r2, r3):
         merged.removed.update(rep.removed)
     merged.finish()
@@ -312,26 +321,59 @@ def run_select(run: Run) -> None:
     run.working = pruned
     if run.config.feature_set == "top_k":
         run.working, _, imp = shap_reduce_stage(pruned, run.config)
-        run.write_json("top_k.json", {"ranking": imp.ranking(), "kept": run.working.columns})
+        run.write_json("top_k.json", {"ranking": imp.ranking(), "kept": run.working.columns, "settings": run.config.settings("top_k.json")})
 
 
-def fit_final(run: Run) -> None:
-    """Fit the configured model on every working row."""
+def read_artifact(config: PipelineConfig, name: str) -> tuple[Path, dict]:
+    """(path, content) of the JSON object `name` in out_dir, whose `settings` must be this config's
+    `settings(name)` as JSON reads them back; a DataError names the file and each key that differs."""
+    stage, path = ARTIFACTS[name][0], Path(config.out_dir) / name
+    if not path.exists():
+        raise DataError(f"{path} not found; run the {stage} stage first")
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: bad JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: not a JSON object")
+    recorded, wanted = data.get("settings", {}), json.loads(json.dumps(config.settings(name)))
+    if not isinstance(recorded, dict):
+        raise DataError(f"{path}: settings is not a JSON object; rerun {stage}")
+    keys = {**wanted, **recorded}  # wanted's order, then any key only recorded
+    differs = [f"{k}={recorded.get(k)!r}, not {wanted.get(k)!r}" for k in keys if recorded.get(k) != wanted.get(k)]
+    if differs:
+        raise DataError(f"{path} has {'; '.join(differs)}; rerun {stage}")
+    return path, data
+
+
+def load_model(config: PipelineConfig, working: FeatureMatrix) -> FittedModel:
+    """train's tree ensemble for this config from model.json, with the medians of `working` that it was fitted on."""
+    path, data = read_artifact(config, "model.json")
+    ensemble = TreeEnsemble.load(path, data)
+    if ensemble.feature_names != working.columns:
+        raise DataError(f"{path} was fitted on other columns ({ensemble.n_features}) than the {len(working.columns)} selected; rerun train")
+    return FittedModel(ModelSpec(config.model, config.model_params), ensemble, median_impute(working.values)[1])
+
+
+def fit_final(run: Run) -> FittedModel:
+    """The configured model fitted on every working row."""
     split = TrainSplit(run.working.values, run.working.y, run.working.columns)
-    spec = ModelSpec(run.config.model, run.config.model_params)
-    run.fitted = fit_model(spec, split, run.strategy, run.config.seed)
+    return fit_model(ModelSpec(run.config.model, run.config.model_params), split, run.strategy, run.config.seed)
 
 
 def run_train(run: Run) -> None:
-    fit_final(run)
+    run.fitted = fit_final(run)
+    path, settings = run.out / "model.json", run.config.settings("model.json")
     if isinstance(run.fitted.model, TreeEnsemble):
-        _write_json(run.out / "model.json", {**run.fitted.model.to_dict(), "stamp": run.config.stamp()})
+        _write_json(path, {**run.fitted.model.to_dict(), "settings": settings, "stamp": run.config.stamp()})
+    else:  # only tree ensembles are saved; an earlier train's must not outlive this fit
+        path.unlink(missing_ok=True)
 
 
 def run_evaluate(run: Run) -> None:
     config = run.config
-    if run.fitted is None:  # the staged evaluate: fit the final model as train does
-        fit_final(run)
+    if run.fitted is None:  # the staged evaluate: train's model, which only tree families save
+        run.fitted = load_model(config, run.working) if config.model in ENSEMBLE_KINDS else fit_final(run)
     run.cv = evaluate_cell(run.fitted.spec, run.strategy, run.working, config.cv_folds, config.seed)
     roc = roc_auc(run.working.y, run.fitted.predict_proba(run.working.values))
     run.write_json(

@@ -334,8 +334,8 @@ class TestExitCodes:
         ("features_pruned.csv", "train", lambda text: TestExitCodes._edit_cell(text, 2, lambda c: [*c[:-1], "bad"]),
          "features_pruned.csv:2: invalid literal"),
         ("model.json", "explain", lambda text: text.replace('"kind"', '"kinds"'), "model.json: not a model file (KeyError"),
-        ("model.json", "explain", lambda text: text[:-10], "model.json: not a model file (JSONDecodeError"),
-        ("model.json", "explain", lambda text: "[]", "model.json: not a model file"),
+        ("model.json", "explain", lambda text: text[:-10], "model.json: bad JSON"),
+        ("model.json", "explain", lambda text: "[]", "model.json: not a JSON object"),
         ("selection.json", "evaluate", lambda text: text[:-10], "selection.json: bad JSON"),
         ("selection.json", "train", lambda text: "[]", "selection.json: not a JSON object"),
     ], ids=["empty_features", "text_cell", "short_row", "bad_label", "model_without_kind", "model_bad_json",
@@ -371,7 +371,8 @@ class TestExitCodes:
         out = tmp_path / "out"
         shutil.copytree(staged_dir, out)
         columns = FeatureMatrix.from_csv(out / "features_pruned.csv").columns
-        (out / "top_k.json").write_text(json.dumps({"kept": kept(columns)}))
+        settings = PipelineConfig().settings("top_k.json")  # those the train below reads back
+        (out / "top_k.json").write_text(json.dumps({"kept": kept(columns), "settings": settings}))
         capsys.readouterr()
         rc = run("train", "--data", str(ledger_dir), "--out", str(out), "--set", "model.params.n_rounds=5",
                  "--set", "feature_set=top_k")
@@ -580,15 +581,56 @@ class TestExitCodes:
         assert "model.json" in err and "rerun train" in err
         assert not (out / "waterfall_A0003.json").exists()
 
-    @pytest.mark.parametrize("model", ["random_forest", "logistic"])
-    def test_explain_with_model_of_other_family_is_data_error(self, model, staged_dir, ledger_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command, settings, code, message", [
+        pytest.param(command, settings, code, message, id=f"{'evaluate-' * (command == 'evaluate')}{settings[-1].removeprefix('model=')}")
+        for command, settings, code, message in [
+            *[(command, settings, EXIT_DATA, differs) for command in ("explain", "evaluate") for settings, differs in [
+                (["model=random_forest"], "model='oblivious_boosting', not 'random_forest'"),
+                (["model.params.n_rounds=500"], "model_params={'n_rounds': 5}, not {'n_rounds': 500}"),
+                (["model.params.n_rounds=5", "resampling=smote"], "resampling='none', not 'smote'"),
+                (["model.params.n_rounds=5", "seed=1"], "seed=0, not 1"),
+            ]],
+            ("explain", ["model=logistic"], EXIT_CONFIG,
+             "explain needs a tree ensemble model (random_forest, gradient_boosting, oblivious_boosting), not logistic"),
+            ("explain", ["model.params.n_rounds=5", "cv_folds=3"], EXIT_OK, ""),  # a fitted model does not depend on cv_folds
+            ("evaluate", ["model.params.n_rounds=5", "cv_folds=3"], EXIT_OK, ""),
+        ]
+    ])
+    def test_explain_with_model_of_other_family_is_data_error(self, command, settings, code, message, staged_dir,
+                                                                ledger_dir, tmp_path, capsys):
         out = tmp_path / "out"
-        shutil.copytree(staged_dir, out)  # model.json holds the default oblivious booster
+        shutil.copytree(staged_dir, out)  # model.json holds the default oblivious booster, fitted for 5 rounds
+        flags = [flag for setting in settings for flag in ("--set", setting)]
+        if command == "explain":
+            flags += ["--row", "A0003"]
         capsys.readouterr()
-        assert run("explain", "--data", str(ledger_dir), "--out", str(out), "--row", "A0003", "--set", f"model={model}") == EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"{out / 'model.json'} has kind oblivious_boosting, not the configured model {model}; rerun train" in err
-        assert not (out / "waterfall_A0003.json").exists()
+        assert run(command, "--data", str(ledger_dir), "--out", str(out), *flags) == code
+        if code == EXIT_DATA:  # the first key that differs comes first
+            message = f"{out / 'model.json'} has {message}"
+        assert message in capsys.readouterr().err
+        written = out / ("waterfall_A0003.json" if command == "explain" else "eval.json")
+        assert written.exists() == (code == EXIT_OK)
+
+    def test_staged_evaluate_reuses_train_model(self, staged_dir, ledger_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(staged_dir, out)
+        common = ["--data", str(ledger_dir), "--out", str(out), "--set", "model.params.n_rounds=5", "--set", "cv_folds=3"]
+        (out / "model.json").rename(out / "trained.json")
+        capsys.readouterr()
+        assert run("evaluate", *common) == EXIT_DATA
+        assert f"{out / 'model.json'} not found; run the train stage first" in capsys.readouterr().err
+        (out / "trained.json").rename(out / "model.json")
+        fit = pipeline.fit_model
+        calls = []
+        monkeypatch.setattr(pipeline, "fit_model", lambda *args, **kwargs: calls.append(args[0]) or fit(*args, **kwargs))
+        assert run("evaluate", *common) == EXIT_OK
+        assert len(calls) == 3  # one per CV fold: the final model is train's
+
+    def test_non_tree_train_removes_model_json(self, staged_dir, ledger_dir, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(staged_dir, out)
+        assert run("train", "--data", str(ledger_dir), "--out", str(out), "--set", "model=logistic") == EXIT_OK
+        assert not (out / "model.json").exists()  # an older tree model.json would stand for this fit
 
     def test_failed_stage_leaves_partial_until_it_succeeds(self, tmp_path):
         data = write_ledger_fixture(tmp_path / "ledger", n_accounts=30, seed=1, bad_rate=0.0)
