@@ -1,17 +1,28 @@
-"""Logistic regression by Newton-Raphson, plus the quantile-binned variant."""
+"""Logistic regression by Newton-Raphson, plus the quantile-binned variant.
+
+Both fit with one Newton loop that reads its design Z (a leading column of
+ones, then the features) only through three products: the margin Z @ beta,
+the gradient part Z.T @ r and the Hessian part (Z * s).T @ Z.  The plain
+fit's design is the dense matrix; the binned fit's is each row's active
+columns (the intercept and one bin per source column), so its products are
+gathers and bincounts and no one-hot matrix is built.
+"""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .boosting import quantile_edges, sort_columns
-from .ensemble import sigmoid
+from .ensemble import check_fields, sigmoid
 
 RIDGE = 1e-6  # damping on non-intercept terms keeps the Hessian invertible
 GRAD_TOL = 1e-8
 MAX_ITER = 100
+PAIR_BUDGET = 1 << 18  # active pairs the binned Hessian indexes at once (2 MB of int64)
 
 
 @dataclass
@@ -26,7 +37,7 @@ class LogisticModel:
     def margin(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if self.binning is not None:
-            X = self.binning.transform(X)
+            return self.intercept + self.coef[self.binning.codes(X)].sum(axis=1)
         if X.shape[1] != len(self.coef):
             raise ValueError(f"expected {len(self.coef)} columns, got {X.shape[1]}")
         return self.intercept + X @ self.coef
@@ -35,46 +46,113 @@ class LogisticModel:
         return sigmoid(self.margin(X))
 
 
-def fit_logistic(X, y, feature_names=None, sample_weight=None) -> LogisticModel:
-    """Ridge-damped Newton iterations on the log-likelihood.
+class DenseDesign:
+    """The design as a dense matrix Z."""
+
+    def __init__(self, Z: np.ndarray):
+        self.Z = Z
+        self.width = Z.shape[1]
+
+    def margin(self, beta):
+        return self.Z @ beta
+
+    def gradient(self, r):
+        return self.Z.T @ r
+
+    def hessian(self, s):
+        return (self.Z * s[:, None]).T @ self.Z
+
+
+class CodeDesign:
+    """A 0/1 design given by its active columns: row i of Z is 1 at A[i]
+    and 0 elsewhere, each row of A holding distinct columns in ascending
+    order.  The Hessian part is one bincount over every row's active column
+    pairs (a <= b), mirrored.  The pairs are grouped by their two positions
+    in A, in blocks of at most PAIR_BUDGET pairs: a single block's cells are
+    indexed once, more blocks' again on each call, so that a long, wide
+    design never holds all its pairs at once."""
+
+    def __init__(self, A: np.ndarray, width: int):
+        self.A, self.width = A, width
+        self.columns = np.ascontiguousarray(A.T)  # per position, every row's active column
+        first, second = np.triu_indices(A.shape[1])
+        step = max(1, PAIR_BUDGET // max(len(A), 1))
+        self.blocks = [(first[i : i + step], second[i : i + step]) for i in range(0, len(first), step)]
+        self.cells = self._cells(*self.blocks[0]) if len(self.blocks) == 1 else None
+
+    def _cells(self, first, second):
+        """The Hessian cells (a * width + b) of these position pairs' active pairs."""
+        return (self.columns[first] * self.width + self.columns[second]).ravel()
+
+    def margin(self, beta):
+        return beta[self.A].sum(axis=1)
+
+    def gradient(self, r):
+        return np.bincount(self.A.ravel(), np.repeat(r, self.A.shape[1]), self.width)
+
+    def hessian(self, s):
+        k = self.width
+        upper = np.zeros(k * k)
+        for first, second in self.blocks:
+            cells = self._cells(first, second) if self.cells is None else self.cells
+            upper += np.bincount(cells, np.tile(s, len(first)), k * k)
+        upper = upper.reshape(k, k)
+        H = upper + upper.T
+        H.flat[:: k + 1] = upper.flat[:: k + 1]  # the diagonal, counted once
+        return H
+
+
+def newton(design, y, sample_weight=None) -> tuple[np.ndarray, bool, int]:
+    """Ridge-damped Newton iterations on the log-likelihood; coefficient 0 is
+    the undamped intercept.
 
     Stops when the gradient infinity-norm drops below 1e-8 or after 100
     iterations; perfect separation yields the best iterate flagged
     non-converged rather than an error.
     """
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.isnan(X).any():
-        raise ValueError("impute missing values before logistic fitting")
-    n, p = X.shape
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
-    Z = np.hstack([np.ones((n, 1)), X])
-    beta = np.zeros(p + 1)
-    ridge = np.full(p + 1, RIDGE)
+    w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    k = design.width
+    beta = np.zeros(k)
+    ridge = np.full(k, RIDGE)
     ridge[0] = 0.0
+    mu = sigmoid(design.margin(beta))
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        eta = Z @ beta
-        mu = sigmoid(eta)
-        grad = Z.T @ (w * (y - mu)) - ridge * beta
+        grad = design.gradient(w * (y - mu)) - ridge * beta
         if np.max(np.abs(grad)) < GRAD_TOL:
             converged = True
             break
         s = w * mu * (1.0 - mu)
-        H = (Z * s[:, None]).T @ Z + np.diag(np.maximum(ridge, 1e-12))
+        H = design.hessian(s) + np.diag(np.maximum(ridge, 1e-12))
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, grad, rcond=None)[0]
-        # halve the step while it overshoots into non-finite territory
+        # halve the step while it overshoots into non-finite territory; the
+        # accepted candidate's probabilities serve the next iteration
         for _ in range(30):
             candidate = beta + step
-            if np.all(np.isfinite(sigmoid(Z @ candidate))) and np.max(np.abs(candidate)) < 1e8:
+            mu = sigmoid(design.margin(candidate))
+            if np.all(np.isfinite(mu)) and np.max(np.abs(candidate)) < 1e8:
+                beta = candidate
                 break
             step = step / 2.0
-        beta = beta + step
+        else:  # no halving was accepted: take the last, unchecked step
+            beta = beta + step
+            mu = sigmoid(design.margin(beta))
+    return beta, converged, it
+
+
+def fit_logistic(X, y, feature_names=None, sample_weight=None) -> LogisticModel:
+    """`newton` on the dense design [1 | X]."""
+    X = np.asarray(X, dtype=float)
+    if np.isnan(X).any():
+        raise ValueError("impute missing values before logistic fitting")
+    n, p = X.shape
+    names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
+    beta, converged, it = newton(DenseDesign(np.hstack([np.ones((n, 1)), X])), y, sample_weight)
     return LogisticModel(float(beta[0]), beta[1:].copy(), names, converged, it)
 
 
@@ -82,8 +160,9 @@ def fit_logistic(X, y, feature_names=None, sample_weight=None) -> LogisticModel:
 class BinningMap:
     """Equal-frequency binning: each column becomes one-hot bin indicators.
 
-    Values outside the training range clamp into the edge bins; NaN gets a
-    dedicated indicator per source column.
+    Source column j owns len(edges[j]) + 2 output columns: its bins, then a
+    missing slot that NaN activates.  Values outside the training range
+    clamp into the edge bins.
     """
 
     edges: list[np.ndarray]
@@ -98,23 +177,26 @@ class BinningMap:
             names.append(f"{src}_missing")
         return names
 
-    def transform(self, X) -> np.ndarray:
+    def codes(self, X) -> np.ndarray:
+        """Each row's active output column per source column: the column's
+        offset plus its bin index, or plus its missing slot for NaN."""
         X = np.asarray(X, dtype=float)
-        outs = []
+        if X.shape[1] != len(self.edges):
+            raise ValueError(f"expected {len(self.edges)} columns, got {X.shape[1]}")
+        codes = np.empty(X.shape, dtype=np.intp)
+        offset = 0
         for j, e in enumerate(self.edges):
             col = X[:, j]
-            nb = len(e) + 1
-            idx = np.searchsorted(e, col, side="right")
-            onehot = np.zeros((len(col), nb + 1))
-            nan = np.isnan(col)
-            idx = np.where(nan, nb, idx)
-            onehot[np.arange(len(col)), idx] = 1.0
-            outs.append(onehot)
-        return np.hstack(outs)
+            codes[:, j] = offset + np.where(np.isnan(col), len(e) + 1, np.searchsorted(e, col, side="right"))
+            offset += len(e) + 2
+        return codes
 
 
 def quantile_bin(X, n_bins: int = 10, feature_names=None) -> BinningMap:
     """Fit per-column equal-frequency bin edges on training data (`boosting.quantile_edges`)."""
+    check_fields(SimpleNamespace(n_bins=n_bins), numbers.Integral, "n_bins")
+    if n_bins < 2:
+        raise ValueError(f"n_bins must be at least 2, not {n_bins}")
     X = np.asarray(X, dtype=float)
     S, finite = sort_columns(X)
     found = quantile_edges(S, finite, np.flatnonzero(finite), n_bins)
@@ -124,8 +206,15 @@ def quantile_bin(X, n_bins: int = 10, feature_names=None) -> BinningMap:
 
 
 def fit_binned_logistic(X, y, n_bins: int = 10, feature_names=None, sample_weight=None) -> LogisticModel:
+    """`newton` on the binned design, given by codes.  Only the output
+    columns some training row activates enter the system; the others keep
+    a coefficient of exactly 0."""
     binning = quantile_bin(X, n_bins, feature_names)
-    Xb = binning.transform(np.asarray(X, dtype=float))
-    model = fit_logistic(Xb, y, binning.output_names, sample_weight)
-    model.binning = binning
-    return model
+    codes = binning.codes(X)
+    used, active = np.unique(codes, return_inverse=True)
+    A = np.hstack([np.zeros((len(codes), 1), dtype=np.intp), active.reshape(codes.shape) + 1])
+    beta, converged, it = newton(CodeDesign(A, len(used) + 1), y, sample_weight)
+    names = binning.output_names
+    coef = np.zeros(len(names))
+    coef[used] = beta[1:]
+    return LogisticModel(float(beta[0]), coef, names, converged, it, binning)

@@ -505,6 +505,13 @@ class TestExitCodes:
             ("mlp", "hidden_layers", "[8, 2.5]"),
             ("mlp", "hidden_layers", "8"),
             ("mlp", "hidden_layers", "[true]"),
+            # the binned logistic's bin count: an integer of at least 2
+            ("logistic_binned", "n_bins", "1.5"),
+            ("logistic_binned", "n_bins", '"x"'),
+            ("logistic_binned", "n_bins", "true"),
+            ("logistic_binned", "n_bins", "-3"),
+            ("logistic_binned", "n_bins", "0"),
+            ("logistic_binned", "n_bins", "1"),
         ]):
             out = tmp_path / f"out{i}"
             rc = run(

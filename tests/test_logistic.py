@@ -1,12 +1,35 @@
 import numpy as np
 import pytest
 
+from creditshap.models import logistic
 from creditshap.models.logistic import (
     LogisticModel,
     fit_binned_logistic,
     fit_logistic,
     quantile_bin,
 )
+from creditshap.synthetic import planted_signal_dataset
+
+
+def one_hot(binning, X):
+    """The dense design the binned fit is defined on: per source column its
+    bin indicators, then its missing indicator."""
+    X = np.asarray(X, dtype=float)
+    outs = []
+    for j, e in enumerate(binning.edges):
+        col = X[:, j]
+        nb = len(e) + 1
+        idx = np.where(np.isnan(col), nb, np.searchsorted(e, col, side="right"))
+        onehot = np.zeros((len(col), nb + 1))
+        onehot[np.arange(len(col)), idx] = 1.0
+        outs.append(onehot)
+    return np.hstack(outs)
+
+
+def dense_binned_oracle(X, y, n_bins, sample_weight=None):
+    """The binned fit the dense way: the one-hot matrix through fit_logistic."""
+    T = one_hot(quantile_bin(X, n_bins), X)
+    return fit_logistic(T, y, sample_weight=sample_weight), T
 
 
 def penalized_loglik(beta, Z, y, w, ridge):
@@ -55,14 +78,16 @@ class TestFitLogistic:
         oracle = grid_refine_maximizer(Z, y.astype(float), np.ones(len(y)), 1e-6, beta_hat + 0.3)
         assert np.max(np.abs(beta_hat - oracle)) < 1e-5
 
-    def test_fitted_point_is_stationary(self):
+    @pytest.mark.parametrize("binned", [False, True])
+    def test_fitted_point_is_stationary(self, binned):
         X, y = self._dataset(1)
-        model = fit_logistic(X, y)
-        Z = np.hstack([np.ones((len(y), 1)), X])
+        model = fit_binned_logistic(X, y, n_bins=6) if binned else fit_logistic(X, y)
+        Z = np.hstack([np.ones((len(y), 1)), one_hot(model.binning, X) if binned else X])
         beta = np.r_[model.intercept, model.coef]
         mu = 1 / (1 + np.exp(-(Z @ beta)))
-        ridge = np.r_[0.0, np.full(3, 1e-6)]
+        ridge = np.r_[0.0, np.full(len(model.coef), 1e-6)]
         grad = Z.T @ (y - mu) - ridge * beta
+        assert model.converged
         assert np.max(np.abs(grad)) < 1e-7
 
     def test_label_flip_negates_coefficients(self):
@@ -114,38 +139,50 @@ class TestFitLogistic:
         model = LogisticModel(0.0, np.zeros(2), ["a", "b"], True, 1)
         with pytest.raises(ValueError):
             model.margin(np.zeros((3, 5)))
+        X, y = self._dataset(5, n=80)  # a binned model counts its source columns, not its bins
+        binned = fit_binned_logistic(X, y, n_bins=4)
+        for width in (5, 2):
+            with pytest.raises(ValueError, match=f"^expected 3 columns, got {width}$"):
+                binned.predict_proba(np.zeros((4, width)))
 
 
 class TestBinning:
-    def test_one_hot_rows_sum_to_one_per_source(self):
+    def test_codes_pick_one_column_per_source(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(50, 2))
         bm = quantile_bin(X, n_bins=4)
-        T = bm.transform(X)
-        n_out0 = len(bm.edges[0]) + 2  # bins + missing indicator
-        assert np.allclose(T[:, :n_out0].sum(axis=1), 1.0)
-        assert np.allclose(T[:, n_out0:].sum(axis=1), 1.0)
+        codes = bm.codes(X)
+        n_out0 = len(bm.edges[0]) + 2  # bins + missing slot
+        assert codes.shape == (50, 2)
+        assert np.all(codes[:, 0] < n_out0) and np.all(codes[:, 1] >= n_out0)
+        T = one_hot(bm, X)
+        assert np.all(T[np.arange(50)[:, None], codes] == 1.0)
+        assert np.all(T.sum(axis=1) == 2.0)
 
     def test_out_of_range_clamps_to_edge_bins(self):
         X = np.linspace(0, 1, 20)[:, None]
         bm = quantile_bin(X, n_bins=4)
-        T = bm.transform(np.array([[-100.0], [100.0]]))
-        assert T[0, 0] == 1.0  # far left -> first bin
-        assert T[1, len(bm.edges[0])] == 1.0  # far right -> last bin
+        codes = bm.codes(np.array([[-100.0], [100.0]]))
+        assert codes[0, 0] == 0  # far left -> first bin
+        assert codes[1, 0] == len(bm.edges[0])  # far right -> last bin
 
-    def test_nan_gets_missing_indicator(self):
+    def test_nan_gets_missing_slot(self):
         X = np.linspace(0, 1, 20)[:, None]
         bm = quantile_bin(X, n_bins=4)
-        T = bm.transform(np.array([[np.nan]]))
-        assert T[0, -1] == 1.0
-        assert T[0, :-1].sum() == 0.0
+        assert bm.codes(np.array([[np.nan]]))[0, 0] == len(bm.output_names) - 1
 
     def test_output_names_align_with_columns(self):
         X = np.linspace(0, 1, 30).reshape(15, 2)
         bm = quantile_bin(X, n_bins=3, feature_names=["a", "b"])
         names = bm.output_names
-        assert len(names) == bm.transform(X).shape[1]
+        assert len(names) == one_hot(bm, X).shape[1]
         assert names[-1] == "b_missing"
+        assert bm.codes(np.array([[0.5, np.nan]]))[0, 1] == len(names) - 1
+
+    @pytest.mark.parametrize("n_bins", [1.5, "x", True, 0, 1, -3])
+    def test_n_bins_must_be_an_integer_of_at_least_2(self, n_bins):
+        with pytest.raises(ValueError, match="^n_bins must be"):
+            quantile_bin(np.zeros((10, 1)), n_bins)
 
     def test_binned_fit_handles_nan_and_nonlinearity(self):
         rng = np.random.default_rng(5)
@@ -157,3 +194,51 @@ class TestBinning:
         mask = ~np.isnan(X[:, 0])
         pred = (model.predict_proba(X[mask]) > 0.5).astype(int)
         assert np.mean(pred == y[mask]) > 0.9
+
+
+class TestBinnedFitMatchesDenseOracle:
+    """fit_binned_logistic on codes against fit_logistic on the one-hot matrix."""
+
+    def _dataset(self, seed):
+        X, y, _ = planted_signal_dataset(240, 8, 0.2, seed=seed)
+        X[:, 7] = np.maximum(X[:, 7], 0.0)  # half the rows at the minimum: the first bin stays empty
+        X[::9, 2] = np.nan  # a direct call may carry NaN: it activates the missing slot
+        w = np.random.default_rng(seed).uniform(0.5, 2.0, len(y))
+        return X, y, w
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("budget", [logistic.PAIR_BUDGET, 500])  # one block of pairs, or many
+    def test_same_fit_as_the_dense_one_hot_newton(self, seed, budget, monkeypatch):
+        monkeypatch.setattr(logistic, "PAIR_BUDGET", budget)
+        X, y, w = self._dataset(seed)
+        model = fit_binned_logistic(X, y, 10, sample_weight=w)
+        oracle, T = dense_binned_oracle(X, y, 10, w)
+        count, positive = T.sum(axis=0), T[y == 1].sum(axis=0)
+        assert np.any(count == 0) and np.any((count > 0) & (positive == 0))  # an empty bin, a bin of negatives
+        assert (model.n_iter, model.converged) == (oracle.n_iter, oracle.converged)
+        assert model.converged
+        assert abs(model.intercept - oracle.intercept) < 1e-9
+        assert np.max(np.abs(model.coef - oracle.coef)) < 1e-9
+        assert np.max(np.abs(model.predict_proba(X) - oracle.predict_proba(T))) < 1e-12
+        assert model.feature_names == quantile_bin(X, 10).output_names
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_same_iterate_when_a_bin_separates(self, seed):
+        # a bin of negatives separates: both fits run to MAX_ITER with coefficients
+        # of order 1e7, which agree to 1e-9 of their size, not absolutely
+        X, y, w = self._dataset(seed)
+        model = fit_binned_logistic(X, y, 10, sample_weight=w)
+        oracle, T = dense_binned_oracle(X, y, 10, w)
+        assert (model.n_iter, model.converged) == (oracle.n_iter, oracle.converged) == (logistic.MAX_ITER, False)
+        ours, theirs = np.r_[model.intercept, model.coef], np.r_[oracle.intercept, oracle.coef]
+        assert np.max(np.abs(ours - theirs)) < 1e-9 * np.max(np.abs(theirs))
+        assert np.max(np.abs(model.predict_proba(X) - oracle.predict_proba(T))) < 1e-12
+
+    def test_unused_columns_keep_a_zero_coefficient(self):
+        X, y, w = self._dataset(0)
+        model = fit_binned_logistic(X, y, 10, sample_weight=w)
+        unused = one_hot(model.binning, X).sum(axis=0) == 0
+        names = np.array(model.feature_names)
+        assert "x7_bin0" in names[unused] and "x0_missing" in names[unused] and "x2_missing" not in names[unused]
+        assert np.all(model.coef[unused] == 0.0)
+        assert np.all(model.coef[~unused] != 0.0)
