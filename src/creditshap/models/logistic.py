@@ -6,6 +6,13 @@ the gradient part Z.T @ r and the Hessian part (Z * s).T @ Z.  The plain
 fit's design is the dense matrix; the binned fit's is each row's active
 columns (the intercept and one bin per source column), so its products are
 gathers and bincounts and no one-hot matrix is built.
+
+The loop maximises the log-likelihood minus a ridge on every coefficient
+but the intercept, of a strength its caller gives.  The plain fit takes
+RIDGE, a numerical damping only.  The binned fit is a penalised scorecard
+(le Cessie & van Houwelingen, Applied Statistics 1992): BIN_RIDGE on the
+bin coefficients makes its objective strictly convex, so its optimum is
+unique and finite even when a bin separates the classes.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .boosting import quantile_edges, sort_columns
 from .ensemble import check_fields, sigmoid
 
 RIDGE = 1e-6  # damping on non-intercept terms keeps the Hessian invertible
+BIN_RIDGE = 10.0  # ridge on the binned fit's bin coefficients: the best CV Gini of 1, 3, 10, 30, 100 on label-flip ledgers
 GRAD_TOL = 1e-8
 MAX_ITER = 100
 PAIR_BUDGET = 1 << 18  # active pairs the binned Hessian indexes at once (2 MB of int64)
@@ -102,19 +110,21 @@ class CodeDesign:
         return H
 
 
-def newton(design, y, sample_weight=None) -> tuple[np.ndarray, bool, int]:
-    """Ridge-damped Newton iterations on the log-likelihood; coefficient 0 is
-    the undamped intercept.
+def newton(design, y, penalty: float, sample_weight=None) -> tuple[np.ndarray, bool, int]:
+    """Newton iterations on the log-likelihood minus penalty / 2 times the
+    squared coefficients; coefficient 0 is the unpenalised intercept.
 
     Stops when the gradient infinity-norm drops below 1e-8 or after 100
-    iterations; perfect separation yields the best iterate flagged
-    non-converged rather than an error.
+    iterations.  Under the plain fit's tiny RIDGE, perfectly separated data
+    have no finite optimum: the loop then returns its last iterate flagged
+    non-converged rather than an error.  Under BIN_RIDGE every data set has
+    one, which the binned fit reaches in a handful of steps.
     """
     y = np.asarray(y, dtype=float)
     w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, dtype=float)
     k = design.width
     beta = np.zeros(k)
-    ridge = np.full(k, RIDGE)
+    ridge = np.full(k, penalty)
     ridge[0] = 0.0
     mu = sigmoid(design.margin(beta))
     converged = False
@@ -146,23 +156,24 @@ def newton(design, y, sample_weight=None) -> tuple[np.ndarray, bool, int]:
 
 
 def fit_logistic(X, y, feature_names=None, sample_weight=None) -> LogisticModel:
-    """`newton` on the dense design [1 | X]."""
+    """`newton` on the dense design [1 | X], under RIDGE."""
     X = np.asarray(X, dtype=float)
     if np.isnan(X).any():
         raise ValueError("impute missing values before logistic fitting")
     n, p = X.shape
     names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
-    beta, converged, it = newton(DenseDesign(np.hstack([np.ones((n, 1)), X])), y, sample_weight)
+    beta, converged, it = newton(DenseDesign(np.hstack([np.ones((n, 1)), X])), y, RIDGE, sample_weight)
     return LogisticModel(float(beta[0]), beta[1:].copy(), names, converged, it)
 
 
 @dataclass
 class BinningMap:
-    """Equal-frequency binning: each column becomes one-hot bin indicators.
+    """Equal-frequency binning: each value becomes the code of its bin.
 
     Source column j owns len(edges[j]) + 2 output columns: its bins, then a
-    missing slot that NaN activates.  Values outside the training range
-    clamp into the edge bins.
+    missing slot that NaN activates.  `codes` gives each row's active output
+    column per source column.  Values outside the training range clamp into
+    the edge bins.
     """
 
     edges: list[np.ndarray]
@@ -206,14 +217,14 @@ def quantile_bin(X, n_bins: int = 10, feature_names=None) -> BinningMap:
 
 
 def fit_binned_logistic(X, y, n_bins: int = 10, feature_names=None, sample_weight=None) -> LogisticModel:
-    """`newton` on the binned design, given by codes.  Only the output
-    columns some training row activates enter the system; the others keep
-    a coefficient of exactly 0."""
+    """`newton` on the binned design, given by codes, under BIN_RIDGE.
+    Only the output columns some training row activates enter the system;
+    the others keep a coefficient of exactly 0."""
     binning = quantile_bin(X, n_bins, feature_names)
     codes = binning.codes(X)
     used, active = np.unique(codes, return_inverse=True)
     A = np.hstack([np.zeros((len(codes), 1), dtype=np.intp), active.reshape(codes.shape) + 1])
-    beta, converged, it = newton(CodeDesign(A, len(used) + 1), y, sample_weight)
+    beta, converged, it = newton(CodeDesign(A, len(used) + 1), y, BIN_RIDGE, sample_weight)
     names = binning.output_names
     coef = np.zeros(len(names))
     coef[used] = beta[1:]

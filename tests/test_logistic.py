@@ -27,9 +27,12 @@ def one_hot(binning, X):
 
 
 def dense_binned_oracle(X, y, n_bins, sample_weight=None):
-    """The binned fit the dense way: the one-hot matrix through fit_logistic."""
+    """The binned fit the dense way: newton on [1 | one-hot matrix] under the
+    bin penalty, every output column in the system."""
     T = one_hot(quantile_bin(X, n_bins), X)
-    return fit_logistic(T, y, sample_weight=sample_weight), T
+    Z = np.hstack([np.ones((len(T), 1)), T])
+    beta, converged, it = logistic.newton(logistic.DenseDesign(Z), y, logistic.BIN_RIDGE, sample_weight)
+    return LogisticModel(float(beta[0]), beta[1:], [f"t{j}" for j in range(T.shape[1])], converged, it), T
 
 
 def penalized_loglik(beta, Z, y, w, ridge):
@@ -85,7 +88,7 @@ class TestFitLogistic:
         Z = np.hstack([np.ones((len(y), 1)), one_hot(model.binning, X) if binned else X])
         beta = np.r_[model.intercept, model.coef]
         mu = 1 / (1 + np.exp(-(Z @ beta)))
-        ridge = np.r_[0.0, np.full(len(model.coef), 1e-6)]
+        ridge = np.r_[0.0, np.full(len(model.coef), logistic.BIN_RIDGE if binned else logistic.RIDGE)]
         grad = Z.T @ (y - mu) - ridge * beta
         assert model.converged
         assert np.max(np.abs(grad)) < 1e-7
@@ -224,14 +227,19 @@ class TestBinnedFitMatchesDenseOracle:
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_same_iterate_when_a_bin_separates(self, seed):
-        # a bin of negatives separates: both fits run to MAX_ITER with coefficients
-        # of order 1e7, which agree to 1e-9 of their size, not absolutely
+        # under the plain fit's tiny ridge these data separate: it runs to MAX_ITER
+        # with coefficients of order 1e7; under BIN_RIDGE the optimum is finite
         X, y, w = self._dataset(seed)
-        model = fit_binned_logistic(X, y, 10, sample_weight=w)
         oracle, T = dense_binned_oracle(X, y, 10, w)
-        assert (model.n_iter, model.converged) == (oracle.n_iter, oracle.converged) == (logistic.MAX_ITER, False)
-        ours, theirs = np.r_[model.intercept, model.coef], np.r_[oracle.intercept, oracle.coef]
-        assert np.max(np.abs(ours - theirs)) < 1e-9 * np.max(np.abs(theirs))
+        unpenalised = fit_logistic(T, y, sample_weight=w)
+        assert (unpenalised.n_iter, unpenalised.converged) == (logistic.MAX_ITER, False)
+        assert np.max(np.abs(unpenalised.coef)) > 1e6
+        model = fit_binned_logistic(X, y, 10, sample_weight=w)
+        assert (model.n_iter, model.converged) == (oracle.n_iter, oracle.converged)
+        assert model.converged and model.n_iter < 10
+        assert np.max(np.abs(np.r_[model.intercept, model.coef])) < 2.0
+        assert abs(model.intercept - oracle.intercept) < 1e-9
+        assert np.max(np.abs(model.coef - oracle.coef)) < 1e-9
         assert np.max(np.abs(model.predict_proba(X) - oracle.predict_proba(T))) < 1e-12
 
     def test_unused_columns_keep_a_zero_coefficient(self):
@@ -242,3 +250,36 @@ class TestBinnedFitMatchesDenseOracle:
         assert "x7_bin0" in names[unused] and "x0_missing" in names[unused] and "x2_missing" not in names[unused]
         assert np.all(model.coef[unused] == 0.0)
         assert np.all(model.coef[~unused] != 0.0)
+
+
+class TestBinnedFitHasOneOptimum:
+    """The bin penalty makes the binned objective strictly convex, so the fit
+    is its one maximiser, whatever the order of the source columns."""
+
+    def test_matches_independent_maximizer(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(80, 2))
+        y = (rng.random(80) < 1 / (1 + np.exp(-(X[:, 0] - X[:, 1] ** 2)))).astype(int)
+        w = rng.uniform(0.5, 2.0, 80)
+        model = fit_binned_logistic(X, y, 4, sample_weight=w)
+        assert model.converged
+        Z = np.hstack([np.ones((len(y), 1)), one_hot(model.binning, X)])
+        beta_hat = np.r_[model.intercept, model.coef]
+        # penalized_loglik leaves coefficient 0, the intercept, unpenalised
+        oracle = grid_refine_maximizer(Z, y.astype(float), w, logistic.BIN_RIDGE, beta_hat + 0.3)
+        assert np.max(np.abs(beta_hat - oracle)) < 1e-5
+
+    # under the plain fit's tiny ridge, seed 9 separates and seed 26 converges with
+    # coefficients that move by 8.6e-10 when the columns are permuted
+    @pytest.mark.parametrize("seed", [9, 26])
+    def test_permuted_columns_permute_the_coefficients(self, seed):
+        X, y, names = planted_signal_dataset(240, 8, 0.2, seed=seed)
+        X[::9, 2] = np.nan
+        w = np.random.default_rng(seed).uniform(0.5, 2.0, len(y))
+        perm = np.random.default_rng(seed + 1).permutation(X.shape[1])
+        model = fit_binned_logistic(X, y, 10, names, w)
+        permuted = fit_binned_logistic(X[:, perm], y, 10, [names[j] for j in perm], w)
+        assert model.converged and permuted.converged
+        assert abs(model.intercept - permuted.intercept) < 1e-10
+        by_name = dict(zip(permuted.feature_names, permuted.coef))
+        assert np.max(np.abs(model.coef - [by_name[n] for n in model.feature_names])) < 1e-10
