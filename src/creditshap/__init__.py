@@ -13,7 +13,7 @@ from .explain import (
     tree_shap,
 )
 from .features import FeatureMatrix, ScalerParams, build_feature_matrix, standardize
-from .metrics import ConfusionMatrix, CvResult, RocCurve, TrainSplit, confusion_matrix, cross_validate, gini, roc_auc, train_test_split
+from .metrics import CvResult, RocCurve, TrainSplit, cross_validate, gini, roc_auc, train_test_split
 from .models import ModelSpec, TreeEnsemble, classify, fit_model
 from .pipeline import GridSpec, PipelineConfig, run_grid, run_pipeline
 from .resampling import ClassWeights, ResamplingStrategy, apply_strategy, class_weights

@@ -1,4 +1,4 @@
-"""Evaluation: confusion matrix, ROC/AUC/Gini, splits, stratified k-fold CV.
+"""Evaluation: ROC/AUC/Gini, splits, stratified k-fold CV.
 
 Positive class is the bad payer (label 1), matching the credit-risk
 convention that a true positive is a correctly flagged defaulter.
@@ -9,39 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    @property
-    def tpr(self) -> float:
-        return self.tp / (self.tp + self.fn) if (self.tp + self.fn) else 0.0
-
-    @property
-    def fpr(self) -> float:
-        return self.fp / (self.fp + self.tn) if (self.fp + self.tn) else 0.0
-
-
-def confusion_matrix(y_true, y_pred) -> ConfusionMatrix:
-    y_true = np.asarray(y_true, dtype=int)
-    y_pred = np.asarray(y_pred, dtype=int)
-    if y_true.shape != y_pred.shape:
-        raise ValueError("label/prediction length mismatch")
-    return ConfusionMatrix(
-        tp=int(np.sum((y_true == 1) & (y_pred == 1))),
-        fp=int(np.sum((y_true == 0) & (y_pred == 1))),
-        tn=int(np.sum((y_true == 0) & (y_pred == 0))),
-        fn=int(np.sum((y_true == 1) & (y_pred == 0))),
-    )
 
 
 @dataclass

@@ -23,9 +23,7 @@ equal gains go to the lowest feature index.  Plain trees honour
 oblivious trees ignore it, as CatBoost's SymmetricTree growth does.  NaN
 rows take the larger-cover side, as at prediction (`trees.training_side`),
 so the growers return each training row's leaf.  Pseudo-residuals are
-p - y in margin space; leaf values take one damped Newton step.  Optional
-ordered mode approximates per-individual gradients with permutation-prefix
-models over a fixed number of blocks.
+p - y in margin space; leaf values take one damped Newton step.
 """
 
 from __future__ import annotations
@@ -56,15 +54,11 @@ class BoostConfig:
     patience: int = 20
     validation_fraction: float = 0.1
     seed: int = 0
-    ordered: bool = False
-    ordered_blocks: int = 8
 
     def __post_init__(self):
-        integers = ("n_rounds", "max_depth", "max_bins", "min_samples_leaf", "patience", "ordered_blocks")
-        check_fields(self, numbers.Integral, *integers)
+        check_fields(self, numbers.Integral, "n_rounds", "max_depth", "max_bins", "min_samples_leaf", "patience")
         check_fields(self, numbers.Real, "learning_rate", "reg_lambda", "validation_fraction")
-        check_fields(self, bool, "ordered")
-        for name in ("n_rounds", "max_depth", "max_bins", "ordered_blocks"):
+        for name in ("n_rounds", "max_depth", "max_bins"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
         for name in ("learning_rate", "reg_lambda"):
@@ -78,12 +72,10 @@ def clip_proba(p):
     return np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
 
 
-def cross_entropy(y, p, w=None):
+def cross_entropy(y, p):
     p = clip_proba(np.asarray(p, dtype=float))
     y = np.asarray(y, dtype=float)
-    if w is None:
-        w = np.ones_like(y)
-    return float(-np.sum(w * (y * np.log(p) + (1 - y) * np.log(1 - p))) / np.sum(w))
+    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
 def grad_hess(y, p, w):
@@ -365,7 +357,6 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool, v
             "patience": config.patience,
             "validation_fraction": config.validation_fraction,
             "seed": config.seed,
-            "ordered": config.ordered,
         }
     }
     if np.unique(y).size < 2:
@@ -377,36 +368,13 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool, v
         best_loss = np.inf
         best_round = 0
         stall = 0
-    if config.ordered:
-        perm_rng = np.random.default_rng(config.seed)
-        perm = perm_rng.permutation(len(y))
-        block_of = np.empty(len(y), dtype=int)
-        for b in range(config.ordered_blocks):
-            block = perm[b * len(y) // config.ordered_blocks : (b + 1) * len(y) // config.ordered_blocks]
-            block_of[block] = b
-        prefix_margins = np.tile(margins, (config.ordered_blocks, 1))
     rows = np.arange(len(y))
-    for rnd in range(config.n_rounds):
-        if config.ordered:
-            own = prefix_margins[block_of, rows]
-            g, h = grad_hess(y, sigmoid(own), w)
-        else:
-            g, h = grad_hess(y, sigmoid(margins), w)
+    for _ in range(config.n_rounds):
+        g, h = grad_hess(y, sigmoid(margins), w)
         tree, leaf = grow_oblivious_tree(binned, g, h, w, config) if oblivious else grow_tree(binned, rows, g, h, w, config)
         if tree.n_nodes == 1:
             break
-        update = tree.value[leaf]
-        if config.ordered:
-            # each block's prefix model only absorbs leaf values refit on
-            # earlier blocks; the stored tree keeps the all-sample values
-            for b in range(config.ordered_blocks):
-                prefix = block_of < b
-                if not prefix.any():
-                    prefix_margins[b] += config.learning_rate * update
-                    continue
-                scale = _prefix_leaf_scale(tree, leaf, g, h, prefix, config.reg_lambda)
-                prefix_margins[b] += config.learning_rate * scale
-        margins += config.learning_rate * update
+        margins += config.learning_rate * tree.value[leaf]
         ensemble.trees.append(tree)
         if validation is not None:
             val_margins += config.learning_rate * tree.predict(Xv)
@@ -423,15 +391,6 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool, v
         ensemble.trees = ensemble.trees[:best_round]
     ensemble.meta["n_trees"] = len(ensemble.trees)
     return ensemble
-
-
-def _prefix_leaf_scale(tree, leaf_of, g, h, prefix_mask, reg):
-    """Per-sample update using leaf values refit on the prefix rows only;
-    a leaf no prefix row reaches keeps its all-sample value."""
-    leaf = leaf_of[prefix_mask]
-    gs, hs = (np.bincount(leaf, weights=v[prefix_mask], minlength=tree.n_nodes) for v in (g, h))
-    reached = np.bincount(leaf, minlength=tree.n_nodes) > 0
-    return np.where(reached, -gs / (hs + reg), tree.value)[leaf_of]
 
 
 def fit_gradient_boosting(

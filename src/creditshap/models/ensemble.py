@@ -153,7 +153,7 @@ class TreeEnsemble:
             raise DataError(f"{path}: not a model file ({type(exc).__name__}: {exc})") from exc
 
 
-FIELD_KINDS = {numbers.Integral: "an integer", numbers.Real: "a number", bool: "true or false"}
+FIELD_KINDS = {numbers.Integral: "an integer", numbers.Real: "a number"}
 
 
 def check_fields(config, kind, *names) -> None:
@@ -161,7 +161,7 @@ def check_fields(config, kind, *names) -> None:
     `kind` (a key of FIELD_KINDS); a bool is neither an integer nor a number here."""
     for name in names:
         value = getattr(config, name)
-        if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise ValueError(f"{name} must be {FIELD_KINDS[kind]}, not {value!r}")
 
 

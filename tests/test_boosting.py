@@ -581,14 +581,6 @@ class TestObliviousBoosting:
         pred = classify(model.predict_proba(X))
         assert np.mean(pred == y) > 0.95
 
-    def test_ordered_mode_still_learns(self):
-        X, y = dataset(10, n=300)
-        cfg = BoostConfig(n_rounds=30, max_depth=3, validation_fraction=0.0, ordered=True)
-        model = fit_oblivious_boosting(X, y, [f"f{i}" for i in range(4)], cfg)
-        from creditshap.metrics import roc_auc
-
-        assert roc_auc(y, model.predict_proba(X)).auc > 0.8
-
     def test_min_samples_leaf_is_ignored(self):
         # symmetric trees split every leaf of a level at once (CatBoost's
         # SymmetricTree growth has no per-leaf row minimum either)
@@ -685,32 +677,6 @@ def assert_newton_leaves(tree, leaf, g, h, reg):
     at = np.flatnonzero(tree.feature < 0)
     gs, hs = (np.bincount(leaf, weights=v, minlength=tree.n_nodes)[at] for v in (g, h))
     np.testing.assert_allclose(tree.value[at], -gs / (hs + reg), rtol=1e-12, atol=0)
-
-
-def prefix_leaf_scale_loop(tree, leaf_of, g, h, prefix_mask, reg):
-    """Reference for _prefix_leaf_scale: each leaf refit on its prefix rows, one leaf at a time."""
-    values = np.zeros(tree.n_nodes)
-    for leaf in np.unique(leaf_of):
-        in_leaf = (leaf_of == leaf) & prefix_mask
-        values[leaf] = -g[in_leaf].sum() / (h[in_leaf].sum() + reg) if in_leaf.any() else tree.value[leaf]
-    return values[leaf_of]
-
-
-class TestPrefixLeafScale:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_the_per_leaf_loop(self, seed):
-        X, y = dataset(seed, n=200, p=4)
-        rng = np.random.default_rng(seed)
-        w = rng.uniform(0.5, 2.0, size=len(y))
-        g, h = grad_hess(y, rng.uniform(0.05, 0.95, size=len(y)), w)
-        cfg = BoostConfig(max_depth=4, min_samples_leaf=3)
-        binned, rows = BinnedMatrix(X), np.arange(len(y))
-        for tree, leaf in (grow_oblivious_tree(binned, g, h, w, cfg), grow_tree(binned, rows, g, h, w, cfg)):
-            for share in (0.0, 0.05, 0.5, 1.0):  # small prefixes leave leaves no prefix row reaches
-                prefix = rng.random(len(y)) < share
-                got = boosting._prefix_leaf_scale(tree, leaf, g, h, prefix, cfg.reg_lambda)
-                want = prefix_leaf_scale_loop(tree, leaf, g, h, prefix, cfg.reg_lambda)
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestTreeChecks:

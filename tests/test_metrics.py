@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from creditshap.metrics import (
     CvResult,
     TrainSplit,
-    confusion_matrix,
     cross_validate,
     gini,
     roc_auc,
@@ -24,19 +23,6 @@ def auc_by_pair_counting(y, s):
     wins = sum(1.0 for p in pos for q in neg if p > q)
     ties = sum(1.0 for p in pos for q in neg if p == q)
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
-
-
-class TestConfusion:
-    def test_hand_counts(self):
-        cm = confusion_matrix([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
-        assert (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 1, 1, 1)
-        assert cm.tpr == pytest.approx(2 / 3)
-        assert cm.fpr == pytest.approx(1 / 2)
-        assert cm.n == 5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([1, 0], [1])
 
 
 class TestRocAuc:
