@@ -8,7 +8,7 @@ import pytest
 
 from creditshap import pipeline
 from creditshap.metrics import validation_split
-from creditshap.models import boosting, ensemble
+from creditshap.models import ModelSpec, boosting, ensemble
 from creditshap.models.boosting import (
     BinnedMatrix,
     BoostConfig,
@@ -259,6 +259,25 @@ class TestLossPieces:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert sigmoid(np.array([-1000.0, 0.0, 1000.0])).tolist() == [0.0, 0.5, 1.0]
+
+
+class TestBoostConfig:
+    @pytest.mark.parametrize("name, kind", [
+        ("n_rounds", "an integer"), ("max_depth", "an integer"), ("max_bins", "an integer"),
+        ("min_samples_leaf", "an integer"), ("patience", "an integer"),
+        ("learning_rate", "a number"), ("reg_lambda", "a number"), ("validation_fraction", "a number"),
+    ])
+    def test_a_bool_fails_every_count_and_number(self, name, kind):
+        with pytest.raises(ValueError, match=f"^{name} must be {kind}, not True$"):
+            BoostConfig(**{name: True})
+
+    @pytest.mark.parametrize("name", ["ordered", "ordered_blocks"])
+    def test_ordered_keys_are_unknown_to_both_boosters(self, name):
+        with pytest.raises(TypeError, match=name):
+            BoostConfig(**{name: True})
+        for family in ("gradient_boosting", "oblivious_boosting"):
+            with pytest.raises(ValueError, match=rf"^unknown {family} parameter\(s\) {name}; accepted: "):
+                ModelSpec(family, {name: True})
 
 
 class TestBinnedMatrix:

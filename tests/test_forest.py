@@ -139,6 +139,11 @@ class TestForestConfig:
         with pytest.raises(ValueError, match=next(iter(kw))):
             ForestConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["n_trees", "max_depth", "min_samples_leaf", "max_features"])
+    def test_a_bool_fails_every_count(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            ForestConfig(**{name: True})
+
 
 def gini_decreases(X, y, w, rows, binned, j, min_leaf):
     """Brute-force weighted Gini decrease of splitting rows at each of feature

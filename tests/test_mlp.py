@@ -144,3 +144,13 @@ class TestFit:
         best = int(np.argmax(aucs))  # the first epoch to reach the highest AUC
         assert len(aucs) == best + 1 + cfg.patience < cfg.epochs  # stopped `patience` epochs later
         assert np.array_equal(model.predict_proba(Z_val, scaled=True), seen[best][0])
+
+
+class TestMlpConfig:
+    @pytest.mark.parametrize("name, kind", [
+        ("batch_size", "an integer"), ("epochs", "an integer"), ("patience", "an integer"),
+        ("learning_rate", "a number"), ("momentum", "a number"), ("validation_fraction", "a number"),
+    ])
+    def test_a_bool_fails_every_count_and_number(self, name, kind):
+        with pytest.raises(ValueError, match=f"^{name} must be {kind}, not True$"):
+            MlpConfig(**{name: True})
