@@ -231,10 +231,6 @@ class ScalerParams:
     mean: np.ndarray
     std: np.ndarray  # population std; 0 marks a constant (pass-through) column
 
-    @property
-    def constant_columns(self) -> list[str]:
-        return [c for c, s in zip(self.columns, self.std) if s == 0.0]
-
     def transform(self, X: np.ndarray) -> np.ndarray:
         # zero-variance columns pass through unscaled
         const = self.std == 0.0

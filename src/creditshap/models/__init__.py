@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..features import fit_scaler, median_impute
+from ..features import median_impute
 from ..metrics import TrainSplit, validation_split
 from ..resampling import ResamplingStrategy, apply_strategy
 from .boosting import DEFAULT_OBLIVIOUS_DEPTH, BoostConfig, fit_gradient_boosting, fit_oblivious_boosting
@@ -91,7 +91,7 @@ def fit_model(spec: ModelSpec, split: TrainSplit, strategy=ResamplingStrategy(),
     if spec.family == "logistic":
         model = fit_logistic(X_fit, y_fit, names, w)
     elif spec.family == "logistic_binned":
-        model = fit_binned_logistic(X_fit, y_fit, params.get("n_bins", 10), names, w)
+        model = fit_binned_logistic(X_fit, y_fit, feature_names=names, sample_weight=w, **params)
     elif spec.family == "random_forest":
         model = fit_random_forest(X_fit, y_fit, names, cfg, w)
     elif spec.family == "gradient_boosting":
@@ -99,10 +99,7 @@ def fit_model(spec: ModelSpec, split: TrainSplit, strategy=ResamplingStrategy(),
     elif spec.family == "oblivious_boosting":
         model = fit_oblivious_boosting(X_fit, y_fit, names, cfg, w, validation)
     elif spec.family == "mlp":
-        scaler = fit_scaler(X_fit, names)
-        if validation is not None:
-            validation = (scaler.transform(validation[0]), validation[1])
-        model = fit_mlp(scaler.transform(X_fit), y_fit, names, scaler, cfg, w, validation)
+        model = fit_mlp(X_fit, y_fit, names, cfg, w, validation)
     else:  # pragma: no cover - guarded by ModelSpec
         raise ValueError(spec.family)
     return FittedModel(spec, model, medians)

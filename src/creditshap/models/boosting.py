@@ -29,7 +29,7 @@ p - y in margin space; leaf values take one damped Newton step.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class BoostConfig:
     max_bins: int = DEFAULT_MAX_BINS
     patience: int = 20
     validation_fraction: float = 0.1
-    seed: int = 0
+    seed: int = 0  # boosting draws nothing; fit_model holds out the validation rows with this seed
 
     def __post_init__(self):
         check_fields(self, numbers.Integral, "n_rounds", "max_depth", "max_bins", "min_samples_leaf", "patience")
@@ -347,18 +347,7 @@ def _fit_boosted(X, y, w, feature_names, config: BoostConfig, oblivious: bool, v
     prior = float(np.average(np.concatenate([y, yv]), weights=np.concatenate([w, np.ones(len(yv))])))
     base = logit(prior)
     ensemble = TreeEnsemble(kind, list(feature_names), base, config.learning_rate)
-    ensemble.meta = {
-        "config": {
-            "n_rounds": config.n_rounds,
-            "learning_rate": config.learning_rate,
-            "max_depth": config.max_depth,
-            "min_samples_leaf": config.min_samples_leaf,
-            "reg_lambda": config.reg_lambda,
-            "patience": config.patience,
-            "validation_fraction": config.validation_fraction,
-            "seed": config.seed,
-        }
-    }
+    ensemble.meta = {"config": asdict(config)}
     if np.unique(y).size < 2:
         return ensemble
     binned = BinnedMatrix(X, config.max_bins)

@@ -11,7 +11,7 @@ rows weigh more (`trees.training_side`).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,8 +61,6 @@ def fit_random_forest(X, y, feature_names, config: ForestConfig | None = None, s
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
         wt = w * counts  # duplicates enter as weight, not repeated rows
         trees.append(grow_tree(binned, np.flatnonzero(counts), -wt * y, wt, wt, growth, draw)[0])
-    ensemble = TreeEnsemble(
-        "random_forest", list(feature_names), 0.0, 1.0 / config.n_trees, trees
-    )
-    ensemble.meta = {"config": {"n_trees": config.n_trees, "max_depth": config.max_depth, "seed": config.seed}}
+    ensemble = TreeEnsemble("random_forest", list(feature_names), 0.0, 1.0 / config.n_trees, trees)
+    ensemble.meta = {"config": asdict(config)}
     return ensemble

@@ -1,8 +1,8 @@
 """Feed-forward network trained by mini-batch SGD with momentum.
 
-Input must already be standardized (Eq.-of-scale contract lives in the
-features module); the fitted ScalerParams travel with the model so unseen
-rows are scaled the same way.
+`fit_mlp` standardizes its own training rows (`features.fit_scaler`); the
+fitted ScalerParams travel with the model so unseen rows are scaled the
+same way.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import ScalerParams
+from ..features import ScalerParams, fit_scaler
 from ..metrics import roc_auc
 from .boosting import clip_proba
 from .ensemble import check_fields, sigmoid
@@ -32,8 +32,9 @@ class MlpConfig:
     def __post_init__(self):
         check_fields(self, numbers.Integral, "batch_size", "epochs", "patience")
         check_fields(self, numbers.Real, "learning_rate", "momentum", "validation_fraction")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, not {self.batch_size}")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
         layers = self.hidden_layers  # none at all is logistic regression
         if not isinstance(layers, (list, tuple)) or not all(
             isinstance(u, numbers.Integral) and not isinstance(u, bool) and u >= 1 for u in layers
@@ -113,22 +114,19 @@ def mlp_loss(model: MlpModel, X, y, sample_weight=None) -> float:
     return float(np.sum(w * -(y * np.log(p) + (1 - y) * np.log(1 - p))) / len(y))
 
 
-def fit_mlp(
-    X, y, feature_names, scaler: ScalerParams, config: MlpConfig | None = None, sample_weight=None, validation=None
-) -> MlpModel:
-    """Train on standardized X.  With validation = (X_val, y_val), scaled alike
-    and holding both classes, stop when their AUC has not risen for
-    `patience` epochs and return the best epoch's weights."""
-    if scaler is None:
-        raise ValueError("fit_mlp requires the ScalerParams used to standardize X")
+def fit_mlp(X, y, feature_names, config: MlpConfig | None = None, sample_weight=None, validation=None) -> MlpModel:
+    """Standardize X by its own column means and stds and train on it.  With
+    validation = (X_val, y_val), holding both classes, scale those rows alike
+    and stop when their AUC has not risen for `patience` epochs; return the
+    best epoch's weights."""
     config = config or MlpConfig()
     X = np.asarray(X, dtype=float)
+    scaler = fit_scaler(X, feature_names)
+    X = scaler.transform(X)
     y = np.asarray(y, dtype=int)
     w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    const = set(scaler.constant_columns)
-    varying = [j for j, c in enumerate(scaler.columns) if c not in const]
-    if varying and np.max(np.abs(X[:, varying].mean(axis=0))) > 0.1:
-        raise ValueError("fit_mlp expects standardized input (apply the scaler first)")
+    if validation is not None:
+        validation = (scaler.transform(validation[0]), validation[1])
     rng = np.random.default_rng(config.seed)
     weights, biases = _init_params(X.shape[1], config.hidden_layers, rng)
     model = MlpModel(weights, biases, list(feature_names), scaler, config)

@@ -1,8 +1,11 @@
 """End-to-end orchestration: config, staged runs, the experiment grid and
 per-account explanation artifacts.
 
-Every artifact embeds the config hash (of the settings, not the paths) and
-seed so a rerun with the same inputs is byte-identical (no timestamps).
+sanity.json, top_k.json, eval.json, importance.json and summary.json carry
+the config hash (of the settings, not the paths) and seed at the top level,
+model.json under `stamp`; selection.json and the waterfalls carry neither.
+No artifact holds a timestamp, so a rerun with the same inputs is
+byte-identical.
 """
 
 from __future__ import annotations

@@ -54,33 +54,23 @@ class SelectionReport:
 
 
 def drop_constant(matrix: FeatureMatrix) -> tuple[FeatureMatrix, SelectionReport]:
-    """Remove columns with a single distinct non-missing value."""
+    """Remove columns with a single distinct non-missing value (or none)."""
     report = SelectionReport(list(matrix.columns))
-    keep = []
-    for j, col in enumerate(matrix.columns):
-        vals = matrix.values[:, j]
-        finite = vals[~np.isnan(vals)]
-        if finite.size == 0 or np.unique(finite).size <= 1:
+    lo = np.fmin.reduce(matrix.values, axis=0, initial=np.nan)  # NaN only for an all-NaN column
+    hi = np.fmax.reduce(matrix.values, axis=0, initial=np.nan)
+    for col, varies in zip(matrix.columns, (lo < hi).tolist()):
+        if not varies:
             report.record(col, "constant")
-        else:
-            keep.append(col)
     report.finish()
-    return matrix.subset_columns(keep), report
+    return matrix.subset_columns(report.surviving), report
 
 
-def missing_fraction(
-    matrix: FeatureMatrix, treat_zero_as_missing: bool = False
-) -> dict[str, float]:
+def missing_fraction(matrix: FeatureMatrix, treat_zero_as_missing: bool = False) -> dict[str, float]:
     """Per-column fraction of missing (optionally also zero) values."""
-    n = len(matrix.row_ids)
-    fractions = {}
-    for j, col in enumerate(matrix.columns):
-        vals = matrix.values[:, j]
-        bad = np.isnan(vals)
-        if treat_zero_as_missing:
-            bad = bad | (vals == 0.0)
-        fractions[col] = float(bad.sum()) / n
-    return fractions
+    bad = np.isnan(matrix.values)
+    if treat_zero_as_missing:
+        bad |= matrix.values == 0.0
+    return dict(zip(matrix.columns, (np.count_nonzero(bad, axis=0) / len(matrix.row_ids)).tolist()))
 
 
 def prune_missing(

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -278,6 +279,19 @@ class TestBoostConfig:
         for family in ("gradient_boosting", "oblivious_boosting"):
             with pytest.raises(ValueError, match=rf"^unknown {family} parameter\(s\) {name}; accepted: "):
                 ModelSpec(family, {name: True})
+
+
+class TestFittedConfigRecord:
+    @pytest.mark.parametrize("fit, config", [
+        (fit_gradient_boosting, BoostConfig(n_rounds=3, min_samples_leaf=7, max_bins=16, seed=4)),
+        (fit_oblivious_boosting, BoostConfig(n_rounds=3, max_depth=4, max_bins=8, patience=2, seed=4)),
+        (fit_random_forest, ForestConfig(n_trees=3, max_depth=5, min_samples_leaf=7, max_features=2, seed=4)),
+    ])
+    def test_model_json_records_every_config_field(self, fit, config):
+        X, y = dataset(8, n=120)
+        model = fit(X, y, [f"f{j}" for j in range(X.shape[1])], config)
+        assert model.meta["config"] == asdict(config)
+        assert TreeEnsemble.from_dict(json.loads(json.dumps(model.to_dict()))).meta["config"] == asdict(config)
 
 
 class TestBinnedMatrix:

@@ -474,6 +474,7 @@ class TestExitCodes:
             ("oblivious_boosting", "max_bins", "0"),
             ("oblivious_boosting", "max_bins", "8.5"),
             ("mlp", "batch_size", "0"),
+            ("mlp", "epochs", "0"),
             ("mlp", "epochs", "1.5"),
             # values of the wrong type: a non-number for a real field, a bool count
             ("gradient_boosting", "learning_rate", '"x"'),

@@ -8,12 +8,17 @@ from creditshap.models.logistic import fit_logistic
 from creditshap.models.mlp import MlpConfig, MlpModel, _init_params, fit_mlp, mlp_gradients, mlp_loss
 
 
-def standardized_dataset(seed=0, n=200, p=3):
+def raw_dataset(seed=0, n=200, p=3):
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, p)) * [1.0, 5.0, 0.2][:p]
-    eta = X[:, 0] - 0.4 * X[:, 1]
+    X = rng.normal(size=(n, p)) * [1.0, 5.0, 0.2][:p] + [3.0, -40.0, 0.5][:p]
+    eta = (X[:, 0] - 3.0) - 0.4 * (X[:, 1] + 40.0)
     y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(int)
-    Z, scaler = standardize(X, [f"f{i}" for i in range(p)])
+    return X, y, [f"f{i}" for i in range(p)]
+
+
+def standardized_dataset(seed=0, n=200, p=3):
+    X, y, names = raw_dataset(seed, n, p)
+    Z, scaler = standardize(X, names)
     return Z, y, scaler
 
 
@@ -84,52 +89,42 @@ class TestGradients:
 
 class TestFit:
     def test_learns_linear_signal(self):
-        Z, y, scaler = standardized_dataset(6, n=400)
+        X, y, names = raw_dataset(6, n=400)
         cfg = MlpConfig(hidden_layers=(16,), epochs=60, seed=0)
-        model = fit_mlp(Z, y, scaler.columns, scaler, cfg)
-        assert roc_auc(y, model.predict_proba(Z, scaled=True)).auc > 0.8
+        model = fit_mlp(X, y, names, cfg)
+        assert roc_auc(y, model.predict_proba(X)).auc > 0.8
 
     def test_learns_xor(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(-1, 1, size=(500, 2))
         y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
-        Z, scaler = standardize(X, ["a", "b"])
         cfg = MlpConfig(hidden_layers=(16, 8), epochs=150, learning_rate=0.05, seed=1)
-        model = fit_mlp(Z, y, ["a", "b"], scaler, cfg)
-        pred = (model.predict_proba(Z, scaled=True) > 0.5).astype(int)
+        model = fit_mlp(X, y, ["a", "b"], cfg)
+        pred = (model.predict_proba(X) > 0.5).astype(int)
         assert np.mean(pred == y) > 0.9
 
-    def test_rejects_unstandardized_input(self):
-        rng = np.random.default_rng(8)
-        X = rng.normal(loc=50.0, size=(100, 2))
-        y = (X[:, 0] > 50).astype(int)
-        _, scaler = standardize(X, ["a", "b"])
-        with pytest.raises(ValueError, match="standardized"):
-            fit_mlp(X, y, ["a", "b"], scaler)
-
-    def test_requires_scaler(self):
-        with pytest.raises(ValueError):
-            fit_mlp(np.zeros((10, 2)), np.zeros(10, dtype=int), ["a", "b"], None)
-
     def test_deterministic_given_seed(self):
-        Z, y, scaler = standardized_dataset(9, n=150)
+        X, y, names = raw_dataset(9, n=150)
         cfg = MlpConfig(hidden_layers=(8,), epochs=20, seed=5)
-        a = fit_mlp(Z, y, scaler.columns, scaler, cfg)
-        b = fit_mlp(Z, y, scaler.columns, scaler, cfg)
-        assert np.array_equal(a.predict_proba(Z, scaled=True), b.predict_proba(Z, scaled=True))
+        a = fit_mlp(X, y, names, cfg)
+        b = fit_mlp(X, y, names, cfg)
+        assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
     def test_unscaled_rows_pass_through_scaler(self):
+        # the model keeps the scaler fitted on its training rows and scales every row it scores
         rng = np.random.default_rng(10)
         X = rng.normal(loc=3.0, scale=2.0, size=(200, 2))
         y = (X[:, 0] > 3).astype(int)
-        Z, scaler = standardize(X, ["a", "b"])
         cfg = MlpConfig(hidden_layers=(8,), epochs=30, seed=0)
-        model = fit_mlp(Z, y, ["a", "b"], scaler, cfg)
-        assert np.allclose(model.predict_proba(X), model.predict_proba(Z, scaled=True))
+        model = fit_mlp(X, y, ["a", "b"], cfg)
+        Z, scaler = standardize(X, ["a", "b"])
+        assert model.scaler.columns == ["a", "b"]
+        assert np.array_equal(model.scaler.mean, scaler.mean) and np.array_equal(model.scaler.std, scaler.std)
+        assert np.array_equal(model.predict_proba(X), model.predict_proba(Z, scaled=True))
 
     def test_early_stopping_returns_the_best_validation_epoch(self, monkeypatch):
-        Z, y, scaler = standardized_dataset(11, n=200)
-        Z_val, y_val, _ = standardized_dataset(12, n=100)
+        X, y, names = raw_dataset(11, n=200)
+        X_val, y_val, _ = raw_dataset(12, n=100)
         seen = []  # each epoch's validation scores and AUC
 
         def recording_auc(y_true, scores):
@@ -139,11 +134,11 @@ class TestFit:
 
         monkeypatch.setattr(mlp, "roc_auc", recording_auc)
         cfg = MlpConfig(hidden_layers=(32,), epochs=200, patience=3, learning_rate=0.05, seed=0)
-        model = fit_mlp(Z, y, scaler.columns, scaler, cfg, validation=(Z_val, y_val))
+        model = fit_mlp(X, y, names, cfg, validation=(X_val, y_val))
         aucs = [auc for _, auc in seen]
         best = int(np.argmax(aucs))  # the first epoch to reach the highest AUC
         assert len(aucs) == best + 1 + cfg.patience < cfg.epochs  # stopped `patience` epochs later
-        assert np.array_equal(model.predict_proba(Z_val, scaled=True), seen[best][0])
+        assert np.array_equal(model.predict_proba(X_val), seen[best][0])  # the validation rows take the fit rows' scaler
 
 
 class TestMlpConfig:
@@ -154,3 +149,9 @@ class TestMlpConfig:
     def test_a_bool_fails_every_count_and_number(self, name, kind):
         with pytest.raises(ValueError, match=f"^{name} must be {kind}, not True$"):
             MlpConfig(**{name: True})
+
+    @pytest.mark.parametrize("name", ["batch_size", "epochs"])
+    def test_a_count_below_one_fails(self, name):
+        # no epoch at all would return the randomly initialised network
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, not 0$"):
+            MlpConfig(**{name: 0})

@@ -7,7 +7,7 @@ import pytest
 from creditshap import models, pipeline, resampling
 from creditshap.features import median_impute
 from creditshap.metrics import TrainSplit, stratified_kfold, validation_split
-from creditshap.models import ModelSpec, fit_model
+from creditshap.models import ModelSpec, fit_model, mlp
 from creditshap.models.boosting import DEFAULT_OBLIVIOUS_DEPTH, BoostConfig, fit_oblivious_boosting, logit
 from creditshap.resampling import (
     STRATEGY_KINDS,
@@ -499,14 +499,25 @@ class TestValidationRowsAreReal:
 
     def test_mlp_validation_rows_go_through_the_fit_part_scaler(self, monkeypatch):
         X, y = imbalanced_blobs(180, 30, seed=6)
-        calls = self._record(monkeypatch, "fit_mlp")
-        fit_model(ModelSpec("mlp"), TrainSplit(X, y), ResamplingStrategy("smote"), seed=1)
-        ((Z_fit, _, _, scaler, _, _, (Z_val, y_val)),) = calls
+        calls, seen = [], []  # fit_mlp's raw arguments; each epoch's validation scores and AUC
+        fit_mlp, roc_auc = models.fit_mlp, mlp.roc_auc
+        monkeypatch.setattr(models, "fit_mlp", lambda *args: calls.append(args) or fit_mlp(*args))
+
+        def recording_auc(y_true, scores):
+            curve = roc_auc(y_true, scores)
+            seen.append((np.array(scores), curve.auc))
+            return curve
+
+        monkeypatch.setattr(mlp, "roc_auc", recording_auc)
+        fitted = fit_model(ModelSpec("mlp", {"epochs": 3}), TrainSplit(X, y), ResamplingStrategy("smote"), seed=1)
+        ((X_arg, _, _, _, _, (X_val, y_val)),) = calls
         fit, held = validation_split(y, 0.1, seed=1)
         X_fit = apply_strategy(ResamplingStrategy("smote"), TrainSplit(X[fit], y[fit]))[0]
-        assert np.array_equal(scaler.mean, X_fit.mean(axis=0))
-        assert np.array_equal(Z_fit, scaler.transform(X_fit))
-        assert np.array_equal(Z_val, scaler.transform(X[held])) and np.array_equal(y_val, y[held])
+        assert np.array_equal(X_arg, X_fit)  # raw rows: fit_mlp scales them itself
+        assert np.array_equal(X_val, X[held]) and np.array_equal(y_val, y[held])
+        assert np.array_equal(fitted.model.scaler.mean, X_fit.mean(axis=0))
+        best = int(np.argmax([auc for _, auc in seen]))  # fit_mlp returns the best epoch's weights
+        assert len(seen) == 3 and np.array_equal(seen[best][0], fitted.model.predict_proba(X[held]))
 
     def test_smote_fits_with_two_minority_rows(self):
         X, y = imbalanced_blobs(38, 2, seed=4)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,8 +41,30 @@ class TestDropConstant:
         assert out.columns == ["a", "b"]
         assert report.removed == {}
 
+    def test_edge_columns_match_a_per_column_unique(self):
+        # all-NaN, signed zeros (one distinct value), infinities alone and with a finite value
+        nan, inf = np.nan, np.inf
+        rows = [[nan, 0.0, inf, -inf, 1.0, 2.0], [nan, -0.0, inf, inf, nan, 2.0], [nan, 0.0, nan, nan, inf, nan]]
+        m = matrix(list("abcdef"), rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, report = drop_constant(m)
+        unique = [np.unique(col[~np.isnan(col)]).size for col in m.values.T]
+        assert report.removed == {c: "constant" for c, u in zip(m.columns, unique) if u <= 1}
+        assert out.columns == ["d", "e"]
+
 
 class TestMissingFraction:
+    def test_matches_a_per_column_count(self):
+        rng = np.random.default_rng(3)
+        values = np.where(rng.random((37, 9)) < 0.3, np.nan, rng.integers(-1, 2, size=(37, 9)).astype(float))
+        m = matrix([f"c{j}" for j in range(9)], values)
+        for zero in (False, True):
+            bad = np.isnan(values) | (zero & (values == 0.0))
+            want = {c: float(bad[:, j].sum()) / 37 for j, c in enumerate(m.columns)}
+            got = missing_fraction(m, treat_zero_as_missing=zero)
+            assert got == want and all(type(v) is float for v in got.values())
+
     def test_zero_as_missing_boundary_kept(self):
         m = matrix(["a"], [[0], [np.nan], [3], [4]])
         fr = missing_fraction(m, treat_zero_as_missing=True)
