@@ -113,7 +113,7 @@ def cmd_grid(config: PipelineConfig, args) -> int:
     matrix, _ = pipeline.select_stage(FeatureMatrix.from_csv(Path(config.out_dir) / "features.csv"), config)
     matrices = {"pruned": matrix}
     if top in feature_sets:
-        matrices[top], _, _ = pipeline.shap_reduce_stage(matrix, config)
+        matrices[top], _ = pipeline.shap_reduce_stage(matrix, config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = pipeline.run_grid(grid, matrices, config, out / "grid.csv")

@@ -128,6 +128,8 @@ class FeatureMatrix:
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from exc
                 row_ids.append(raw[0])
+        if not rows:
+            raise DataError(f"{path}: no rows below the header")
         return cls(row_ids, columns, np.array(rows, dtype=float).reshape(len(rows), len(columns)), np.array(ys, dtype=int))
 
 
@@ -187,8 +189,6 @@ def build_feature_matrix(bundle: LedgerBundle) -> FeatureMatrix:
     if not acc_ids:
         raise DataError("no labeled accounts to featurize")
     lookup = bundle.balances
-    if lookup is None:
-        raise DataError("balances not reconstructed")
     n, columns = len(acc_ids), kpi_columns()
     rows = np.flatnonzero(bundle.labeled)  # the lookup's rows of the matrix's accounts
     app_days = bundle.application_days[rows]

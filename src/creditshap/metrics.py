@@ -129,7 +129,6 @@ def stratified_kfold(y, k: int = 5, seed: int = 0):
 @dataclass
 class CvResult:
     fold_ginis: list[float]
-    config: dict = field(default_factory=dict)
 
     @property
     def mean(self) -> float:
@@ -160,4 +159,4 @@ def cross_validate(fit_and_score, X, y, k: int = 5, seed: int = 0) -> CvResult:
         split = TrainSplit(X[train_idx], y[train_idx])
         scores = fit_and_score(split, X[test_idx], y[test_idx])
         fold_ginis.append(roc_auc(y[test_idx], scores).gini)
-    return CvResult(fold_ginis, config={"k": k, "seed": seed})
+    return CvResult(fold_ginis)

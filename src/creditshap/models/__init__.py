@@ -53,10 +53,12 @@ class ModelSpec:
             )
 
     def accepted_params(self) -> list[str]:
-        """The names params may hold: the family's config fields but seed."""
+        """The names params may hold: the family's config fields less seed and,
+        for oblivious growth, which ignores it, min_samples_leaf."""
         if self.family.startswith("logistic"):
             return ["n_bins"] if self.family == "logistic_binned" else []
-        return sorted(f.name for f in fields(FAMILY_CONFIGS[self.family]) if f.name != "seed")
+        fixed = {"seed", "min_samples_leaf"} if self.family == "oblivious_boosting" else {"seed"}
+        return sorted(f.name for f in fields(FAMILY_CONFIGS[self.family]) if f.name not in fixed)
 
 
 @dataclass

@@ -70,13 +70,11 @@ class MlpModel:
             acts.append(a)
         return acts
 
-    def predict_proba(self, X, scaled: bool = False) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        if not scaled:
-            X = self.scaler.transform(X)
-        return self._forward(X)[-1][:, 0]
+        return self._forward(self.scaler.transform(X))[-1][:, 0]
 
 
 def _init_params(p, hidden, rng):
@@ -146,7 +144,7 @@ def fit_mlp(X, y, feature_names, config: MlpConfig | None = None, sample_weight=
                 model.weights[i] = model.weights[i] + vel_w[i]
                 model.biases[i] = model.biases[i] + vel_b[i]
         if validation is not None:
-            auc = roc_auc(validation[1], model.predict_proba(validation[0], scaled=True)).auc
+            auc = roc_auc(validation[1], model._forward(validation[0])[-1][:, 0]).auc
             if auc > best_auc + 1e-9:
                 best_auc = auc
                 best_params = ([W.copy() for W in model.weights], [b.copy() for b in model.biases])

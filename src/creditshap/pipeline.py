@@ -147,9 +147,7 @@ def evaluate_cell(spec, strategy, matrix: FeatureMatrix, k: int, seed: int) -> C
     def fit_and_score(split: TrainSplit, X_test, y_test):
         return fit_model(spec, split, strategy, seed).predict_proba(X_test)
 
-    result = cross_validate(fit_and_score, matrix.values, matrix.y, k=k, seed=seed)
-    result.config.update({"model": spec.family, "resampling": strategy.kind})
-    return result
+    return cross_validate(fit_and_score, matrix.values, matrix.y, k=k, seed=seed)
 
 
 def ingest_stage(data_dir) -> LedgerBundle:
@@ -166,15 +164,15 @@ def featurize_stage(bundle) -> FeatureMatrix:
 
 
 def select_stage(matrix: FeatureMatrix, config: PipelineConfig):
-    """Constant, missing and correlation pruning; merged report."""
-    m1, r1 = selection.drop_constant(matrix)
-    m2, r2 = selection.prune_missing(m1, config.missing_threshold, config.zero_as_missing)
-    m3, r3 = selection.correlation_prune(m2, config.correlation_threshold)
-    merged = selection.SelectionReport(list(matrix.columns), settings=config.settings("selection.json"))
-    for rep in (r1, r2, r3):
-        merged.removed.update(rep.removed)
-    merged.finish()
-    return m3, merged
+    """Constant, missing and correlation pruning, in one report.  A column both
+    constant and missing-heavy is reported constant; the correlation scan sees
+    the columns the first two checks keep."""
+    report = selection.SelectionReport(list(matrix.columns), selection.drop_constant(matrix), config.settings("selection.json"))
+    for col, reason in selection.prune_missing(matrix, config.missing_threshold, config.zero_as_missing).items():
+        report.removed.setdefault(col, reason)
+    pruned, correlated = selection.correlation_prune(matrix.subset_columns(report.surviving), config.correlation_threshold)
+    report.removed.update(correlated.removed)
+    return pruned, report
 
 
 def shap_reduce_stage(matrix: FeatureMatrix, config: PipelineConfig):
@@ -184,8 +182,7 @@ def shap_reduce_stage(matrix: FeatureMatrix, config: PipelineConfig):
     fitted = fit_model(spec, TrainSplit(matrix.values, matrix.y, matrix.columns), seed=config.seed)
     phi = explain.shap_matrix(fitted.model, fitted.impute(matrix.values))
     imp = explain.global_importance(matrix.columns, phi)
-    reduced, report = selection.select_top_k_by_shap(matrix, imp.as_dict(), config.top_k)
-    return reduced, report, imp
+    return selection.select_top_k_by_shap(matrix, imp.as_dict(), config.top_k), imp
 
 
 def _json_text(o, pad: str = "\n") -> str:
@@ -323,7 +320,7 @@ def run_select(run: Run) -> None:
     pruned.to_csv(run.out / "features_pruned.csv")
     run.working = pruned
     if run.config.feature_set == "top_k":
-        run.working, _, imp = shap_reduce_stage(pruned, run.config)
+        run.working, imp = shap_reduce_stage(pruned, run.config)
         run.write_json("top_k.json", {"ranking": imp.ranking(), "kept": run.working.columns, "settings": run.config.settings("top_k.json")})
 
 

@@ -22,14 +22,11 @@ from .features import FeatureMatrix
 class SelectionReport:
     original: list[str]
     removed: dict[str, str] = field(default_factory=dict)  # column -> reason
-    surviving: list[str] = field(default_factory=list)
     settings: dict = field(default_factory=dict)  # the thresholds that chose these columns
 
-    def record(self, column: str, reason: str) -> None:
-        self.removed[column] = reason
-
-    def finish(self) -> None:
-        self.surviving = [c for c in self.original if c not in self.removed]
+    @property
+    def surviving(self) -> list[str]:
+        return [c for c in self.original if c not in self.removed]
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -53,16 +50,11 @@ class SelectionReport:
         return "\n".join(lines)
 
 
-def drop_constant(matrix: FeatureMatrix) -> tuple[FeatureMatrix, SelectionReport]:
-    """Remove columns with a single distinct non-missing value (or none)."""
-    report = SelectionReport(list(matrix.columns))
+def drop_constant(matrix: FeatureMatrix) -> dict[str, str]:
+    """column -> "constant" for each column with a single distinct non-missing value (or none)."""
     lo = np.fmin.reduce(matrix.values, axis=0, initial=np.nan)  # NaN only for an all-NaN column
     hi = np.fmax.reduce(matrix.values, axis=0, initial=np.nan)
-    for col, varies in zip(matrix.columns, (lo < hi).tolist()):
-        if not varies:
-            report.record(col, "constant")
-    report.finish()
-    return matrix.subset_columns(report.surviving), report
+    return {col: "constant" for col, varies in zip(matrix.columns, (lo < hi).tolist()) if not varies}
 
 
 def missing_fraction(matrix: FeatureMatrix, treat_zero_as_missing: bool = False) -> dict[str, float]:
@@ -77,18 +69,10 @@ def prune_missing(
     matrix: FeatureMatrix,
     threshold: float = 0.5,
     treat_zero_as_missing: bool = False,
-) -> tuple[FeatureMatrix, SelectionReport]:
-    """Remove columns whose missing fraction is strictly above threshold."""
-    report = SelectionReport(list(matrix.columns))
+) -> dict[str, str]:
+    """column -> reason for each column whose missing fraction is strictly above threshold."""
     fractions = missing_fraction(matrix, treat_zero_as_missing)
-    keep = []
-    for col in matrix.columns:
-        if fractions[col] > threshold:
-            report.record(col, f"missing(fraction={fractions[col]:.4f})")
-        else:
-            keep.append(col)
-    report.finish()
-    return matrix.subset_columns(keep), report
+    return {col: f"missing(fraction={f:.4f})" for col, f in fractions.items() if f > threshold}
 
 
 def _pairwise_pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -160,40 +144,27 @@ def correlation_prune(
     cols = matrix.columns
     screened = _screened_pearson(matrix.values)
     candidate = ~(np.abs(screened) <= threshold - SCREEN_MARGIN)
-    removed: set[int] = set()
     for i in range(len(cols)):
-        if i in removed:
+        if cols[i] in report.removed:
             continue
         for j in (np.flatnonzero(candidate[i, i + 1 :]) + i + 1).tolist():
-            if j in removed:
+            if cols[j] in report.removed:
                 continue
             r = _pairwise_pearson(matrix.values[:, i], matrix.values[:, j])
             if abs(r) > threshold:
-                removed.add(j)
-                report.record(cols[j], f"correlated(with={cols[i]}, r={r:.4f})")
-    keep = [c for k, c in enumerate(cols) if k not in removed]
-    report.finish()
-    return matrix.subset_columns(keep), report
+                report.removed[cols[j]] = f"correlated(with={cols[i]}, r={r:.4f})"
+    return matrix.subset_columns(report.surviving), report
 
 
-def select_top_k_by_shap(
-    matrix: FeatureMatrix, importance: dict[str, float], k: int = 20
-) -> tuple[FeatureMatrix, SelectionReport]:
+def select_top_k_by_shap(matrix: FeatureMatrix, importance: dict[str, float], k: int = 20) -> FeatureMatrix:
     """Keep the k columns with largest mean-|phi| importance, in original order.
 
     Ties break toward earlier columns.
     """
     if k > len(matrix.columns):
         raise ValueError(f"k={k} exceeds {len(matrix.columns)} columns")
-    report = SelectionReport(list(matrix.columns))
     order = sorted(
         range(len(matrix.columns)),
         key=lambda j: (-importance.get(matrix.columns[j], 0.0), j),
     )
-    chosen = set(order[:k])
-    keep = [c for j, c in enumerate(matrix.columns) if j in chosen]
-    for j, c in enumerate(matrix.columns):
-        if j not in chosen:
-            report.record(c, "not_in_top_k")
-    report.finish()
-    return matrix.subset_columns(keep), report
+    return matrix.subset_columns([matrix.columns[j] for j in sorted(order[:k])])

@@ -225,7 +225,7 @@ class LedgerBundle:
     labeled: np.ndarray  # bool: the account has a loan outcome
     application_days: np.ndarray  # date ordinal of its loan application, where labeled
     performance: np.ndarray  # 1 = bad payer, where labeled
-    balances: BalanceLookup | None  # join_bundle always sets it
+    balances: BalanceLookup
 
     @property
     def labeled_account_ids(self) -> list[str]:
@@ -344,8 +344,6 @@ def validate_bundle(bundle: LedgerBundle) -> SanityReport:
     snapshot and, for each transaction day t after its start, day t - 1's.
     """
     lookup = bundle.balances
-    if lookup is None:
-        raise DataError("balances not reconstructed")
     count = np.diff(lookup.end, prepend=0)
     first = np.append(lookup.days, 0)[lookup.end - count]  # each row's first transaction day, where it has one
     starts = np.where(

@@ -327,6 +327,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name, command, corrupt, where", [
         ("features.csv", "select", lambda text: "", "features.csv: not a feature-matrix CSV"),
+        ("features.csv", "select", lambda text: text.splitlines()[0] + "\n", "features.csv: no rows below the header"),
         ("features_pruned.csv", "evaluate", lambda text: TestExitCodes._edit_cell(text, 3, lambda c: [c[0], "abc", *c[2:]]),
          "features_pruned.csv:3: could not convert"),
         ("features_pruned.csv", "evaluate", lambda text: TestExitCodes._edit_cell(text, 4, lambda c: c[:-1]),
@@ -338,7 +339,7 @@ class TestExitCodes:
         ("model.json", "explain", lambda text: "[]", "model.json: not a JSON object"),
         ("selection.json", "evaluate", lambda text: text[:-10], "selection.json: bad JSON"),
         ("selection.json", "train", lambda text: "[]", "selection.json: not a JSON object"),
-    ], ids=["empty_features", "text_cell", "short_row", "bad_label", "model_without_kind", "model_bad_json",
+    ], ids=["empty_features", "header_only_features", "text_cell", "short_row", "bad_label", "model_without_kind", "model_bad_json",
             "model_not_object", "selection_bad_json", "selection_not_object"])
     def test_corrupt_stage_artifact_is_data_error_naming_it(self, name, command, corrupt, where, staged_dir,
                                                             ledger_dir, tmp_path, capsys):
@@ -525,14 +526,17 @@ class TestExitCodes:
     def test_unknown_model_param_is_config_error(self, family, ledger_dir, tmp_path, capsys):
         configs = {"random_forest": ForestConfig, "gradient_boosting": BoostConfig,
                    "oblivious_boosting": BoostConfig, "mlp": MlpConfig}
+        fixed = {"seed", "min_samples_leaf"} if family == "oblivious_boosting" else {"seed"}
         if family in configs:
-            accepted = sorted(f.name for f in dataclasses.fields(configs[family]) if f.name != "seed")
+            accepted = sorted(f.name for f in dataclasses.fields(configs[family]) if f.name not in fixed)
         else:
             accepted = ["n_bins"] if family == "logistic_binned" else []
         unknown = [("bogus", "1")]
         if configs.get(family) is BoostConfig:
-            assert len(accepted) == 8  # ordered and ordered_blocks are not among them
+            assert len(accepted) == 9 - len(fixed)  # ordered and ordered_blocks are not among them
             unknown += [("ordered", "true"), ("ordered_blocks", "8")]
+        if family == "oblivious_boosting":
+            unknown.append(("min_samples_leaf", "3"))  # oblivious growth ignores it
         for key, value in unknown:
             out = tmp_path / key
             rc = run(

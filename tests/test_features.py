@@ -207,12 +207,6 @@ class TestFeaturizerOracle:
         assert population_std(window, m) != math.sqrt(fold([(v - m) * (v - m) for v in window]) / 30)
         assert bal_stat(window, "std").hex() == aggregate_balance(window, "std").hex()
 
-    def test_balances_not_reconstructed_is_data_error(self):
-        bundle, _ = make_bundle({"A1": [(5, 1000)], "A2": [(6, 500)]})
-        bundle.balances = None
-        with pytest.raises(DataError, match="balances not reconstructed"):
-            build_feature_matrix(bundle)
-
 
 def matrix_of(events):
     """The feature matrix of one account with these (days before application, cents) events."""

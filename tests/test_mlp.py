@@ -120,7 +120,7 @@ class TestFit:
         Z, scaler = standardize(X, ["a", "b"])
         assert model.scaler.columns == ["a", "b"]
         assert np.array_equal(model.scaler.mean, scaler.mean) and np.array_equal(model.scaler.std, scaler.std)
-        assert np.array_equal(model.predict_proba(X), model.predict_proba(Z, scaled=True))
+        assert np.array_equal(model.predict_proba(X), model._forward(Z)[-1][:, 0])
 
     def test_early_stopping_returns_the_best_validation_epoch(self, monkeypatch):
         X, y, names = raw_dataset(11, n=200)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from creditshap.features import FeatureMatrix
+from creditshap.pipeline import PipelineConfig, select_stage
 from creditshap.selection import (
     SCREEN_MARGIN,
     _pairwise_pearson,
@@ -26,20 +27,15 @@ def matrix(columns, values):
 class TestDropConstant:
     def test_all_sevens_removed(self):
         m = matrix(["c", "v"], [[7, 1], [7, 2], [7, 3]])
-        out, report = drop_constant(m)
-        assert out.columns == ["v"]
-        assert report.removed == {"c": "constant"}
+        assert drop_constant(m) == {"c": "constant"}
 
     def test_constant_with_missing_removed(self):
         m = matrix(["c"], [[7], [np.nan], [7]])
-        out, report = drop_constant(m)
-        assert "c" in report.removed
+        assert "c" in drop_constant(m)
 
     def test_varying_kept(self):
         m = matrix(["a", "b"], [[1, 2], [2, 2.5], [3, 9]])
-        out, report = drop_constant(m)
-        assert out.columns == ["a", "b"]
-        assert report.removed == {}
+        assert drop_constant(m) == {}
 
     def test_edge_columns_match_a_per_column_unique(self):
         # all-NaN, signed zeros (one distinct value), infinities alone and with a finite value
@@ -48,10 +44,10 @@ class TestDropConstant:
         m = matrix(list("abcdef"), rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out, report = drop_constant(m)
+            removed = drop_constant(m)
         unique = [np.unique(col[~np.isnan(col)]).size for col in m.values.T]
-        assert report.removed == {c: "constant" for c, u in zip(m.columns, unique) if u <= 1}
-        assert out.columns == ["d", "e"]
+        assert removed == {c: "constant" for c, u in zip(m.columns, unique) if u <= 1}
+        assert [c for c in m.columns if c not in removed] == ["d", "e"]
 
 
 class TestMissingFraction:
@@ -69,14 +65,11 @@ class TestMissingFraction:
         m = matrix(["a"], [[0], [np.nan], [3], [4]])
         fr = missing_fraction(m, treat_zero_as_missing=True)
         assert fr["a"] == 0.5
-        out, report = prune_missing(m, threshold=0.5, treat_zero_as_missing=True)
-        assert out.columns == ["a"]  # strict >, so 0.5 survives
+        assert prune_missing(m, threshold=0.5, treat_zero_as_missing=True) == {}  # strict >, so 0.5 survives
 
     def test_fully_missing_removed(self):
         m = matrix(["a", "b"], [[np.nan, 1], [np.nan, 2]])
-        out, report = prune_missing(m)
-        assert out.columns == ["b"]
-        assert "a" in report.removed
+        assert prune_missing(m) == {"a": "missing(fraction=1.0000)"}
 
     def test_flag_off_ignores_zeros(self):
         m = matrix(["a"], [[0], [0], [0], [4]])
@@ -259,26 +252,80 @@ class TestScreenMatchesPairLoop:
 class TestTopK:
     def test_identity_when_k_is_all(self):
         m = matrix(["a", "b"], [[1, 2], [3, 4]])
-        out, _ = select_top_k_by_shap(m, {"a": 1.0, "b": 0.5}, k=2)
-        assert out.columns == ["a", "b"]
+        assert select_top_k_by_shap(m, {"a": 1.0, "b": 0.5}, k=2).columns == ["a", "b"]
 
     def test_largest_importances_win(self):
         m = matrix(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])
-        out, report = select_top_k_by_shap(m, {"a": 3, "b": 1, "c": 2}, k=2)
-        assert out.columns == ["a", "c"]
-        assert report.removed == {"b": "not_in_top_k"}
+        assert select_top_k_by_shap(m, {"a": 3, "b": 1, "c": 2}, k=2).columns == ["a", "c"]
 
     def test_order_preserved(self):
         m = matrix(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])
-        out, _ = select_top_k_by_shap(m, {"c": 9, "a": 5, "b": 1}, k=2)
-        assert out.columns == ["a", "c"]
+        assert select_top_k_by_shap(m, {"c": 9, "a": 5, "b": 1}, k=2).columns == ["a", "c"]
 
     def test_k_too_large(self):
         m = matrix(["a"], [[1], [2]])
         with pytest.raises(ValueError):
             select_top_k_by_shap(m, {"a": 1}, k=2)
 
-    def test_report_partition(self):
-        m = matrix(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])
-        _, report = select_top_k_by_shap(m, {"a": 1, "b": 2, "c": 3}, k=1)
-        assert sorted(report.surviving + list(report.removed)) == ["a", "b", "c"]
+
+def chained_select(m, missing_threshold, zero_as_missing, correlation_threshold):
+    """The stage as three reports: each check runs on the previous check's subset, with a
+    per-column unique and count, and the reports merge with dict.update in check order."""
+    constant = {c: "constant" for c, col in zip(m.columns, m.values.T) if np.unique(col[~np.isnan(col)]).size <= 1}
+    m1 = m.subset_columns([c for c in m.columns if c not in constant])
+    missing = {}
+    for c, col in zip(m1.columns, m1.values.T):
+        fraction = float((np.isnan(col) | (zero_as_missing & (col == 0.0))).sum()) / len(col)
+        if fraction > missing_threshold:
+            missing[c] = f"missing(fraction={fraction:.4f})"
+    m2 = m1.subset_columns([c for c in m1.columns if c not in missing])
+    correlated, surviving = pair_loop_prune(m2, correlation_threshold)
+    removed = {}
+    for step in (constant, missing, correlated):
+        removed.update(step)
+    return m2.subset_columns(surviving), removed
+
+
+def mixed_columns(rng, n):
+    """Columns of every kind the checks remove: constant, all-NaN, constant on few rows,
+    zero-heavy, missing-heavy, duplicated and negated ones, among plain normal ones."""
+    base = rng.normal(size=(n, 6))
+    sparse = np.where(rng.random((n, 2)) < 0.7, np.nan, rng.normal(size=(n, 2)))
+    zeros = np.where(rng.random((n, 2)) < 0.6, 0.0, rng.normal(size=(n, 2)))
+    few = np.full(n, np.nan)
+    few[: max(1, n // 10)] = 3.0
+    cols = [base[:, 0], np.full(n, 7.0), base[:, 1], np.full(n, np.nan), sparse[:, 0], zeros[:, 0], base[:, 0] * 2 + 1,
+            few, base[:, 2], -base[:, 1], zeros[:, 1], base[:, 3] + 0.3 * base[:, 2], sparse[:, 1], np.zeros(n),
+            base[:, 4], base[:, 5], zeros[:, 0]]
+    vals = np.column_stack(cols)
+    vals[rng.random(vals.shape) < 0.05] = np.nan
+    return vals[:, rng.permutation(vals.shape[1])]
+
+
+class TestSelectStage:
+    @pytest.mark.parametrize("zero_as_missing", [False, True])
+    @pytest.mark.parametrize("missing_threshold", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("correlation_threshold", [0.7, 0.95])
+    def test_matches_the_chained_checks(self, zero_as_missing, missing_threshold, correlation_threshold):
+        config = PipelineConfig(
+            zero_as_missing=zero_as_missing, missing_threshold=missing_threshold, correlation_threshold=correlation_threshold
+        )
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            vals = mixed_columns(rng, int(rng.integers(8, 90)))
+            m = FeatureMatrix([f"r{i}" for i in range(len(vals))], [f"c{j}" for j in range(vals.shape[1])], vals,
+                              rng.integers(0, 2, size=len(vals)))
+            pruned, report = select_stage(m, config)
+            want, removed = chained_select(m, missing_threshold, zero_as_missing, correlation_threshold)
+            assert list(report.removed.items()) == list(removed.items()), seed
+            assert report.surviving == pruned.columns == want.columns
+            assert pruned.values.tobytes() == want.values.tobytes()
+            assert pruned.row_ids == want.row_ids and np.array_equal(pruned.y, want.y)
+            assert report.settings == config.settings("selection.json")
+
+    def test_constant_and_missing_column_is_reported_constant(self):
+        nan = np.nan
+        m = matrix(["m", "c", "v"], [[1, 7, 1], [2, nan, 2], [nan, nan, 0], [nan, nan, 5], [nan, 7, 3]])
+        pruned, report = select_stage(m, PipelineConfig(missing_threshold=0.5))
+        assert list(report.removed.items()) == [("c", "constant"), ("m", "missing(fraction=0.6000)")]
+        assert report.surviving == pruned.columns == ["v"]

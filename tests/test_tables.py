@@ -456,13 +456,6 @@ class TestValidateBundle:
         report = validate_bundle(bundle)
         assert (report.min_balance, report.max_balance) == expected == per_day_range(ref)
 
-    def test_balances_not_reconstructed_is_data_error(self):
-        bundle, _ = bundles_of([], [AccountRecord("A1", 0, day(30))], [], [])
-        assert isinstance(bundle.balances, BalanceLookup)  # join builds it, with no transaction too
-        bundle.balances = None
-        with pytest.raises(DataError, match="balances not reconstructed"):
-            validate_bundle(bundle)
-
     def test_class_proportions(self):
         accounts = [AccountRecord(f"A{i}", 0, day(30)) for i in range(9)]
         outcomes = [LoanOutcome(f"A{i}", day(10), 1 if i == 0 else 0) for i in range(9)]
