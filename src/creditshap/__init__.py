@@ -6,13 +6,12 @@ __version__ = "0.1.0"
 
 from .explain import (
     CoalitionEvaluator,
-    GlobalImportance,
     ShapValues,
     brute_force_shapley,
     global_importance,
     tree_shap,
 )
-from .features import FeatureMatrix, ScalerParams, build_feature_matrix, standardize
+from .features import FeatureMatrix, ScalerParams, build_feature_matrix
 from .metrics import CvResult, RocCurve, TrainSplit, cross_validate, gini, roc_auc, train_test_split
 from .models import ModelSpec, TreeEnsemble, classify, fit_model
 from .pipeline import GridSpec, PipelineConfig, run_grid, run_pipeline

@@ -180,7 +180,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PipelineStageError as exc:
-        code = EXIT_DATA if isinstance(exc.cause, DataError) else EXIT_COMPUTE
+        code = EXIT_DATA if isinstance(exc.cause, DataError) else EXIT_CONFIG if isinstance(exc.cause, ConfigError) else EXIT_COMPUTE
         print(f"{exc}", file=sys.stderr)
         return code
     except (ValueError, np.linalg.LinAlgError) as exc:

@@ -293,27 +293,14 @@ def tree_shap(ensemble: TreeEnsemble, x) -> ShapValues:
     return ShapValues(ensemble.prepared().baseline, phi, float(ensemble.margin(x)[0]), x, list(ensemble.feature_names))
 
 
-@dataclass
-class GlobalImportance:
-    feature_names: list[str]
-    mean_abs_shap: np.ndarray
-
-    def ranking(self) -> list[tuple[str, float]]:
-        order = sorted(
-            range(len(self.feature_names)),
-            key=lambda j: (-self.mean_abs_shap[j], j),
-        )
-        return [(self.feature_names[j], float(self.mean_abs_shap[j])) for j in order]
-
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.feature_names, self.mean_abs_shap)}
-
-
-def global_importance(feature_names, phi) -> GlobalImportance:
-    """Mean |phi_i| over the rows of a SHAP matrix."""
+def global_importance(feature_names, phi) -> list[tuple[str, float]]:
+    """The feature ranking: (column, mean |phi_i|) over the rows of a SHAP
+    matrix, largest first, ties to the lower column index."""
     if phi.shape[0] == 0:
         raise ValueError("global importance needs at least one row")
-    return GlobalImportance(list(feature_names), np.abs(phi).mean(axis=0))
+    mean = np.abs(phi).mean(axis=0)
+    order = sorted(range(len(mean)), key=lambda j: (-mean[j], j))
+    return [(feature_names[j], float(mean[j])) for j in order]
 
 
 def _or_none(values) -> list:
@@ -321,21 +308,22 @@ def _or_none(values) -> list:
     return [None if v != v else v for v in np.asarray(values, dtype=float).tolist()]
 
 
-def summary_data(feature_names, X, phi) -> dict:
+def summary_data(feature_names, X, phi, ranking) -> dict:
     """Per (feature, row) pairs of (shap value, feature-value percentile),
-    features ordered by global importance; phi is X's SHAP matrix."""
+    features in `ranking`'s order; phi is X's SHAP matrix and ranking its
+    `global_importance`."""
     X = np.asarray(X, dtype=float)
-    imp = global_importance(feature_names, phi)
-    order = [imp.feature_names.index(n) for n, _ in imp.ranking()]
+    column = {name: j for j, name in enumerate(feature_names)}
     features = []
-    for j in order:
+    for name, _ in ranking:
+        j = column[name]
         col = X[:, j]
         missing = np.isnan(col)
         finite = np.sort(col[~missing])
         pct = np.searchsorted(finite, col, side="right") / max(finite.size, 1)
         features.append(
             {
-                "feature": imp.feature_names[j],
+                "feature": name,
                 "shap": phi[:, j].tolist(),
                 "value_percentile": _or_none(np.where(missing, np.nan, pct)),
             }

@@ -248,11 +248,6 @@ def fit_scaler(X: np.ndarray, columns) -> ScalerParams:
     return ScalerParams(list(columns), mean, std)
 
 
-def standardize(X: np.ndarray, columns) -> tuple[np.ndarray, ScalerParams]:
-    params = fit_scaler(X, columns)
-    return params.transform(X), params
-
-
 def median_impute(X: np.ndarray, medians: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Fill NaNs with per-column medians (fit on train, reuse on test)."""
     X = np.array(X, dtype=float, copy=True)

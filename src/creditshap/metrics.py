@@ -71,11 +71,10 @@ class TrainSplit:
     columns: list[str] = field(default_factory=list)
 
 
-def train_test_split(X, y, train_fraction: float = 0.75, seed: int = 0):
+def train_test_split(y, train_fraction: float = 0.75, seed: int = 0):
     """Disjoint exhaustive split that preserves per-class proportions."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    X = np.asarray(X)
     y = np.asarray(y, dtype=int)
     rng = np.random.default_rng(seed)
     n = len(y)
@@ -101,7 +100,7 @@ def validation_split(y, fraction: float, seed: int = 0):
     y = np.asarray(y, dtype=int)
     if fraction <= 0 or len(y) < 20 or np.bincount(y, minlength=2).min() < 3:
         return np.arange(len(y)), np.empty(0, dtype=int)
-    return train_test_split(y, y, train_fraction=1.0 - fraction, seed=seed)
+    return train_test_split(y, train_fraction=1.0 - fraction, seed=seed)
 
 
 def stratified_kfold(y, k: int = 5, seed: int = 0):

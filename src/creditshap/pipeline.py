@@ -176,13 +176,16 @@ def select_stage(matrix: FeatureMatrix, config: PipelineConfig):
 
 
 def shap_reduce_stage(matrix: FeatureMatrix, config: PipelineConfig):
-    """Fit the benchmark oblivious booster on the pruned matrix, rank by
-    mean |SHAP| and keep the top-k columns."""
+    """(top-k matrix, ranking): fit the benchmark oblivious booster on the
+    pruned matrix, rank its columns by mean |SHAP| and keep the first top_k.
+    A top_k above the pruned column count is a ConfigError, before the fit."""
+    if config.top_k > len(matrix.columns):
+        raise ConfigError(f"top_k={config.top_k} exceeds the {len(matrix.columns)} columns left after pruning")
     spec = ModelSpec("oblivious_boosting", {"n_rounds": 150})
     fitted = fit_model(spec, TrainSplit(matrix.values, matrix.y, matrix.columns), seed=config.seed)
     phi = explain.shap_matrix(fitted.model, fitted.impute(matrix.values))
-    imp = explain.global_importance(matrix.columns, phi)
-    return selection.select_top_k_by_shap(matrix, imp.as_dict(), config.top_k), imp
+    ranking = explain.global_importance(matrix.columns, phi)
+    return selection.select_top_k_by_shap(matrix, ranking, config.top_k), ranking
 
 
 def _json_text(o, pad: str = "\n") -> str:
@@ -320,8 +323,8 @@ def run_select(run: Run) -> None:
     pruned.to_csv(run.out / "features_pruned.csv")
     run.working = pruned
     if run.config.feature_set == "top_k":
-        run.working, imp = shap_reduce_stage(pruned, run.config)
-        run.write_json("top_k.json", {"ranking": imp.ranking(), "kept": run.working.columns, "settings": run.config.settings("top_k.json")})
+        run.working, ranking = shap_reduce_stage(pruned, run.config)
+        run.write_json("top_k.json", {"ranking": ranking, "kept": run.working.columns, "settings": run.config.settings("top_k.json")})
 
 
 def read_artifact(config: PipelineConfig, name: str) -> tuple[Path, dict]:
@@ -393,17 +396,17 @@ def run_evaluate(run: Run) -> None:
 
 
 def run_explain(run: Run) -> None:
-    """Global importance and summary data from one SHAP matrix over the
-    first 50 rows; models other than tree ensembles have none."""
+    """Global importance and summary data from one SHAP matrix and its one
+    ranking over the first 50 rows; models other than tree ensembles have none."""
     model = run.fitted.model
     if not isinstance(model, TreeEnsemble):
         return
     X = run.fitted.impute(run.working.values[:50])
     phi = explain.shap_matrix(model, X)
-    ranking = explain.global_importance(model.feature_names, phi).ranking()
+    ranking = explain.global_importance(model.feature_names, phi)
     run.write_json("importance.json", {"ranking": ranking})
     (run.out / "importance.svg").write_text(plots.importance_bar_svg(ranking))
-    run.write_json("summary.json", explain.summary_data(model.feature_names, X, phi))
+    run.write_json("summary.json", explain.summary_data(model.feature_names, X, phi, ranking))
 
 
 # The stages of `report`, in order.  Each reads what the stages before it
@@ -425,7 +428,7 @@ def run_stage(name: str, run: Run) -> None:
     (run.out / f"{name}.partial").unlink(missing_ok=True)
     try:
         STAGES[name](run)
-    except (DataError, ValueError) as exc:
+    except (ConfigError, DataError, ValueError) as exc:
         (run.out / f"{name}.partial").write_text(f"stage {name} failed: {exc}\n")
         raise PipelineStageError(name, exc) from exc
 
@@ -496,7 +499,7 @@ def format_grid(rows) -> str:
     return "\n".join(lines)
 
 
-def explain_account(fitted: FittedModel, matrix: FeatureMatrix, row_id: str, out_dir, threshold: float = 0.5):
+def explain_account(fitted: FittedModel, matrix: FeatureMatrix, row_id: str, out_dir):
     """Waterfall artifact for one row, labeled TP/TN/FP/FN."""
     if row_id not in matrix.row_ids:
         raise DataError(f"unknown row id {row_id!r}")
@@ -505,7 +508,7 @@ def explain_account(fitted: FittedModel, matrix: FeatureMatrix, row_id: str, out
     i = matrix.row_ids.index(row_id)
     x = fitted.impute(matrix.values[i : i + 1])[0]
     data = explain.waterfall_data(fitted.model, x)
-    pred = int(classify(np.array([data["probability"]]), threshold)[0])
+    pred = int(classify(np.array([data["probability"]]))[0])
     truth = int(matrix.y[i])
     label = {(1, 1): "true positive", (0, 0): "true negative", (1, 0): "false positive", (0, 1): "false negative"}[(pred, truth)]
     data.update({"row_id": row_id, "true_label": truth, "predicted_label": pred, "case": label})

@@ -156,15 +156,10 @@ def correlation_prune(
     return matrix.subset_columns(report.surviving), report
 
 
-def select_top_k_by_shap(matrix: FeatureMatrix, importance: dict[str, float], k: int = 20) -> FeatureMatrix:
-    """Keep the k columns with largest mean-|phi| importance, in original order.
-
-    Ties break toward earlier columns.
-    """
+def select_top_k_by_shap(matrix: FeatureMatrix, ranking: list[tuple[str, float]], k: int = 20) -> FeatureMatrix:
+    """Keep the first k columns of `explain.global_importance`'s ranking, in
+    the matrix's column order."""
     if k > len(matrix.columns):
         raise ValueError(f"k={k} exceeds {len(matrix.columns)} columns")
-    order = sorted(
-        range(len(matrix.columns)),
-        key=lambda j: (-importance.get(matrix.columns[j], 0.0), j),
-    )
-    return matrix.subset_columns([matrix.columns[j] for j in sorted(order[:k])])
+    top = {name for name, _ in ranking[:k]}
+    return matrix.subset_columns([c for c in matrix.columns if c in top])

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from creditshap.explain import CoalitionEvaluator, brute_force_shapley, tree_shap
-from creditshap.features import FeatureMatrix, build_feature_matrix, standardize
+from creditshap.features import FeatureMatrix, build_feature_matrix, fit_scaler
 from creditshap.metrics import TrainSplit, gini, roc_auc
 from creditshap.models import ModelSpec, TreeEnsemble, fit_model
 from creditshap.models.boosting import BoostConfig, fit_gradient_boosting, fit_oblivious_boosting, grad_hess, sigmoid
@@ -123,7 +123,8 @@ def test_gradient_checks():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 3))
     y = (X[:, 0] > 0).astype(int)
-    Z, scaler = standardize(X, ["a", "b", "c"])
+    scaler = fit_scaler(X, ["a", "b", "c"])
+    Z = scaler.transform(X)
     w, b = _init_params(3, (6, 4), np.random.default_rng(4))
     model = MlpModel(w, b, ["a", "b", "c"], scaler, MlpConfig(hidden_layers=(6, 4)))
     gw, gb = mlp_gradients(model, Z, y)
@@ -234,7 +235,7 @@ def test_scaled_benchmark():
 def test_scaling_and_weights():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(200, 6)) * [1, 10, 100, 0.01, 3, 7] + [0, 5, -40, 2, 0, 1]
-    Z, params = standardize(X, [f"c{i}" for i in range(6)])
+    Z = fit_scaler(X, [f"c{i}" for i in range(6)]).transform(X)
     assert np.max(np.abs(Z.mean(axis=0))) < 1e-9
     assert np.max(np.abs(Z.std(axis=0) - 1.0)) < 1e-9
     cw = class_weights([0] * 8 + [1] * 2, "sqrt_balanced")

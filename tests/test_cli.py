@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditshap import pipeline
+from creditshap import explain, pipeline
 from creditshap.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from creditshap.features import FeatureMatrix
 from creditshap.models import BoostConfig, ForestConfig, MlpConfig, ModelSpec, TreeEnsemble
@@ -119,6 +119,56 @@ class TestStagedFlow:
         assert rc == EXIT_OK
         for name in ("sanity.json", "features.csv", "selection.json", "model.json", "eval.json", "importance.json", "importance.svg", "summary.json"):
             assert (out / name).exists(), name
+
+
+class TestOneRanking:
+    """The mean-|SHAP| ranking is computed once per SHAP matrix and read by every artifact that ranks columns."""
+
+    def _config(self, ledger_dir, out, feature_set):
+        return PipelineConfig.from_flat({
+            "data_dir": str(ledger_dir), "out_dir": str(out), "cv_folds": 3, "feature_set": feature_set, "top_k": 5,
+            "model.params.n_rounds": 20,
+        })
+
+    @pytest.mark.parametrize("feature_set, calls", [("pruned", 1), ("top_k", 2)])
+    def test_one_ranking_per_shap_matrix(self, feature_set, calls, ledger_dir, tmp_path, monkeypatch):
+        counted = []
+        rank = explain.global_importance
+        monkeypatch.setattr(explain, "global_importance", lambda names, phi: counted.append(None) or rank(names, phi))
+        pipeline.run_pipeline(self._config(ledger_dir, tmp_path / "out", feature_set))
+        assert len(counted) == calls
+
+    def test_top_k_report_artifacts_read_the_one_ranking(self, ledger_dir, tmp_path):
+        out = tmp_path / "out"
+        pipeline.run_pipeline(self._config(ledger_dir, out, "top_k"))
+        top_k = json.loads((out / "top_k.json").read_text())
+        pruned = FeatureMatrix.from_csv(out / "features_pruned.csv").columns
+        first = {name for name, _ in top_k["ranking"][:5]}
+        assert [name for name, _ in top_k["ranking"]] != pruned  # the ranking is not the column order
+        assert top_k["kept"] == [c for c in pruned if c in first]
+        importance = json.loads((out / "importance.json").read_text())["ranking"]
+        summary = json.loads((out / "summary.json").read_text())["features"]
+        assert sorted(name for name, _ in importance) == sorted(top_k["kept"])
+        assert [f["feature"] for f in summary] == [name for name, _ in importance]
+
+    @pytest.mark.parametrize("command", ["select", "grid"])
+    def test_top_k_above_the_pruned_columns_is_config_error(self, command, ledger_dir, tmp_path, monkeypatch, capsys):
+        # correlation_threshold=0.1 leaves 4 columns of the 50-account ledger, fewer than top_k=20
+        out = tmp_path / "out"
+        common = ["--data", str(ledger_dir), "--out", str(out), "--set", "correlation_threshold=0.1"]
+        assert run("featurize", *common) == EXIT_OK
+        fits = []
+        monkeypatch.setattr(pipeline, "fit_model", lambda *args, **kwargs: fits.append(args))
+        capsys.readouterr()
+        if command == "select":
+            rc = run("select", *common, "--set", "feature_set=top_k")
+        else:
+            rc = run("grid", *common, "--models", "logistic", "--resamplers", "none", "--feature-sets", "pruned,top_k")
+        assert rc == EXIT_CONFIG
+        assert "top_k=20 exceeds the 4 columns left after pruning" in capsys.readouterr().err
+        assert fits == []  # checked before the ranking booster's fit
+        assert not (out / "top_k.json").exists() and not (out / "grid.csv").exists()
+        assert (out / "select.partial").exists() == (command == "select")
 
 
 class TestStagedMatchesReport:

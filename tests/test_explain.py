@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from creditshap import explain, pipeline
 from creditshap.explain import (
     CoalitionEvaluator,
-    GlobalImportance,
     brute_force_shapley,
     global_importance,
     shap_matrix,
@@ -346,13 +345,22 @@ class TestGlobalImportance:
         X, y, names = planted_signal_dataset(n=500, p=8, seed=0)
         cfg = BoostConfig(n_rounds=40, max_depth=3, validation_fraction=0.0)
         model = fit_gradient_boosting(X, y, names, cfg)
-        imp = global_importance(names, shap_matrix(model, X[:100]))
+        ranking = global_importance(names, shap_matrix(model, X[:100]))
         # f00 carries the largest planted coefficient
-        assert imp.ranking()[0][0] == "f00"
+        assert ranking[0][0] == "f00"
+        assert sorted(n for n, _ in ranking) == sorted(names)
+
+    def test_mean_abs_largest_first(self):
+        phi = np.array([[1.0, -4.0, 0.5], [-3.0, 2.0, 0.5]])
+        ranking = global_importance(["a", "b", "c"], phi)
+        assert ranking == [("b", 3.0), ("a", 2.0), ("c", 0.5)]
+        assert all(type(v) is float for _, v in ranking)
 
     def test_ties_break_by_column_order(self):
-        imp = GlobalImportance(["b_col", "a_col"], np.array([1.0, 1.0]))
-        assert [n for n, _ in imp.ranking()] == ["b_col", "a_col"]
+        # exact ties, including |+x| against |-x|, go to the lower column index
+        phi = np.array([[1.0, -1.0, 2.0, -2.0]])
+        ranking = global_importance(["d_col", "c_col", "b_col", "a_col"], phi)
+        assert [n for n, _ in ranking] == ["b_col", "a_col", "d_col", "c_col"]
 
     def test_empty_rows_rejected(self):
         tree = stump(0, 0.0, -1.0, 1.0, 1.0, 1.0)
@@ -418,7 +426,10 @@ class TestReportPayloads:
 
     def test_summary_orders_by_importance(self):
         model, X = self._tiny_model()
-        data = summary_data(model.feature_names, X[:30], shap_matrix(model, X[:30]))
+        phi = shap_matrix(model, X[:30])
+        ranking = global_importance(model.feature_names, phi)
+        data = summary_data(model.feature_names, X[:30], phi, ranking)
+        assert [f["feature"] for f in data["features"]] == [n for n, _ in ranking]
         means = [np.mean(np.abs(f["shap"])) for f in data["features"]]
         assert means == sorted(means, reverse=True)
         assert data["features"][0]["feature"] == "a"

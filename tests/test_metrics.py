@@ -109,19 +109,19 @@ class TestGini:
 class TestTrainTestSplit:
     def test_disjoint_exhaustive(self):
         y = np.array([0] * 30 + [1] * 10)
-        tr, te = train_test_split(np.zeros((40, 2)), y, train_fraction=0.75, seed=0)
+        tr, te = train_test_split(y, train_fraction=0.75, seed=0)
         assert sorted(np.concatenate([tr, te]).tolist()) == list(range(40))
         assert set(tr).isdisjoint(te)
 
     def test_stratified_proportions(self):
         y = np.array([0] * 80 + [1] * 20)
-        tr, _ = train_test_split(np.zeros((100, 2)), y, train_fraction=0.75, seed=1)
+        tr, _ = train_test_split(y, train_fraction=0.75, seed=1)
         assert int(np.sum(y[tr] == 0)) == 60
         assert int(np.sum(y[tr] == 1)) == 15
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
-            train_test_split(np.zeros((4, 1)), [0, 0, 1, 1], train_fraction=1.0)
+            train_test_split([0, 0, 1, 1], train_fraction=1.0)
 
 
 class TestStratifiedKfold:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from creditshap.features import standardize
+from creditshap.features import fit_scaler
 from creditshap.metrics import roc_auc
 from creditshap.models import mlp
 from creditshap.models.logistic import fit_logistic
@@ -18,8 +18,8 @@ def raw_dataset(seed=0, n=200, p=3):
 
 def standardized_dataset(seed=0, n=200, p=3):
     X, y, names = raw_dataset(seed, n, p)
-    Z, scaler = standardize(X, names)
-    return Z, y, scaler
+    scaler = fit_scaler(X, names)
+    return scaler.transform(X), y, scaler
 
 
 def fresh_model(p, hidden, scaler, seed=0):
@@ -117,7 +117,8 @@ class TestFit:
         y = (X[:, 0] > 3).astype(int)
         cfg = MlpConfig(hidden_layers=(8,), epochs=30, seed=0)
         model = fit_mlp(X, y, ["a", "b"], cfg)
-        Z, scaler = standardize(X, ["a", "b"])
+        scaler = fit_scaler(X, ["a", "b"])
+        Z = scaler.transform(X)
         assert model.scaler.columns == ["a", "b"]
         assert np.array_equal(model.scaler.mean, scaler.mean) and np.array_equal(model.scaler.std, scaler.std)
         assert np.array_equal(model.predict_proba(X), model._forward(Z)[-1][:, 0])

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from creditshap.explain import global_importance
 from creditshap.features import FeatureMatrix
 from creditshap.pipeline import PipelineConfig, select_stage
 from creditshap.selection import (
@@ -252,20 +253,27 @@ class TestScreenMatchesPairLoop:
 class TestTopK:
     def test_identity_when_k_is_all(self):
         m = matrix(["a", "b"], [[1, 2], [3, 4]])
-        assert select_top_k_by_shap(m, {"a": 1.0, "b": 0.5}, k=2).columns == ["a", "b"]
+        assert select_top_k_by_shap(m, [("a", 1.0), ("b", 0.5)], k=2).columns == ["a", "b"]
 
     def test_largest_importances_win(self):
         m = matrix(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])
-        assert select_top_k_by_shap(m, {"a": 3, "b": 1, "c": 2}, k=2).columns == ["a", "c"]
+        ranking = global_importance(m.columns, np.array([[3.0, 1.0, 2.0]]))
+        assert select_top_k_by_shap(m, ranking, k=2).columns == ["a", "c"]
 
     def test_order_preserved(self):
         m = matrix(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])
-        assert select_top_k_by_shap(m, {"c": 9, "a": 5, "b": 1}, k=2).columns == ["a", "c"]
+        assert select_top_k_by_shap(m, [("c", 9.0), ("a", 5.0), ("b", 1.0)], k=2).columns == ["a", "c"]
+
+    def test_ties_keep_the_earlier_column(self):
+        m = matrix(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])
+        ranking = global_importance(m.columns, np.array([[1.0, 2.0, -2.0]]))
+        assert select_top_k_by_shap(m, ranking, k=1).columns == ["b"]
+        assert select_top_k_by_shap(m, ranking, k=2).columns == ["b", "c"]
 
     def test_k_too_large(self):
         m = matrix(["a"], [[1], [2]])
         with pytest.raises(ValueError):
-            select_top_k_by_shap(m, {"a": 1}, k=2)
+            select_top_k_by_shap(m, [("a", 1.0)], k=2)
 
 
 def chained_select(m, missing_threshold, zero_as_missing, correlation_threshold):
