@@ -10,7 +10,7 @@ It takes the features a group at a time, in order of threshold count, and
 scores every threshold of a group with one `bincount` pair, one `cumsum`
 and one pass of the gain formula over (nodes × features × bins) arrays;
 a node's totals are that `cumsum` read at the feature's last real bin.
-LEVEL_BLOCK_ELEMENTS bounds both a group's histograms and its (rows ×
+`ensemble.CHUNK_ELEMENTS` bounds both a group's histograms and its (rows ×
 features) keys, so the search builds no array as large as the matrix.
 Every sum is taken in the order one feature's own histogram (rows, then
 bins, in order) would take it, so the gains, and with them the splits, do
@@ -33,13 +33,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ensemble import TreeEnsemble, check_fields, sigmoid
+from ..settings import check_setting
+from .ensemble import CHUNK_ELEMENTS, TreeEnsemble, sigmoid
 from .trees import Tree, depth_first, training_side
 
 PROB_CLIP = 1e-9  # cross-entropy diverges at 0/1
 MAX_OBLIVIOUS_DEPTH = 16
 DEFAULT_OBLIVIOUS_DEPTH = 6
-LEVEL_BLOCK_ELEMENTS = 16_384  # bound on one feature group's histogram and key arrays
 DEFAULT_MAX_BINS = 64  # quantile thresholds per feature, for the boosters and the forest
 
 
@@ -56,16 +56,14 @@ class BoostConfig:
     seed: int = 0  # boosting draws nothing; fit_model holds out the validation rows with this seed
 
     def __post_init__(self):
-        check_fields(self, numbers.Integral, "n_rounds", "max_depth", "max_bins", "min_samples_leaf", "patience")
-        check_fields(self, numbers.Real, "learning_rate", "reg_lambda", "validation_fraction")
-        for name in ("n_rounds", "max_depth", "max_bins"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
-        for name in ("learning_rate", "reg_lambda"):
-            if not getattr(self, name) > 0:  # NaN fails this too
-                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
-        if not 0.0 <= self.validation_fraction <= 0.5:
-            raise ValueError(f"validation_fraction must lie in [0, 0.5], not {self.validation_fraction}")
+        check_setting("n_rounds", self.n_rounds, numbers.Integral, least=1)
+        check_setting("learning_rate", self.learning_rate, numbers.Real, above=0)
+        check_setting("max_depth", self.max_depth, numbers.Integral, least=1)
+        check_setting("min_samples_leaf", self.min_samples_leaf, numbers.Integral)
+        check_setting("reg_lambda", self.reg_lambda, numbers.Real, above=0)
+        check_setting("max_bins", self.max_bins, numbers.Integral, least=1)
+        check_setting("patience", self.patience, numbers.Integral)
+        check_setting("validation_fraction", self.validation_fraction, numbers.Real, least=0, most=0.5)
 
 
 def clip_proba(p):
@@ -145,7 +143,7 @@ class BinnedMatrix:
 def _groups(binned, order, n_nodes, n_rows):
     """Runs of `order` (features in search order) whose histograms (nodes ×
     group × W, W = the group's largest threshold count + 2) and keys (rows ×
-    group) both stay within LEVEL_BLOCK_ELEMENTS; a feature too large for it
+    group) both stay within CHUNK_ELEMENTS; a feature too large for it
     goes alone."""
     counts = binned.n_thresholds[order].tolist()
     start = 0
@@ -153,7 +151,7 @@ def _groups(binned, order, n_nodes, n_rows):
         stop = start + 1
         while stop < len(counts):
             size = stop + 1 - start
-            if max(n_rows, n_nodes * (counts[stop] + 2)) * size > LEVEL_BLOCK_ELEMENTS:
+            if max(n_rows, n_nodes * (counts[stop] + 2)) * size > CHUNK_ELEMENTS:
                 break
             stop += 1
         yield order[start:stop], counts[start:stop]

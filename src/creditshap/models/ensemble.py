@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -17,11 +16,12 @@ ENSEMBLE_KINDS = ("random_forest", "gradient_boosting", "oblivious_boosting")
 
 FORMAT_VERSION = 1
 
-# Largest number of elements any one temporary of `TreeEnsemble.margin` or
-# `explain.shap_matrix` may hold: margin routes rows in chunks of
-# CHUNK_ELEMENTS // trees, and shap_matrix cuts its path tables and row
-# chunks to it.  Only what an ensemble's Prepared memo keeps grows with the
-# ensemble (see `explain`).
+# Largest number of elements any one temporary of `TreeEnsemble.margin`,
+# `explain.shap_matrix` or the level search (`boosting._groups`) may hold:
+# margin routes rows in chunks of CHUNK_ELEMENTS // trees, shap_matrix cuts
+# its path tables and row chunks to it, and the level search its feature
+# groups' histograms and keys.  Only what an ensemble's Prepared memo keeps
+# grows with the ensemble (see `explain`).
 CHUNK_ELEMENTS = 1 << 14
 
 
@@ -151,18 +151,6 @@ class TreeEnsemble:
             return cls.from_dict(json.loads(Path(path).read_text()) if data is None else data)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:  # bad JSON is a ValueError too
             raise DataError(f"{path}: not a model file ({type(exc).__name__}: {exc})") from exc
-
-
-FIELD_KINDS = {numbers.Integral: "an integer", numbers.Real: "a number"}
-
-
-def check_fields(config, kind, *names) -> None:
-    """Raise a ValueError naming the first of the config's fields that is not a
-    `kind` (a key of FIELD_KINDS); a bool is neither an integer nor a number here."""
-    for name in names:
-        value = getattr(config, name)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(f"{name} must be {FIELD_KINDS[kind]}, not {value!r}")
 
 
 def classify(p, threshold: float = 0.5) -> np.ndarray:

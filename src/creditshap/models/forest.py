@@ -16,8 +16,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ..settings import check_setting
 from .boosting import DEFAULT_MAX_BINS, BinnedMatrix, grow_tree
-from .ensemble import TreeEnsemble, check_fields
+from .ensemble import TreeEnsemble
 
 
 @dataclass
@@ -29,12 +30,11 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, numbers.Integral, "n_trees", "max_depth", "min_samples_leaf")
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be at least 1, not {self.n_trees}")
-        m = self.max_features
-        if m != "sqrt" and (isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1):
-            raise ValueError(f"max_features must be 'sqrt' or an integer >= 1, not {m!r}")
+        check_setting("n_trees", self.n_trees, numbers.Integral, least=1)
+        check_setting("max_depth", self.max_depth, numbers.Integral)
+        check_setting("min_samples_leaf", self.min_samples_leaf, numbers.Integral)
+        if self.max_features != "sqrt":
+            check_setting("max_features", self.max_features, numbers.Integral, least=1)
 
 
 def fit_random_forest(X, y, feature_names, config: ForestConfig | None = None, sample_weight=None) -> TreeEnsemble:

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
+from ..settings import check_setting
 from .boosting import quantile_edges, sort_columns
-from .ensemble import check_fields, sigmoid
+from .ensemble import sigmoid
 
 RIDGE = 1e-6  # damping on non-intercept terms keeps the Hessian invertible
 BIN_RIDGE = 10.0  # ridge on the binned fit's bin coefficients: the best CV Gini of 1, 3, 10, 30, 100 on label-flip ledgers
@@ -205,9 +205,7 @@ class BinningMap:
 
 def quantile_bin(X, n_bins: int = 10, feature_names=None) -> BinningMap:
     """Fit per-column equal-frequency bin edges on training data (`boosting.quantile_edges`)."""
-    check_fields(SimpleNamespace(n_bins=n_bins), numbers.Integral, "n_bins")
-    if n_bins < 2:
-        raise ValueError(f"n_bins must be at least 2, not {n_bins}")
+    check_setting("n_bins", n_bins, numbers.Integral, least=2)
     X = np.asarray(X, dtype=float)
     S, finite = sort_columns(X)
     found = quantile_edges(S, finite, np.flatnonzero(finite), n_bins)

@@ -14,8 +14,9 @@ import numpy as np
 
 from ..features import ScalerParams, fit_scaler
 from ..metrics import roc_auc
+from ..settings import check_setting
 from .boosting import clip_proba
-from .ensemble import check_fields, sigmoid
+from .ensemble import sigmoid
 
 
 @dataclass
@@ -30,22 +31,16 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, numbers.Integral, "batch_size", "epochs", "patience")
-        check_fields(self, numbers.Real, "learning_rate", "momentum", "validation_fraction")
-        for name in ("batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
-        layers = self.hidden_layers  # none at all is logistic regression
-        if not isinstance(layers, (list, tuple)) or not all(
-            isinstance(u, numbers.Integral) and not isinstance(u, bool) and u >= 1 for u in layers
-        ):
-            raise ValueError(f"hidden_layers must be a list of integers >= 1, not {layers!r}")
-        if not self.learning_rate > 0:  # NaN fails this and the range checks below
-            raise ValueError(f"learning_rate must be positive, not {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), not {self.momentum}")
-        if not 0.0 <= self.validation_fraction <= 0.5:
-            raise ValueError(f"validation_fraction must lie in [0, 0.5], not {self.validation_fraction}")
+        if not isinstance(self.hidden_layers, (list, tuple)):  # an empty one is logistic regression
+            raise ValueError(f"hidden_layers must be a list of integers >= 1, not {self.hidden_layers!r}")
+        for i, units in enumerate(self.hidden_layers):
+            check_setting(f"hidden_layers[{i}]", units, numbers.Integral, least=1)
+        check_setting("learning_rate", self.learning_rate, numbers.Real, above=0)
+        check_setting("momentum", self.momentum, numbers.Real, least=0, below=1)
+        check_setting("batch_size", self.batch_size, numbers.Integral, least=1)
+        check_setting("epochs", self.epochs, numbers.Integral, least=1)
+        check_setting("patience", self.patience, numbers.Integral)
+        check_setting("validation_fraction", self.validation_fraction, numbers.Real, least=0, most=0.5)
 
 
 def _relu(z):

@@ -28,6 +28,7 @@ from .metrics import CvResult, TrainSplit, cross_validate, roc_auc
 from .models import FittedModel, ModelSpec, TreeEnsemble, classify, fit_model
 from .models.ensemble import ENSEMBLE_KINDS
 from .resampling import ResamplingStrategy
+from .settings import check_setting
 from .tables import (
     DataError,
     LedgerBundle,
@@ -67,24 +68,17 @@ class PipelineConfig:
     cv_folds: int = 5
 
     def __post_init__(self):
-        from .resampling import STRATEGY_KINDS
-
-        try:
+        try:  # the strategy checks resampling, k_neighbors and seed; model parameter values wait for train
             ModelSpec(self.model, self.model_params)
+            ResamplingStrategy(self.resampling, self.k_neighbors, self.seed)
+            check_setting("correlation_threshold", self.correlation_threshold, numbers.Real, least=0, most=1)
+            check_setting("missing_threshold", self.missing_threshold, numbers.Real, least=0, most=1)
+            check_setting("top_k", self.top_k, numbers.Integral, least=1)
+            check_setting("cv_folds", self.cv_folds, numbers.Integral, least=2)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.resampling not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown resampling strategy {self.resampling!r}")
         if self.feature_set not in ("pruned", "top_k"):
             raise ConfigError(f"feature_set must be pruned or top_k, not {self.feature_set!r}")
-        for key in ("correlation_threshold", "missing_threshold"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{key} must be a number in [0, 1], not {value!r}")
-        for key, least in (("seed", 0), ("top_k", 1), ("cv_folds", 2), ("k_neighbors", 1)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ConfigError(f"{key} must be an integer >= {least}, not {value!r}")
         if not isinstance(self.zero_as_missing, bool):
             raise ConfigError(f"zero_as_missing must be true or false, not {self.zero_as_missing!r}")
 

@@ -18,11 +18,13 @@ used to choose them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import TrainSplit
+from .settings import check_setting
 
 STRATEGY_KINDS = (
     "none",
@@ -49,8 +51,8 @@ class ResamplingStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown resampling strategy {self.kind!r}")
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
+        check_setting("k_neighbors", self.k_neighbors, numbers.Integral, least=1)
+        check_setting("seed", self.seed, numbers.Integral, least=0)
 
 
 @dataclass(frozen=True)

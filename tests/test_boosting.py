@@ -264,9 +264,9 @@ class TestLossPieces:
 
 class TestBoostConfig:
     @pytest.mark.parametrize("name, kind", [
-        ("n_rounds", "an integer"), ("max_depth", "an integer"), ("max_bins", "an integer"),
+        ("n_rounds", "an integer >= 1"), ("max_depth", "an integer >= 1"), ("max_bins", "an integer >= 1"),
         ("min_samples_leaf", "an integer"), ("patience", "an integer"),
-        ("learning_rate", "a number"), ("reg_lambda", "a number"), ("validation_fraction", "a number"),
+        ("learning_rate", "a number > 0"), ("reg_lambda", "a number > 0"), ("validation_fraction", "a number >= 0 and <= 0.5"),
     ])
     def test_a_bool_fails_every_count_and_number(self, name, kind):
         with pytest.raises(ValueError, match=f"^{name} must be {kind}, not True$"):
@@ -451,7 +451,7 @@ class TestGradientBoosting:
             return [grow_oblivious_tree(binned, g, h, w, obl)[0], grow_tree(binned, rows, g, h, w, plain)[0]]
 
         default = [t.to_dict() for t in grow()]
-        monkeypatch.setattr(boosting, "LEVEL_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(boosting, "CHUNK_ELEMENTS", budget)
         assert [t.to_dict() for t in grow()] == default
 
     def test_features_callable_restricts_every_split(self):

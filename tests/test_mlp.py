@@ -144,8 +144,9 @@ class TestFit:
 
 class TestMlpConfig:
     @pytest.mark.parametrize("name, kind", [
-        ("batch_size", "an integer"), ("epochs", "an integer"), ("patience", "an integer"),
-        ("learning_rate", "a number"), ("momentum", "a number"), ("validation_fraction", "a number"),
+        ("batch_size", "an integer >= 1"), ("epochs", "an integer >= 1"), ("patience", "an integer"),
+        ("learning_rate", "a number > 0"), ("momentum", "a number >= 0 and < 1"),
+        ("validation_fraction", "a number >= 0 and <= 0.5"),
     ])
     def test_a_bool_fails_every_count_and_number(self, name, kind):
         with pytest.raises(ValueError, match=f"^{name} must be {kind}, not True$"):
@@ -154,5 +155,5 @@ class TestMlpConfig:
     @pytest.mark.parametrize("name", ["batch_size", "epochs"])
     def test_a_count_below_one_fails(self, name):
         # no epoch at all would return the randomly initialised network
-        with pytest.raises(ValueError, match=f"^{name} must be at least 1, not 0$"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, not 0$"):
             MlpConfig(**{name: 0})
